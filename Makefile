@@ -17,8 +17,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# perfbench/ is its own module, so ./... never compiles it; vetting it
+# here turns an internal API break into a vet failure instead of a
+# broken benchmark run.
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 test:
 	$(GO) test ./...

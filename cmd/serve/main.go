@@ -194,15 +194,13 @@ func main() {
 	defer stop()
 
 	opts := server.Options{
-		Pprof:           *pprofFlag,
-		MaxBodyBytes:    *maxBody,
-		AccessLog:       logger,
-		EnrichTimeout:   *enrichTimeout,
-		JobQueue:        *jobQueue,
-		JobWorkers:      *jobWorkers,
-		JobTTL:          *jobTTL,
-		IngestBatchSize: *ingestBatchSize,
-		IngestBatchWait: *ingestBatchWait,
+		Pprof:         *pprofFlag,
+		MaxBodyBytes:  *maxBody,
+		AccessLog:     logger,
+		EnrichTimeout: *enrichTimeout,
+		JobQueue:      *jobQueue,
+		JobWorkers:    *jobWorkers,
+		JobTTL:        *jobTTL,
 	}
 	if *metrics {
 		opts.Obs = obs.New()
@@ -321,7 +319,7 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.Workers = *workers
 
-	app := server.NewWithRegistry(reg, cfg, opts)
+	app := server.New(reg, cfg, opts)
 	srv := &http.Server{
 		Handler:           app.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,

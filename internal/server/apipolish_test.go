@@ -12,7 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"bioenrich/internal/core"
+	"bioenrich/internal/state"
 )
 
 // TestReadyLifecycle: /v1/ready is a boot barrier — 503 unavailable
@@ -21,7 +21,7 @@ import (
 // (liveness, not readiness).
 func TestReadyLifecycle(t *testing.T) {
 	c, o := fixtureData(t)
-	srv := NewWithOptions(c, o, core.DefaultConfig(), Options{})
+	srv := newServer(state.NewStore(c, o), Options{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"bioenrich/internal/core"
 	"bioenrich/internal/ontology"
+	"bioenrich/internal/state"
 	"bioenrich/internal/synth"
 )
 
@@ -29,7 +29,7 @@ func slowServer(t *testing.T, opts Options) (*httptest.Server, *ontology.Ontolog
 	copts.DocsPerConcept = 4
 	mesh := synth.GenerateMesh(mopts)
 	c := synth.GenerateMeshCorpus(mesh, copts)
-	ts := httptest.NewServer(NewWithOptions(c, mesh.Ontology, core.DefaultConfig(), opts).Handler())
+	ts := httptest.NewServer(newServer(state.NewStore(c, mesh.Ontology), opts).Handler())
 	t.Cleanup(ts.Close)
 	return ts, mesh.Ontology
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"bioenrich/internal/core"
 	"bioenrich/internal/state"
 )
 
@@ -90,8 +89,8 @@ func TestIngestRejectsEmptyDocuments(t *testing.T) {
 	before := getJSON(t, ts.URL+"/v1/health", http.StatusOK)
 
 	for _, body := range []string{
-		`[{"id":"e1"}]`,                          // no title, no text
-		`[{"id":"e1","title":"  ","text":"\t"}]`, // whitespace only
+		`[{"id":"e1"}]`,                                        // no title, no text
+		`[{"id":"e1","title":"  ","text":"\t"}]`,               // whitespace only
 		`[{"id":"ok","text":"corneal"},{"id":"e2","text":""}]`, // one bad doc poisons the batch
 	} {
 		status, v := postRaw(t, ts.URL+"/v1/documents", body)
@@ -143,7 +142,9 @@ func (f *flakyDurable) heal() {
 func TestIngestDurabilityFailureIs503(t *testing.T) {
 	c, o := fixtureData(t)
 	d := &flakyDurable{fail: true}
-	srv := NewWithOptions(c, o, core.DefaultConfig(), Options{Durability: d})
+	st := state.NewStore(c, o)
+	st.SetDurable(d)
+	srv := newServer(st, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

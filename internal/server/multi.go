@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"bioenrich/internal/classify"
 	"bioenrich/internal/corpus"
-	"bioenrich/internal/jobs"
 	"bioenrich/internal/ontology"
 	"bioenrich/internal/recommend"
 	"bioenrich/internal/registry"
@@ -31,17 +31,6 @@ func setEpochHeader(w http.ResponseWriter, epoch uint64) {
 	w.Header().Set(epochHeader, strconv.FormatUint(epoch, 10))
 }
 
-// resolveEntry maps a registry lookup failure to 404. An empty name
-// resolves to the default entry.
-func (s *Server) resolveEntry(w http.ResponseWriter, name string) (*registry.Entry, bool) {
-	entry, err := s.reg.Resolve(name)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return nil, false
-	}
-	return entry, true
-}
-
 // classifyRequest is the POST /v1/classify body. Ontology selects the
 // registry entry ("" = default; the /v1/ontologies/{name}/classify
 // form takes it from the path instead). Epoch, when > 0, pins the
@@ -54,50 +43,33 @@ type classifyRequest struct {
 	Epoch    uint64 `json:"epoch"`
 }
 
+// handleClassify runs one classification against the current snapshot
+// of the request's entry: resolve (atomic map load), snapshot (atomic
+// pointer load), classify against the per-epoch cached concept
+// profiles — no lock anywhere on the path. The body is decoded before
+// the entry resolves, so a malformed body is 400 whatever it names.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeClassifyRequest(w, r)
-	if !ok {
-		return
-	}
-	s.classifyEntry(w, r, req.Ontology, req)
-}
-
-// handleClassifyNamed is the resource form: the entry comes from the
-// path, any "ontology" field in the body is ignored.
-func (s *Server) handleClassifyNamed(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeClassifyRequest(w, r)
-	if !ok {
-		return
-	}
-	s.classifyEntry(w, r, r.PathValue("name"), req)
-}
-
-func (s *Server) decodeClassifyRequest(w http.ResponseWriter, r *http.Request) (classifyRequest, bool) {
 	s.limitBody(w, r)
 	var req classifyRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, decodeStatus(err), fmt.Errorf("decode request: %w", err))
-		return req, false
+		return
 	}
 	if req.Text == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("text is required"))
-		return req, false
+		return
 	}
 	if req.Top < 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("top: must be non-negative, got %d", req.Top))
-		return req, false
+		return
 	}
 	if req.Top == 0 {
 		req.Top = 10
 	}
-	return req, true
-}
-
-// classifyEntry runs one classification against the named entry's
-// current snapshot: resolve (atomic map load), snapshot (atomic
-// pointer load), classify against the per-epoch cached concept
-// profiles — no lock anywhere on the path.
-func (s *Server) classifyEntry(w http.ResponseWriter, r *http.Request, name string, req classifyRequest) {
+	name := r.PathValue("name")
+	if name == "" {
+		name = req.Ontology
+	}
 	entry, ok := s.resolveEntry(w, name)
 	if !ok {
 		return
@@ -186,46 +158,27 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Route the enrichment job to the winner. The job pins the snapshot
-	// the ranking saw: if that entry publishes before the job's apply
-	// commits, the job fails with the conflict code instead of
-	// clobbering the interleaved write.
-	entry, ok := s.reg.Get(top.Ontology)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("ranked ontology %q vanished", top.Ontology))
-		return
-	}
-	snap := entry.Snapshot()
+	// Route the enrichment job to the winner, pinned to the very
+	// snapshot the ranking scored — the epoch this response reports. If
+	// that entry publishes before the job's apply commits, the job fails
+	// with the conflict code instead of clobbering the interleaved write.
+	i := slices.IndexFunc(inputs, func(in recommend.Input) bool { return in.Name == top.Ontology })
+	entry, snap := entries[i], inputs[i].Snap
 	ereq := enrichRequest{Top: req.EnrichTop, Apply: req.Apply, Workers: req.Workers}
 	if ereq.Top == 0 {
 		ereq.Top = 10
 	}
-	timeout := s.opts.EnrichTimeout
-	job, err := s.jobs.Submit("enrich", requestID(r.Context()), snap.Epoch, func(ctx context.Context) (any, error) {
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-			defer cancel()
-		}
-		resp, err := s.runEnrich(ctx, entry.Store, snap, ereq)
+	job, ok := s.submitEnrich(w, r, snap.Epoch, func(ctx context.Context) (any, error) {
+		resp, err := s.runEnrich(ctx, entry, snap, ereq)
 		if err != nil {
 			return nil, err
 		}
 		resp["ontology"] = entry.Name
 		return resp, nil
 	})
-	if err != nil {
-		switch {
-		case errors.Is(err, jobs.ErrQueueFull):
-			writeError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, jobs.ErrNotStarted):
-			writeError(w, http.StatusServiceUnavailable, err)
-		default:
-			writeError(w, http.StatusInternalServerError, err)
-		}
+	if !ok {
 		return
 	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID)
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"rankings": scores,
 		"ontology": entry.Name,
@@ -263,7 +216,7 @@ func (s *Server) handleOntologiesList(w http.ResponseWriter, _ *http.Request) {
 	for _, e := range entries {
 		views = append(views, entryView(e, s.reg.DefaultName()))
 	}
-	setEpochHeader(w, s.snapshot().Epoch)
+	setEpochHeader(w, s.reg.Default().Snapshot().Epoch)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"default":    s.reg.DefaultName(),
 		"ontologies": views,
@@ -278,38 +231,6 @@ func (s *Server) handleOntologyGet(w http.ResponseWriter, r *http.Request) {
 	v := entryView(entry, s.reg.DefaultName())
 	setEpochHeader(w, v.Epoch)
 	writeJSON(w, http.StatusOK, v)
-}
-
-func (s *Server) handleOntologySearch(w http.ResponseWriter, r *http.Request) {
-	entry, ok := s.resolveEntry(w, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing ?q=<query>"))
-		return
-	}
-	n, err := intParam(r, "n", 10)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	snap := entry.Snapshot()
-	hits := snap.Corpus.Search(q, n)
-	if hits == nil {
-		hits = []corpus.SearchHit{}
-	}
-	setEpochHeader(w, snap.Epoch)
-	writeJSON(w, http.StatusOK, hits)
-}
-
-func (s *Server) handleOntologyDocuments(w http.ResponseWriter, r *http.Request) {
-	entry, ok := s.resolveEntry(w, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	s.ingestDocuments(w, r, entry)
 }
 
 // conceptSpec is one concept in a POST /v1/ontologies body.

@@ -2,9 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -427,5 +429,62 @@ func TestRecommendRoutesEnrichment(t *testing.T) {
 	}
 	if out.Job.Epoch != entry.Snapshot().Epoch {
 		t.Fatalf("job epoch %d, agro at %d", out.Job.Epoch, entry.Snapshot().Epoch)
+	}
+}
+
+// TestRecommendEnrichPinsRankedSnapshot: the job a recommend submits
+// runs on the snapshot the ranking scored, even while the winning
+// entry keeps publishing — job epoch, rankings[0].epoch and X-Epoch
+// agree on every response.
+func TestRecommendEnrichPinsRankedSnapshot(t *testing.T) {
+	const rounds = 200
+	ts, _ := startedServer(t, Options{JobQueue: rounds})
+	createAgro(t, ts.URL)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp := postJSON(t, ts.URL+"/v1/ontologies/agro/documents",
+				fmt.Sprintf(`[{"id":"w%d","text":"Wheat rust spread through more fields."}]`, i))
+			if b := readAll(t, resp); resp.StatusCode != http.StatusOK {
+				t.Errorf("ingest %d: status %d body %s", i, resp.StatusCode, b)
+				return
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+
+	for i := 0; i < rounds; i++ {
+		resp := postJSON(t, ts.URL+"/v1/recommend",
+			`{"text":"wheat rust and stem rust in fields with poor soil nutrients","enrich":true,"enrich_top":1}`)
+		b := readAll(t, resp)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("round %d: status %d body %s", i, resp.StatusCode, b)
+		}
+		var out struct {
+			Job struct {
+				Epoch uint64 `json:"epoch"`
+			} `json:"job"`
+			Rankings []struct {
+				Ontology string `json:"ontology"`
+				Epoch    uint64 `json:"epoch"`
+			} `json:"rankings"`
+		}
+		if err := json.Unmarshal(b, &out); err != nil {
+			t.Fatal(err)
+		}
+		header := strconv.FormatUint(out.Job.Epoch, 10)
+		if out.Rankings[0].Ontology != "agro" || out.Rankings[0].Epoch != out.Job.Epoch || resp.Header.Get("X-Epoch") != header {
+			t.Fatalf("round %d: job epoch %d, rankings[0] %+v, X-Epoch %q", i, out.Job.Epoch, out.Rankings[0], resp.Header.Get("X-Epoch"))
+		}
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"strings"
 	"testing"
 
-	"bioenrich/internal/core"
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/obs"
 	"bioenrich/internal/ontology"
+	"bioenrich/internal/state"
 	"bioenrich/internal/textutil"
 )
 
@@ -47,7 +47,7 @@ func obsFixture(t *testing.T, opts Options) *httptest.Server {
 		{ID: "3", Text: "The corneal injury caused epithelium scarring treated with membrane grafts."},
 	})
 	c.Build()
-	ts := httptest.NewServer(NewWithOptions(c, o, core.DefaultConfig(), opts).Handler())
+	ts := httptest.NewServer(newServer(state.NewStore(c, o), opts).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -222,6 +222,100 @@ func TestAccessLog(t *testing.T) {
 	for _, want := range []string{"method=GET", "path=/health", "status=200"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("access log %q missing %q", line, want)
+		}
+	}
+}
+
+// TestRouteInventory pins every METHOD pattern the server mounts with
+// Options.Obs set, and that a request to each is counted under exactly
+// that pattern as its endpoint label — the labels dashboards and the
+// benchmark's traced pass select on.
+func TestRouteInventory(t *testing.T) {
+	inventory := []struct{ pattern, path, body string }{
+		{"GET /v1/health", "/v1/health", ""},
+		{"GET /v1/ready", "/v1/ready", ""},
+		{"GET /v1/version", "/v1/version", ""},
+		{"GET /v1/ontology/stats", "/v1/ontology/stats", ""},
+		{"GET /v1/ontology/terms/{term}", "/v1/ontology/terms/corneal%20injury", ""},
+		{"GET /v1/search", "/v1/search?q=corneal", ""},
+		{"GET /v1/extract", "/v1/extract?top=3", ""},
+		{"GET /v1/senses", "/v1/senses?term=corneal+abrasion&monosemic=1", ""},
+		{"GET /v1/link", "/v1/link?term=corneal+abrasion&top=3", ""},
+		{"POST /v1/documents", "/v1/documents", `[{"id":"n1","text":"corneal text"}]`},
+		{"POST /v1/enrich", "/v1/enrich", `{"top":2}`},
+		{"POST /v1/jobs/enrich", "/v1/jobs/enrich", `{"top":2}`},
+		{"GET /v1/jobs", "/v1/jobs", ""},
+		{"GET /v1/jobs/{id}", "/v1/jobs/j-none", ""},
+		{"DELETE /v1/jobs/{id}", "/v1/jobs/j-none", ""},
+		{"GET /v1/relations", "/v1/relations?top=3", ""},
+		{"POST /v1/disambiguate", "/v1/disambiguate", `{"term":"corneal abrasion","context":["scarring"]}`},
+		{"POST /v1/classify", "/v1/classify", `{"text":"corneal injury"}`},
+		{"POST /v1/recommend", "/v1/recommend", `{"text":"corneal injury"}`},
+		{"GET /v1/ontologies", "/v1/ontologies", ""},
+		{"POST /v1/ontologies", "/v1/ontologies", agroCreateBody},
+		{"GET /v1/ontologies/{name}", "/v1/ontologies/default", ""},
+		{"GET /v1/ontologies/{name}/search", "/v1/ontologies/agro/search?q=rust", ""},
+		{"POST /v1/ontologies/{name}/documents", "/v1/ontologies/agro/documents", `[{"id":"a9","text":"rust"}]`},
+		{"POST /v1/ontologies/{name}/classify", "/v1/ontologies/agro/classify", `{"text":"wheat rust"}`},
+		{"GET /v1/metrics", "/v1/metrics", ""},
+		{"GET /health", "/health", ""},
+		{"GET /ontology/stats", "/ontology/stats", ""},
+		{"GET /ontology/term", "/ontology/term?t=corneal%20injury", ""},
+		{"GET /search", "/search?q=corneal", ""},
+		{"GET /extract", "/extract?top=3", ""},
+		{"GET /senses", "/senses?term=corneal+abrasion&monosemic=1", ""},
+		{"GET /link", "/link?term=corneal+abrasion&top=3", ""},
+		{"POST /documents", "/documents", `[{"id":"n2","text":"corneal text"}]`},
+		{"POST /enrich", "/enrich", `{"top":2}`},
+		{"GET /relations", "/relations?top=3", ""},
+		{"POST /disambiguate", "/disambiguate", `{"term":"corneal abrasion","context":["scarring"]}`},
+		{"GET /metrics", "/metrics", ""},
+	}
+	ts, srv := startedServer(t, Options{Obs: obs.New()})
+
+	want := map[string]bool{}
+	for _, r := range inventory {
+		want[r.pattern] = true
+	}
+	var mounted []string
+	for _, rt := range srv.routes() {
+		for _, p := range []string{rt.v1, rt.named, rt.legacy} {
+			if p != "" {
+				mounted = append(mounted, p)
+			}
+		}
+	}
+	if len(want) != 38 || len(mounted) != len(want) {
+		t.Fatalf("%d patterns mounted, %d pinned, want 38: %v", len(mounted), len(want), mounted)
+	}
+	for _, p := range mounted {
+		if !want[p] {
+			t.Errorf("mounted pattern %q is not in the inventory", p)
+		}
+	}
+
+	for _, r := range inventory {
+		method, _, _ := strings.Cut(r.pattern, " ")
+		if resp, b := send(t, method, ts.URL+r.path, r.body); resp.StatusCode >= 500 {
+			t.Errorf("%s %s: status %d body %s", method, r.path, resp.StatusCode, b)
+		}
+	}
+	_, expo := send(t, "GET", ts.URL+"/v1/metrics", "")
+	labelled := map[string]bool{}
+	for _, line := range strings.Split(string(expo), "\n") {
+		if rest, ok := strings.CutPrefix(line, `bioenrich_http_requests_total{endpoint="`); ok {
+			endpoint, _, _ := strings.Cut(rest, `"`)
+			labelled[endpoint] = true
+		}
+	}
+	for p := range want {
+		if !labelled[p] {
+			t.Errorf("no bioenrich_http_requests_total series with endpoint %q", p)
+		}
+	}
+	for p := range labelled {
+		if !want[p] {
+			t.Errorf("unexpected endpoint label %q", p)
 		}
 	}
 }

@@ -39,17 +39,19 @@
 //	GET    /v1/ontologies                    list hosted ontologies
 //	POST   /v1/ontologies                    register a new ontology (name+concepts+docs)
 //	GET    /v1/ontologies/{name}             one entry's stats
-//	GET    /v1/ontologies/{name}/search      BM25 search against that entry
-//	POST   /v1/ontologies/{name}/documents   ingest documents into that entry
-//	POST   /v1/ontologies/{name}/classify    classify against that entry
+//	GET    /v1/ontologies/{name}/search      /v1/search against that entry
+//	POST   /v1/ontologies/{name}/documents   /v1/documents into that entry
+//	POST   /v1/ontologies/{name}/classify    /v1/classify against that entry
 //	GET    /v1/metrics                       Prometheus exposition (with Options.Obs)
 //	       /debug/pprof/*                    net/http/pprof (with Options.Pprof)
 //
-// The single-ontology routes above the multi-ontology block serve the
-// registry's default entry; /v1/ontologies/{name}/... addresses any
-// hosted entry. Read endpoints return the serving snapshot version in
-// an X-Epoch response header so clients can pin epochs for
-// read-decide-apply flows.
+// Each operation has exactly one handler, and it is entry-scoped: it
+// serves the registry entry the {name} path segment names, or the
+// default entry on a pattern without one (/v1/classify also takes the
+// entry from the body's "ontology" field). /v1/search is therefore
+// byte-for-byte /v1/ontologies/default/search. Read endpoints return
+// the serving snapshot version in an X-Epoch response header so
+// clients can pin epochs for read-decide-apply flows.
 //
 // Every pre-/v1 unversioned path remains mounted as a thin alias that
 // serves the identical body plus "Deprecation: true" and a Sunset
@@ -111,8 +113,9 @@ import (
 	"bioenrich/internal/termex"
 )
 
-// DefaultOntology names the registry entry the single-ontology API
-// surface (every pre-registry route) serves.
+// DefaultOntology names the registry entry cmd/serve seeds from
+// -corpus/-ontology: the entry every pattern without a {name} segment
+// serves.
 const DefaultOntology = "default"
 
 // DefaultMaxBodyBytes bounds POST request bodies unless
@@ -155,25 +158,6 @@ type Options struct {
 	// collection. 0 means the jobs package default (15 minutes);
 	// negative retains forever and starts no sweeper.
 	JobTTL time.Duration
-	// Durability, when non-nil, gates every snapshot publish: ingested
-	// documents are WAL-logged and committed ontologies
-	// segment-persisted before the in-memory swap (storage.Backend
-	// implements this). nil keeps the in-memory behavior.
-	Durability state.Durable
-	// BootEpoch is the epoch of the initial snapshot — set it to the
-	// recovered epoch on a warm restart so clients that pinned an
-	// epoch across the restart keep coherent conflict semantics. 0
-	// means a fresh store at epoch 1.
-	BootEpoch uint64
-	// IngestBatchSize seals an open ingest group once this many
-	// documents are queued across concurrent requests. 0 means
-	// batch.DefaultMaxDocs.
-	IngestBatchSize int
-	// IngestBatchWait is how long the ingest committer holds an open
-	// group for more requests before committing it. 0 adds no latency:
-	// a group is whatever queued while the previous commit was in
-	// flight, which already coalesces concurrent writers.
-	IngestBatchWait time.Duration
 	// OpenEntryBackend, when non-nil, provides a durability backend
 	// for ontologies created at runtime through POST /v1/ontologies:
 	// it is called with the new entry's name and seed snapshot before
@@ -184,17 +168,14 @@ type Options struct {
 	OpenEntryBackend func(name string, seed *state.Snapshot) (state.Durable, error)
 }
 
-// Server wires a corpus and an ontology to HTTP handlers through a
-// snapshot store: handlers load an immutable snapshot (never
-// blocking), mutating handlers clone-and-commit through the store's
-// epoch-checked compare-and-swap. The server itself holds no locks —
-// biolint's handler-lock analyzer enforces that mechanically.
+// Server wires a registry of hosted ontologies to HTTP handlers: each
+// handler resolves its entry, loads that entry's immutable snapshot
+// (never blocking), and mutating handlers clone-and-commit through the
+// entry store's epoch-checked compare-and-swap. The server itself
+// holds no locks — biolint's handler-lock analyzer enforces that
+// mechanically.
 type Server struct {
-	// reg hosts every served ontology; state is the default entry's
-	// store, kept as a field because the single-ontology surface is the
-	// hot path.
 	reg        *registry.Registry
-	state      *state.Store
 	cfg        core.Config
 	opts       Options
 	jobs       *jobs.Manager
@@ -206,47 +187,17 @@ type Server struct {
 	ready atomic.Bool
 }
 
-// New builds a server around a corpus and ontology with the paper's
-// default pipeline configuration.
-func New(c *corpus.Corpus, o *ontology.Ontology) *Server {
-	return NewWithConfig(c, o, core.DefaultConfig())
-}
-
-// NewWithConfig builds a server with an explicit pipeline
-// configuration — the hook for cmd/serve's -workers flag and for
-// embedding the server with a tuned Config. Zero-valued fields fall
-// back to the defaults when the enricher is built.
-func NewWithConfig(c *corpus.Corpus, o *ontology.Ontology, cfg core.Config) *Server {
-	return NewWithOptions(c, o, cfg, Options{})
-}
-
-// NewWithOptions additionally takes operational options: metrics,
-// pprof, body limits, access logging and the job subsystem's shape.
-// The corpus and ontology seed the first snapshot; the caller must
-// not mutate them afterwards.
-func NewWithOptions(c *corpus.Corpus, o *ontology.Ontology, cfg core.Config, opts Options) *Server {
-	st := state.NewStoreAt(c, o, opts.BootEpoch)
-	if opts.Durability != nil {
-		st.SetDurable(opts.Durability)
-	}
-	return NewWithRegistry(registry.MustNewWithBatch(DefaultOntology, st, batch.Options{
-		MaxDocs: opts.IngestBatchSize,
-		MaxWait: opts.IngestBatchWait,
-		Obs:     opts.Obs,
-	}), cfg, opts)
-}
-
-// NewWithRegistry builds a server over a pre-populated multi-ontology
-// registry; the registry's default entry serves the single-ontology
-// surface. Options.Durability and Options.BootEpoch are ignored here —
-// each entry's store carries its own durability and boot epoch,
-// configured by whoever built the registry.
-func NewWithRegistry(reg *registry.Registry, cfg core.Config, opts Options) *Server {
+// New builds a server over a populated registry; the registry's
+// default entry serves every pattern without a {name} segment. Each
+// entry's store carries its own durability and boot epoch, and the
+// registry its ingest batching, configured by whoever built it. cfg is
+// the pipeline configuration (zero-valued fields fall back to the
+// defaults when the enricher is built); opts the operational one.
+func New(reg *registry.Registry, cfg core.Config, opts Options) *Server {
 	return &Server{
-		reg:   reg,
-		state: reg.Default().Store,
-		cfg:   cfg,
-		opts:  opts,
+		reg:  reg,
+		cfg:  cfg,
+		opts: opts,
 		jobs: jobs.New(jobs.Options{
 			Queue:   opts.JobQueue,
 			Workers: opts.JobWorkers,
@@ -281,79 +232,65 @@ func (s *Server) Start(ctx context.Context) {
 // context was cancelled — the clean-shutdown hook for cmd/serve.
 func (s *Server) Wait() { s.jobs.Wait() }
 
-// snapshot loads the current immutable snapshot: one atomic pointer
-// read, no lock, never blocks.
-func (s *Server) snapshot() *state.Snapshot { return s.state.Load() }
+// route is one operation: its handler and every pattern serving it —
+// the /v1 pattern, the /v1/ontologies/{name}/... form where one exists,
+// and the deprecated unversioned alias where one exists (until
+// LegacySunset). Every pattern is also the endpoint metric label.
+type route struct {
+	h                 http.HandlerFunc
+	v1, named, legacy string
+}
 
-// Snapshot exposes the current immutable snapshot to the embedding
-// process — cmd/serve checkpoints it on clean shutdown so the next
-// boot loads one segment instead of replaying a long WAL tail.
-func (s *Server) Snapshot() *state.Snapshot { return s.snapshot() }
-
-// Handler returns the routing http.Handler. Every endpoint is
-// wrapped with per-endpoint instrumentation (when Options.Obs is
-// set); the router as a whole with request-id assignment, the
-// in-flight gauge and the access log.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	route := func(pattern string, h http.HandlerFunc) {
-		mux.Handle(pattern, instrument(s.opts.Obs, pattern, h))
+// routes is the server's route table. New operations are /v1-only.
+func (s *Server) routes() []route {
+	rs := []route{
+		{s.handleHealth, "GET /v1/health", "", "GET /health"},
+		{s.handleReady, "GET /v1/ready", "", ""},
+		{s.handleVersion, "GET /v1/version", "", ""},
+		{s.handleOntologyStats, "GET /v1/ontology/stats", "", "GET /ontology/stats"},
+		{s.handleOntologyTerm, "GET /v1/ontology/terms/{term}", "", "GET /ontology/term"},
+		{s.handleSearch, "GET /v1/search", "GET /v1/ontologies/{name}/search", "GET /search"},
+		{s.handleExtract, "GET /v1/extract", "", "GET /extract"},
+		{s.handleSenses, "GET /v1/senses", "", "GET /senses"},
+		{s.handleLink, "GET /v1/link", "", "GET /link"},
+		{s.handleDocuments, "POST /v1/documents", "POST /v1/ontologies/{name}/documents", "POST /documents"},
+		{s.handleEnrich, "POST /v1/enrich", "", "POST /enrich"},
+		{s.handleJobSubmit, "POST /v1/jobs/enrich", "", ""},
+		{s.handleJobList, "GET /v1/jobs", "", ""},
+		{s.handleJobGet, "GET /v1/jobs/{id}", "", ""},
+		{s.handleJobCancel, "DELETE /v1/jobs/{id}", "", ""},
+		{s.handleRelations, "GET /v1/relations", "", "GET /relations"},
+		{s.handleDisambiguate, "POST /v1/disambiguate", "", "POST /disambiguate"},
+		{s.handleClassify, "POST /v1/classify", "POST /v1/ontologies/{name}/classify", ""},
+		{s.handleRecommend, "POST /v1/recommend", "", ""},
+		{s.handleOntologiesList, "GET /v1/ontologies", "", ""},
+		{s.handleOntologyCreate, "POST /v1/ontologies", "", ""},
+		{s.handleOntologyGet, "GET /v1/ontologies/{name}", "", ""},
 	}
-	// Canonical versioned surface.
-	route("GET /v1/health", s.handleHealth)
-	route("GET /v1/ready", s.handleReady)
-	route("GET /v1/version", s.handleVersion)
-	route("GET /v1/ontology/stats", s.handleOntologyStats)
-	route("GET /v1/ontology/terms/{term}", s.handleOntologyTermPath)
-	route("GET /v1/search", s.handleSearch)
-	route("GET /v1/extract", s.handleExtract)
-	route("GET /v1/senses", s.handleSenses)
-	route("GET /v1/link", s.handleLink)
-	route("POST /v1/documents", s.handleAddDocuments)
-	route("POST /v1/enrich", s.handleEnrich)
-	route("POST /v1/jobs/enrich", s.handleJobSubmit)
-	route("GET /v1/jobs", s.handleJobList)
-	route("GET /v1/jobs/{id}", s.handleJobGet)
-	route("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	route("GET /v1/relations", s.handleRelations)
-	route("POST /v1/disambiguate", s.handleDisambiguate)
-
-	// Multi-ontology surface: classification, recommendation, and the
-	// ontology collection. All reads resolve a registry entry with one
-	// atomic map load plus one snapshot load — still lock-free.
-	route("POST /v1/classify", s.handleClassify)
-	route("POST /v1/recommend", s.handleRecommend)
-	route("GET /v1/ontologies", s.handleOntologiesList)
-	route("POST /v1/ontologies", s.handleOntologyCreate)
-	route("GET /v1/ontologies/{name}", s.handleOntologyGet)
-	route("GET /v1/ontologies/{name}/search", s.handleOntologySearch)
-	route("POST /v1/ontologies/{name}/documents", s.handleOntologyDocuments)
-	route("POST /v1/ontologies/{name}/classify", s.handleClassifyNamed)
-
-	// Legacy unversioned aliases: identical handler, identical body,
-	// plus the Deprecation header. New endpoints (jobs) are /v1-only.
-	legacy := func(pattern string, h http.HandlerFunc) {
-		mux.Handle(pattern, instrument(s.opts.Obs, pattern, deprecated(h)))
-	}
-	legacy("GET /health", s.handleHealth)
-	legacy("GET /ontology/stats", s.handleOntologyStats)
-	legacy("GET /ontology/term", s.handleOntologyTermQuery)
-	legacy("GET /search", s.handleSearch)
-	legacy("GET /extract", s.handleExtract)
-	legacy("GET /senses", s.handleSenses)
-	legacy("GET /link", s.handleLink)
-	legacy("POST /documents", s.handleAddDocuments)
-	legacy("POST /enrich", s.handleEnrich)
-	legacy("GET /relations", s.handleRelations)
-	legacy("POST /disambiguate", s.handleDisambiguate)
-
 	if s.opts.Obs != nil {
 		// The exposition endpoint is instrumented like any other; the
 		// counter increments after the scrape renders, so a scrape sees
 		// every request before itself.
-		expo := s.opts.Obs.Handler()
-		mux.Handle("GET /v1/metrics", instrument(s.opts.Obs, "GET /v1/metrics", expo))
-		mux.Handle("GET /metrics", instrument(s.opts.Obs, "GET /metrics", deprecated(expo.ServeHTTP)))
+		rs = append(rs, route{s.opts.Obs.Handler().ServeHTTP, "GET /v1/metrics", "", "GET /metrics"})
+	}
+	return rs
+}
+
+// Handler returns the routing http.Handler. Every pattern is wrapped
+// with per-endpoint instrumentation (when Options.Obs is set); the
+// router as a whole with request-id assignment, the in-flight gauge
+// and the access log.
+func (s *Server) Handler() http.Handler {
+	mux := http.NewServeMux()
+	handle := func(pattern string, h http.HandlerFunc) {
+		if pattern != "" {
+			mux.Handle(pattern, instrument(s.opts.Obs, pattern, h))
+		}
+	}
+	for _, rt := range s.routes() {
+		handle(rt.v1, rt.h)
+		handle(rt.named, rt.h)
+		handle(rt.legacy, deprecated(rt.h))
 	}
 	if s.opts.Pprof {
 		// No method restriction: the pprof tool POSTs to /symbol.
@@ -491,8 +428,34 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return n, nil
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	snap := s.snapshot()
+// resolveEntry maps a registry lookup failure to 404. An empty name —
+// the {name} path value of a pattern without that segment — resolves
+// to the default entry.
+func (s *Server) resolveEntry(w http.ResponseWriter, name string) (*registry.Entry, bool) {
+	entry, err := s.reg.Resolve(name)
+	if err != nil {
+		writeError(w, http.StatusNotFound, err)
+		return nil, false
+	}
+	return entry, true
+}
+
+// entrySnapshot loads the current snapshot of the entry r addresses:
+// one atomic map load plus one atomic pointer load, no lock, never
+// blocks.
+func (s *Server) entrySnapshot(w http.ResponseWriter, r *http.Request) (*state.Snapshot, bool) {
+	entry, ok := s.resolveEntry(w, r.PathValue("name"))
+	if !ok {
+		return nil, false
+	}
+	return entry.Snapshot(), true
+}
+
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	snap, ok := s.entrySnapshot(w, r)
+	if !ok {
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"docs":     snap.Corpus.NumDocs(),
@@ -512,10 +475,9 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 			fmt.Errorf("booting: job subsystem not started"))
 		return
 	}
-	snap := s.snapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ready",
-		"epoch":   snap.Epoch,
+		"epoch":   s.reg.Default().Snapshot().Epoch,
 		"entries": s.reg.Len(),
 	})
 }
@@ -529,8 +491,11 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, buildinfo.Read())
 }
 
-func (s *Server) handleOntologyStats(w http.ResponseWriter, _ *http.Request) {
-	snap := s.snapshot()
+func (s *Server) handleOntologyStats(w http.ResponseWriter, r *http.Request) {
+	snap, ok := s.entrySnapshot(w, r)
+	if !ok {
+		return
+	}
 	o := snap.Ontology
 	stats := o.PolysemyStats()
 	setEpochHeader(w, snap.Epoch)
@@ -544,30 +509,23 @@ func (s *Server) handleOntologyStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleOntologyTermPath is the /v1 resource form:
-// GET /v1/ontology/terms/{term}.
-func (s *Server) handleOntologyTermPath(w http.ResponseWriter, r *http.Request) {
+// handleOntologyTerm serves GET /v1/ontology/terms/{term} and its
+// deprecated query form GET /ontology/term?t=<term>. ServeMux never
+// matches {term} against an empty segment, so only the query form can
+// arrive without a term.
+func (s *Server) handleOntologyTerm(w http.ResponseWriter, r *http.Request) {
 	term := r.PathValue("term")
 	if term == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing term path segment"))
-		return
+		term = r.URL.Query().Get("t")
 	}
-	s.renderOntologyTerm(w, term)
-}
-
-// handleOntologyTermQuery is the deprecated query form:
-// GET /ontology/term?t=<term>.
-func (s *Server) handleOntologyTermQuery(w http.ResponseWriter, r *http.Request) {
-	term := r.URL.Query().Get("t")
 	if term == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing ?t=<term>"))
 		return
 	}
-	s.renderOntologyTerm(w, term)
-}
-
-func (s *Server) renderOntologyTerm(w http.ResponseWriter, term string) {
-	snap := s.snapshot()
+	snap, ok := s.entrySnapshot(w, r)
+	if !ok {
+		return
+	}
 	o := snap.Ontology
 	setEpochHeader(w, snap.Epoch)
 	ids := o.ConceptsForTerm(term)
@@ -599,6 +557,10 @@ func (s *Server) renderOntologyTerm(w http.ResponseWriter, term string) {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	snap, ok := s.entrySnapshot(w, r)
+	if !ok {
+		return
+	}
 	q := r.URL.Query().Get("q")
 	if q == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing ?q=<query>"))
@@ -609,7 +571,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	snap := s.snapshot()
 	hits := snap.Corpus.Search(q, n)
 	if hits == nil {
 		hits = []corpus.SearchHit{}
@@ -628,7 +589,10 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	snap := s.snapshot()
+	snap, ok := s.entrySnapshot(w, r)
+	if !ok {
+		return
+	}
 	ext := termex.NewExtractor(snap.Corpus)
 	ext.LearnPatterns(snap.Ontology.Terms())
 	ranked, err := ext.Rank(measure, top)
@@ -659,7 +623,11 @@ func (s *Server) handleSenses(w http.ResponseWriter, r *http.Request) {
 		in.Representation = senseind.Representation(v)
 	}
 	polysemic := r.URL.Query().Get("monosemic") == ""
-	res, err := in.Induce(s.snapshot().Corpus, term, polysemic)
+	snap, ok := s.entrySnapshot(w, r)
+	if !ok {
+		return
+	}
+	res, err := in.Induce(snap.Corpus, term, polysemic)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -678,7 +646,10 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	snap := s.snapshot()
+	snap, ok := s.entrySnapshot(w, r)
+	if !ok {
+		return
+	}
 	props, err := linkage.New(snap.Corpus, snap.Ontology, linkage.DefaultOptions()).ProposeContext(r.Context(), term, top)
 	if err != nil {
 		if r.Context().Err() != nil {
@@ -692,10 +663,6 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		props = []linkage.Proposal{}
 	}
 	writeJSON(w, http.StatusOK, props)
-}
-
-func (s *Server) handleAddDocuments(w http.ResponseWriter, r *http.Request) {
-	s.ingestDocuments(w, r, s.reg.Default())
 }
 
 // ingestStatus maps an ingest failure to its response status. The
@@ -715,18 +682,22 @@ func ingestStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// ingestDocuments appends a document batch to entry — the shared body
-// of POST /v1/documents (default entry) and POST
-// /v1/ontologies/{name}/documents (any entry). The batch is validated
-// up front (no empty batch, no document with neither title nor text)
-// so rejected requests never reach the serialized write path, then
-// handed to the entry's group-commit batcher: concurrent requests
-// coalesce into one clone + one incremental reindex + one WAL record +
-// one fsync + one epoch, and this caller blocks until the group
-// containing its documents is durable and published (or failed, with
-// nothing published). The response carries the committed epoch, which
-// covers this request's documents even when the group was shared.
-func (s *Server) ingestDocuments(w http.ResponseWriter, r *http.Request, entry *registry.Entry) {
+// handleDocuments appends a document batch to the request's entry
+// (POST /v1/documents, POST /v1/ontologies/{name}/documents). The
+// batch is validated up front (no empty batch, no document with
+// neither title nor text) so rejected requests never reach the
+// serialized write path, then handed to the entry's group-commit
+// batcher: concurrent requests coalesce into one clone + one
+// incremental reindex + one WAL record + one fsync + one epoch, and
+// this caller blocks until the group containing its documents is
+// durable and published (or failed, with nothing published). The
+// response carries the committed epoch, which covers this request's
+// documents even when the group was shared.
+func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
+	entry, ok := s.resolveEntry(w, r.PathValue("name"))
+	if !ok {
+		return
+	}
 	s.limitBody(w, r)
 	var docs []corpus.Document
 	if err := decodeStrict(r.Body, &docs); err != nil {
@@ -760,7 +731,10 @@ func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	snap := s.snapshot()
+	snap, ok := s.entrySnapshot(w, r)
+	if !ok {
+		return
+	}
 	rels := relext.NewExtractor(snap.Ontology.Terms(), snap.Corpus.Lang()).Extract(snap.Corpus)
 	if top > 0 && top < len(rels) {
 		rels = rels[:top]
@@ -789,8 +763,12 @@ func (s *Server) handleDisambiguate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("term and context are required"))
 		return
 	}
+	snap, ok := s.entrySnapshot(w, r)
+	if !ok {
+		return
+	}
 	in := senseind.New()
-	res, err := in.Induce(s.snapshot().Corpus, req.Term, true)
+	res, err := in.Induce(snap.Corpus, req.Term, true)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -848,41 +826,59 @@ func runStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// decodeEnrichRequest reads and validates an enrichRequest body
-// (shared by the synchronous and job submission endpoints). An empty
-// body means "run with defaults". Decoding instead of guarding on
-// r.ContentLength != 0 handles chunked requests too: their
-// ContentLength is -1, and a length guard would turn an empty chunked
-// body into a spurious 400 on io.EOF.
-func (s *Server) decodeEnrichRequest(w http.ResponseWriter, r *http.Request) (enrichRequest, bool) {
+// pinEnrich reads and validates an enrichRequest body (shared by the
+// synchronous and job submission endpoints) and pins the run to the
+// current snapshot of the request's entry. An empty body means "run
+// with defaults". Decoding instead of guarding on r.ContentLength != 0
+// handles chunked requests too: their ContentLength is -1, and a
+// length guard would turn an empty chunked body into a spurious 400 on
+// io.EOF. An epoch pin the entry has moved past is 409 before any work
+// runs.
+func (s *Server) pinEnrich(w http.ResponseWriter, r *http.Request) (*registry.Entry, *state.Snapshot, enrichRequest, bool) {
 	s.limitBody(w, r)
 	var req enrichRequest
 	if err := decodeStrict(r.Body, &req); err != nil && !errors.Is(err, io.EOF) {
 		writeError(w, decodeStatus(err), fmt.Errorf("decode request: %w", err))
-		return req, false
+		return nil, nil, req, false
 	}
 	if req.Top < 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("top: must be non-negative, got %d", req.Top))
-		return req, false
+		return nil, nil, req, false
 	}
 	if req.Workers < 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("workers: must be non-negative, got %d", req.Workers))
-		return req, false
+		return nil, nil, req, false
 	}
 	if req.Top == 0 {
 		req.Top = 10
 	}
-	return req, true
+	entry, ok := s.resolveEntry(w, r.PathValue("name"))
+	if !ok {
+		return nil, nil, req, false
+	}
+	snap := entry.Snapshot()
+	if req.Epoch != 0 && req.Epoch != snap.Epoch {
+		writeError(w, http.StatusConflict,
+			fmt.Errorf("requested epoch %d is stale: store at epoch %d", req.Epoch, snap.Epoch))
+		return nil, nil, req, false
+	}
+	return entry, snap, req, true
 }
 
-// runEnrich executes steps I–IV against snap and, with Apply set,
-// commits the enriched ontology to st through the epoch-checked CAS
-// (st is whichever registry entry's store the snapshot came from).
-// The pipeline holds no lock at any point: it reads the immutable
-// snapshot, applies onto a clone, and only the pointer swap inside
-// Commit is serialized. A commit built on a superseded snapshot
+// runEnrich executes steps I–IV against snap, bounded by
+// Options.EnrichTimeout, and with Apply set commits the enriched
+// ontology to entry — the entry snap came from — through the
+// epoch-checked CAS. Synchronous runs and job runs alike go through
+// here. The pipeline holds no lock at any point: it reads the
+// immutable snapshot, applies onto a clone, and only the pointer swap
+// inside Commit is serialized. A commit built on a superseded snapshot
 // returns state.ErrStale with nothing mutated.
-func (s *Server) runEnrich(ctx context.Context, st *state.Store, snap *state.Snapshot, req enrichRequest) (map[string]any, error) {
+func (s *Server) runEnrich(ctx context.Context, entry *registry.Entry, snap *state.Snapshot, req enrichRequest) (map[string]any, error) {
+	if s.opts.EnrichTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.opts.EnrichTimeout)
+		defer cancel()
+	}
 	cfg := s.cfg
 	cfg.TopCandidates = req.Top
 	if req.Workers > 0 {
@@ -915,7 +911,7 @@ func (s *Server) runEnrich(ctx context.Context, st *state.Store, snap *state.Sna
 	if err != nil {
 		return nil, err
 	}
-	next, err := st.Commit(snap, snap.Corpus, clone)
+	next, err := entry.Store.Commit(snap, snap.Corpus, clone)
 	if err != nil {
 		return nil, err
 	}
@@ -929,25 +925,13 @@ func (s *Server) runEnrich(ctx context.Context, st *state.Store, snap *state.Sna
 }
 
 func (s *Server) handleEnrich(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeEnrichRequest(w, r)
+	entry, snap, req, ok := s.pinEnrich(w, r)
 	if !ok {
 		return
 	}
-	snap := s.snapshot()
-	if req.Epoch != 0 && req.Epoch != snap.Epoch {
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("requested epoch %d is stale: store at epoch %d", req.Epoch, snap.Epoch))
-		return
-	}
 	// The run lives at most as long as the request: a disconnected
-	// client cancels it, and Options.EnrichTimeout adds a deadline.
-	ctx := r.Context()
-	if s.opts.EnrichTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.EnrichTimeout)
-		defer cancel()
-	}
-	resp, err := s.runEnrich(ctx, s.state, snap, req)
+	// client cancels it.
+	resp, err := s.runEnrich(r.Context(), entry, snap, req)
 	if err != nil {
 		writeError(w, runStatus(err), err)
 		return
@@ -1017,38 +1001,36 @@ func jobView(j jobs.Job) jobPayload {
 // before commit fails with the conflict code rather than clobbering
 // the interleaved write.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeEnrichRequest(w, r)
+	entry, snap, req, ok := s.pinEnrich(w, r)
 	if !ok {
 		return
 	}
-	snap := s.snapshot()
-	if req.Epoch != 0 && req.Epoch != snap.Epoch {
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("requested epoch %d is stale: store at epoch %d", req.Epoch, snap.Epoch))
-		return
-	}
-	timeout := s.opts.EnrichTimeout
-	job, err := s.jobs.Submit("enrich", requestID(r.Context()), snap.Epoch, func(ctx context.Context) (any, error) {
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-			defer cancel()
-		}
-		return s.runEnrich(ctx, s.state, snap, req)
+	job, ok := s.submitEnrich(w, r, snap.Epoch, func(ctx context.Context) (any, error) {
+		return s.runEnrich(ctx, entry, snap, req)
 	})
-	if err != nil {
-		switch {
-		case errors.Is(err, jobs.ErrQueueFull):
-			writeError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, jobs.ErrNotStarted):
-			writeError(w, http.StatusServiceUnavailable, err)
-		default:
-			writeError(w, http.StatusInternalServerError, err)
-		}
-		return
+	if ok {
+		writeJSON(w, http.StatusAccepted, jobView(job))
 	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	writeJSON(w, http.StatusAccepted, jobView(job))
+}
+
+// submitEnrich queues run as an enrichment job pinned at epoch and
+// points the Location header at it — the one submit path of POST
+// /v1/jobs/enrich and recommend-routed jobs. A refusal is written
+// here: 429 when the queue is full, 503 before Start.
+func (s *Server) submitEnrich(w http.ResponseWriter, r *http.Request, epoch uint64, run jobs.Fn) (jobs.Job, bool) {
+	job, err := s.jobs.Submit("enrich", requestID(r.Context()), epoch, run)
+	switch {
+	case errors.Is(err, jobs.ErrQueueFull):
+		writeError(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, jobs.ErrNotStarted):
+		writeError(w, http.StatusServiceUnavailable, err)
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, err)
+	default:
+		w.Header().Set("Location", "/v1/jobs/"+job.ID)
+		return job, true
+	}
+	return job, false
 }
 
 // DefaultJobPageLimit bounds a GET /v1/jobs page when the client sends

@@ -9,8 +9,12 @@ import (
 	"sync"
 	"testing"
 
+	"bioenrich/internal/batch"
+	"bioenrich/internal/core"
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/ontology"
+	"bioenrich/internal/registry"
+	"bioenrich/internal/state"
 	"bioenrich/internal/textutil"
 )
 
@@ -50,10 +54,18 @@ func fixtureData(t *testing.T) (*corpus.Corpus, *ontology.Ontology) {
 	return c, o
 }
 
+// newServer builds a server with the default pipeline configuration
+// over a fresh registry whose default entry is st — the one way tests
+// construct a registry.
+func newServer(st *state.Store, opts Options) *Server {
+	reg := registry.MustNewWithBatch(DefaultOntology, st, batch.Options{Obs: opts.Obs})
+	return New(reg, core.DefaultConfig(), opts)
+}
+
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	c, o := fixtureData(t)
-	ts := httptest.NewServer(New(c, o).Handler())
+	ts := httptest.NewServer(newServer(state.NewStore(c, o), Options{}).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }

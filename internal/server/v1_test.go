@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"bioenrich/internal/core"
 	"bioenrich/internal/obs"
+	"bioenrich/internal/state"
 	"bioenrich/internal/synth"
 )
 
@@ -22,7 +22,7 @@ import (
 func startedServer(t *testing.T, opts Options) (*httptest.Server, *Server) {
 	t.Helper()
 	c, o := fixtureData(t)
-	srv := NewWithOptions(c, o, core.DefaultConfig(), opts)
+	srv := newServer(state.NewStore(c, o), opts)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(func() {
 		cancel()
@@ -46,7 +46,7 @@ func startedSlowServer(t *testing.T, opts Options) (*httptest.Server, *Server) {
 	copts.DocsPerConcept = 4
 	mesh := synth.GenerateMesh(mopts)
 	c := synth.GenerateMeshCorpus(mesh, copts)
-	srv := NewWithOptions(c, mesh.Ontology, core.DefaultConfig(), opts)
+	srv := newServer(state.NewStore(c, mesh.Ontology), opts)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(func() {
 		cancel()
@@ -128,42 +128,105 @@ func pollJob(t *testing.T, base, id string, want func(status string) bool) map[s
 	return nil
 }
 
-// TestV1AliasParity: every legacy unversioned route serves the same
-// body as its /v1 twin, plus the Deprecation header (which the /v1
-// route must not carry).
-func TestV1AliasParity(t *testing.T) {
-	ts := testServer(t)
-	pairs := [][2]string{
-		{"/v1/health", "/health"},
-		{"/v1/ontology/stats", "/ontology/stats"},
-		{"/v1/ontology/terms/corneal%20injury", "/ontology/term?t=corneal%20injury"},
-		{"/v1/search?q=corneal", "/search?q=corneal"},
-		{"/v1/extract?top=5", "/extract?top=5"},
-		{"/v1/relations?top=5", "/relations?top=5"},
+// send issues one request (no body when body is empty) and returns the
+// response with its body read.
+func send(t *testing.T, method, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	var rd io.Reader
+	if body != "" {
+		rd = strings.NewReader(body)
 	}
-	for _, pair := range pairs {
-		v1, err := http.Get(ts.URL + pair[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1Body := readAll(t, v1)
-		legacy, err := http.Get(ts.URL + pair[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacyBody := readAll(t, legacy)
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, readAll(t, resp)
+}
+
+// TestV1AliasParity: every legacy unversioned route serves the same
+// status, body and X-Epoch as its /v1 twin, plus the Deprecation and
+// Sunset headers (which the /v1 route must not carry). Each side gets
+// a fresh server, so a mutating alias sees the state its twin saw.
+func TestV1AliasParity(t *testing.T) {
+	cases := []struct{ method, v1, legacy, body string }{
+		{"GET", "/v1/health", "/health", ""},
+		{"GET", "/v1/ontology/stats", "/ontology/stats", ""},
+		{"GET", "/v1/ontology/terms/corneal%20injury", "/ontology/term?t=corneal%20injury", ""},
+		{"GET", "/v1/search?q=corneal", "/search?q=corneal", ""},
+		{"GET", "/v1/extract?top=5", "/extract?top=5", ""},
+		{"GET", "/v1/senses?term=corneal+abrasion&monosemic=1", "/senses?term=corneal+abrasion&monosemic=1", ""},
+		{"GET", "/v1/link?term=corneal+abrasion&top=5", "/link?term=corneal+abrasion&top=5", ""},
+		{"GET", "/v1/relations?top=5", "/relations?top=5", ""},
+		{"POST", "/v1/documents", "/documents", `[{"id":"n1","text":"Fresh corneal abrasion case."}]`},
+		{"POST", "/v1/enrich", "/enrich", `{"top":3,"apply":false}`},
+		{"POST", "/v1/disambiguate", "/disambiguate", `{"term":"corneal abrasion","context":["epithelium","scarring","grafts"]}`},
+	}
+	for _, tc := range cases {
+		v1, v1Body := send(t, tc.method, testServer(t).URL+tc.v1, tc.body)
+		legacy, legacyBody := send(t, tc.method, testServer(t).URL+tc.legacy, tc.body)
 		if v1.StatusCode != http.StatusOK || legacy.StatusCode != http.StatusOK {
-			t.Errorf("%s/%s: status %d/%d", pair[0], pair[1], v1.StatusCode, legacy.StatusCode)
+			t.Errorf("%s/%s: status %d/%d", tc.v1, tc.legacy, v1.StatusCode, legacy.StatusCode)
 			continue
 		}
 		if string(v1Body) != string(legacyBody) {
-			t.Errorf("%s and %s disagree:\n%s\nvs\n%s", pair[0], pair[1], v1Body, legacyBody)
+			t.Errorf("%s and %s disagree:\n%s\nvs\n%s", tc.v1, tc.legacy, v1Body, legacyBody)
 		}
-		if got := legacy.Header.Get("Deprecation"); got != "true" {
-			t.Errorf("%s: Deprecation = %q, want true", pair[1], got)
+		if a, b := v1.Header.Get("X-Epoch"), legacy.Header.Get("X-Epoch"); a != b {
+			t.Errorf("%s/%s: X-Epoch %q/%q", tc.v1, tc.legacy, a, b)
 		}
-		if got := v1.Header.Get("Deprecation"); got != "" {
-			t.Errorf("%s: unexpected Deprecation header %q", pair[0], got)
+		checkDeprecation(t, tc.v1, v1, tc.legacy, legacy)
+	}
+
+	// The exposition is live, so for /metrics only the headers are pinned.
+	ts := obsFixture(t, Options{Obs: obs.New()})
+	v1, _ := send(t, "GET", ts.URL+"/v1/metrics", "")
+	legacy, _ := send(t, "GET", ts.URL+"/metrics", "")
+	checkDeprecation(t, "/v1/metrics", v1, "/metrics", legacy)
+}
+
+// checkDeprecation asserts the legacy response carries the Deprecation
+// and Sunset headers and its /v1 twin neither.
+func checkDeprecation(t *testing.T, v1Path string, v1 *http.Response, legacyPath string, legacy *http.Response) {
+	t.Helper()
+	if got := legacy.Header.Get("Deprecation"); got != "true" {
+		t.Errorf("%s: Deprecation = %q, want true", legacyPath, got)
+	}
+	if got := legacy.Header.Get("Sunset"); got != LegacySunset {
+		t.Errorf("%s: Sunset = %q, want %q", legacyPath, got, LegacySunset)
+	}
+	if d, s := v1.Header.Get("Deprecation"), v1.Header.Get("Sunset"); d != "" || s != "" {
+		t.Errorf("%s: unexpected Deprecation %q / Sunset %q", v1Path, d, s)
+	}
+}
+
+// TestDefaultNamedParity: the default entry answers identically
+// through its /v1 pattern and its /v1/ontologies/default form — same
+// status, body bytes and X-Epoch, errors included. Each side gets a
+// fresh server.
+func TestDefaultNamedParity(t *testing.T) {
+	cases := []struct{ method, v1, named, body string }{
+		{"GET", "/v1/search?q=corneal", "/v1/ontologies/default/search?q=corneal", ""},
+		{"GET", "/v1/search?q=corneal&n=abc", "/v1/ontologies/default/search?q=corneal&n=abc", ""},
+		{"POST", "/v1/classify", "/v1/ontologies/default/classify", `{"text":"corneal injury with epithelium scarring"}`},
+		{"POST", "/v1/classify", "/v1/ontologies/default/classify", `{"text":"corneal injury","epoch":99}`},
+		{"POST", "/v1/documents", "/v1/ontologies/default/documents", `[{"id":"n1","text":"Fresh corneal abrasion case."}]`},
+		{"POST", "/v1/documents", "/v1/ontologies/default/documents", `[]`},
+	}
+	for _, tc := range cases {
+		v1, v1Body := send(t, tc.method, testServer(t).URL+tc.v1, tc.body)
+		named, namedBody := send(t, tc.method, testServer(t).URL+tc.named, tc.body)
+		if v1.StatusCode != named.StatusCode {
+			t.Errorf("%s/%s %s: status %d/%d", tc.v1, tc.named, tc.body, v1.StatusCode, named.StatusCode)
+		}
+		if string(v1Body) != string(namedBody) {
+			t.Errorf("%s and %s disagree on %s:\n%s\nvs\n%s", tc.v1, tc.named, tc.body, v1Body, namedBody)
+		}
+		if a, b := v1.Header.Get("X-Epoch"), named.Header.Get("X-Epoch"); a != b {
+			t.Errorf("%s/%s: X-Epoch %q/%q", tc.v1, tc.named, a, b)
 		}
 	}
 }
