@@ -36,9 +36,9 @@ test:
 # for free. internal/storage joins the gate because the disk backend's
 # mutex serializes WAL appends against checkpoints; internal/corpus
 # for its tokenize worker pool; internal/lint for the parallel
-# load/analyze driver. CI (.github/workflows/ci.yml) runs the same
-# gate, and scripts/race_gate_check.sh proves this list plus its
-# documented exemptions cover ./internal/... exactly.
+# load/analyze driver. CI (.github/workflows/ci.yml) runs this target,
+# so this is the one raced list, and scripts/race_gate_check.sh proves
+# it plus its documented exemptions cover ./internal/... exactly.
 race:
 	$(GO) test -race ./internal/core ./internal/server ./internal/linkage ./internal/obs ./internal/senseind ./internal/state ./internal/jobs ./internal/storage ./internal/registry ./internal/classify ./internal/recommend ./internal/batch ./internal/corpus ./internal/lint ./internal/loadtest
 

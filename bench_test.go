@@ -502,7 +502,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 
 	b.Run("batched", func(b *testing.B) {
 		st := state.NewStore(base.Clone(), o)
-		bt := batch.New(st, batch.Options{})
+		bt := batch.New(st, nil)
 		defer bt.Close()
 		before := st.Load().Epoch
 		b.SetParallelism(parallelism)

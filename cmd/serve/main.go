@@ -11,8 +11,7 @@
 //	      [-log-level info] [-max-body 8388608] \
 //	      [-job-queue 16] [-job-workers 1] [-job-ttl 15m] \
 //	      [-data-dir data/state] [-wal-sync=true] \
-//	      [-retain-segments 3] [-checkpoint-every 256] \
-//	      [-ingest-batch-size 256] [-ingest-batch-wait 0]
+//	      [-retain-segments 3] [-checkpoint-every 256]
 //
 // Multi-ontology hosting: -corpus/-ontology seed the default registry
 // entry (every single-ontology route serves it); each repeatable
@@ -51,12 +50,9 @@
 //
 // Ingestion is group-committed (internal/batch): concurrent POST
 // /v1/documents requests coalesce per ontology into one corpus
-// clone + incremental reindex + WAL record + fsync + epoch.
-// -ingest-batch-size caps how many documents one group may hold
-// before it commits; -ingest-batch-wait holds an open group that long
-// for more requests to join (0, the default, adds no latency — a
-// group is whatever arrived while the previous commit was in flight,
-// which already coalesces concurrent writers).
+// clone + incremental reindex + WAL record + fsync + epoch. A group is
+// whatever arrived while the previous commit was in flight, so no
+// request waits on a timer and concurrent writers share commits.
 //
 // Async jobs: POST /v1/jobs/enrich queues an enrichment run against
 // the snapshot current at submission. -job-queue bounds how many may
@@ -94,7 +90,6 @@ import (
 	"syscall"
 	"time"
 
-	"bioenrich/internal/batch"
 	"bioenrich/internal/core"
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/obs"
@@ -173,8 +168,6 @@ func main() {
 	walSync := flag.Bool("wal-sync", true, "fsync the WAL on every ingest before acknowledging (false trades crash-safety for throughput)")
 	retainSegments := flag.Int("retain-segments", 0, "full snapshot segments to keep in -data-dir (0 = default 3, negative = all)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "write a full segment every N ingest batches, bounding boot replay (0 = default 256, negative = never automatically)")
-	ingestBatchSize := flag.Int("ingest-batch-size", 0, "max documents per ingest group commit (0 = default 256)")
-	ingestBatchWait := flag.Duration("ingest-batch-wait", 0, "how long to hold an open ingest group for more requests (0 = commit as soon as the committer is free)")
 	addrFile := flag.String("addr-file", "", "write the resolved listen address (host:port) to this file once listening; lets tooling discover a kernel-assigned :0 port without parsing logs")
 	var entries entryFlags
 	flag.Var(&entries, "ontology-entry", "additional hosted ontology as name=corpus.json,ontology.json (repeatable); served at /v1/ontologies/{name}")
@@ -271,9 +264,11 @@ func main() {
 	if *dataDir != "" {
 		defaultDir = *dataDir // default entry stays at the root: old data dirs keep working
 	}
-	reg := registry.MustNewWithBatch(server.DefaultOntology,
-		openEntryStore(server.DefaultOntology, defaultDir, *corpusPath, *ontPath),
-		batch.Options{MaxDocs: *ingestBatchSize, MaxWait: *ingestBatchWait, Obs: opts.Obs})
+	reg, err := registry.New(server.DefaultOntology,
+		openEntryStore(server.DefaultOntology, defaultDir, *corpusPath, *ontPath), opts.Obs)
+	if err != nil {
+		fatal(logger, "register ontology "+server.DefaultOntology, err)
+	}
 	named := map[string]bool{}
 	for _, e := range entries {
 		dir := ""

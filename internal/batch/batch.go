@@ -1,16 +1,19 @@
 // Package batch implements group-committed document ingestion: a
 // micro-batcher between the HTTP ingest handlers and the snapshot
-// store's serialized Update path (internal/state).
+// store's serialized UpdateDelta path (internal/state).
 //
 // Without it, every POST /v1/documents pays the full write-path cost
 // alone — one corpus clone, one index build, one WAL fsync, one epoch
 // — all serialized under the store's writer mutex, so ingest
 // throughput is O(corpus) per document. The batcher coalesces
 // concurrent callers: each Ingest enqueues its documents with a
-// per-caller response channel, and a single committer goroutine drains
-// the queue on size/max-wait triggers, landing the union as one
-// Clone + one incremental AppendBuild + one WAL record + one fsync +
-// one epoch. The committed snapshot then fans back to every waiter.
+// per-caller response channel, and a single committer goroutine takes
+// everything that queued while the previous group was committing,
+// landing the union as one Clone + one incremental AppendBuild + one
+// WAL record + one fsync + one epoch. The committed snapshot then fans
+// back to every waiter. Under concurrency the commit of one group is
+// the collection window of the next, which alone converges on large
+// groups, and an idle server commits a lone request at once.
 //
 // Failure is all-or-nothing per group: state.Store publishes nothing
 // when the durability hook rejects the batch (the fsync-before-swap
@@ -31,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/obs"
@@ -43,10 +45,6 @@ import (
 // accepts work (its entry is shutting down). The HTTP layer maps it to
 // 503 — the request is retryable against a live server.
 var ErrClosed = errors.New("batch: batcher is closed")
-
-// DefaultMaxDocs is the group-size trigger when Options.MaxDocs is 0:
-// a collection window seals as soon as this many documents are queued.
-const DefaultMaxDocs = 256
 
 // Metric names the batcher registers, exported so exposition tests can
 // pin them.
@@ -64,25 +62,6 @@ const (
 // batchSizeBuckets spans group sizes from singleton (idle server) to
 // the thousands a saturated writer pool produces.
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-
-// Options shapes one batcher. The zero value is usable: groups seal at
-// DefaultMaxDocs documents or as soon as the committer is free,
-// whichever comes first.
-type Options struct {
-	// MaxDocs seals an open group once this many documents are queued
-	// (the size trigger). 0 means DefaultMaxDocs.
-	MaxDocs int
-	// MaxWait is how long the committer holds an open group for more
-	// callers before sealing it (the time trigger). 0 adds no latency:
-	// a group is whatever queued while the previous commit was in
-	// flight — under concurrency that alone converges on large groups,
-	// because the clone/build/fsync of one group is the collection
-	// window of the next.
-	MaxWait time.Duration
-	// Obs receives group-commit metrics. nil disables instrumentation
-	// (the obs API is nil-safe).
-	Obs *obs.Registry
-}
 
 // result is what fans back to one waiter: the snapshot its group
 // committed as, or the error that failed the whole group.
@@ -103,36 +82,29 @@ type request struct {
 // for concurrent use. Construct with New.
 type Batcher struct {
 	store *state.Store
-	opts  Options
 
 	batches   *obs.Counter
 	docsTotal *obs.Counter
 	groupSize *obs.Histogram
 
 	mu      sync.Mutex
-	pending []*request    // enqueued, not yet taken by the committer
-	ndocs   int           // total documents across pending
-	full    chan struct{} // closed when ndocs reaches MaxDocs; reset per window
-	fullSig bool          // full already closed for the current window
-	running bool          // a committer goroutine is live
+	pending []*request // enqueued, not yet taken by the committer
+	running bool       // a committer goroutine is live
 	closed  bool
 	wg      sync.WaitGroup // tracks the live committer for Close
 }
 
 // New builds a batcher committing into store. The store is shared with
 // whoever else mutates it (enrichment applies commit through the same
-// writer mutex); the batcher only serializes ingestion.
-func New(store *state.Store, opts Options) *Batcher {
-	if opts.MaxDocs <= 0 {
-		opts.MaxDocs = DefaultMaxDocs
-	}
+// writer mutex); the batcher only serializes ingestion. metrics
+// receives the group-commit metrics; nil disables them (the obs API is
+// nil-safe).
+func New(store *state.Store, metrics *obs.Registry) *Batcher {
 	return &Batcher{
 		store:     store,
-		opts:      opts,
-		batches:   opts.Obs.Counter(BatchesMetric),
-		docsTotal: opts.Obs.Counter(BatchDocsMetric),
-		groupSize: opts.Obs.Histogram(BatchSizeMetric, batchSizeBuckets),
-		full:      make(chan struct{}),
+		batches:   metrics.Counter(BatchesMetric),
+		docsTotal: metrics.Counter(BatchDocsMetric),
+		groupSize: metrics.Histogram(BatchSizeMetric, batchSizeBuckets),
 	}
 }
 
@@ -154,11 +126,6 @@ func (b *Batcher) Ingest(ctx context.Context, docs []corpus.Document) (*state.Sn
 		return nil, ErrClosed
 	}
 	b.pending = append(b.pending, req)
-	b.ndocs += len(docs)
-	if b.ndocs >= b.opts.MaxDocs && !b.fullSig {
-		b.fullSig = true
-		close(b.full) // size trigger: cut the committer's window short
-	}
 	spawn := !b.running
 	if spawn {
 		b.running = true
@@ -181,61 +148,32 @@ func (b *Batcher) Ingest(ctx context.Context, docs []corpus.Document) (*state.Sn
 // subsequent Ingest calls fail with ErrClosed.
 func (b *Batcher) Close() {
 	b.mu.Lock()
-	if !b.closed {
-		b.closed = true
-		if !b.fullSig {
-			b.fullSig = true
-			close(b.full) // wake a committer parked in its window
-		}
-	}
+	b.closed = true
 	b.mu.Unlock()
 	b.wg.Wait()
 }
 
-// commitLoop is the single committer: it repeatedly holds a collection
-// window over the open group, seals it, and commits it, exiting when
-// the queue drains. At most one commitLoop runs per batcher (guarded
-// by b.running); Ingest respawns it on the next enqueue.
+// commitLoop is the single committer: it repeatedly takes everything
+// queued as one group and commits it, exiting when the queue drains.
+// At most one commitLoop runs per batcher (guarded by b.running);
+// Ingest respawns it on the next enqueue.
 func (b *Batcher) commitLoop() {
 	defer b.wg.Done()
 	for {
 		b.mu.Lock()
-		if len(b.pending) == 0 {
+		group := b.pending
+		b.pending = nil
+		if len(group) == 0 {
 			b.running = false
 			b.mu.Unlock()
 			return
 		}
-		closing := b.closed
-		full := b.full
 		b.mu.Unlock()
-
-		// Collection window: give concurrent callers up to MaxWait to
-		// join, sealing early the moment the group is full. A closing
-		// batcher flushes immediately.
-		if w := b.opts.MaxWait; w > 0 && !closing {
-			t := time.NewTimer(w)
-			select {
-			case <-full:
-			case <-t.C:
-			}
-			t.Stop()
-		}
-
-		b.mu.Lock()
-		group := b.pending
-		b.pending = nil
-		b.ndocs = 0
-		if b.fullSig && !b.closed {
-			b.full = make(chan struct{}) // fresh window for the next group
-			b.fullSig = false
-		}
-		b.mu.Unlock()
-
 		b.commit(group)
 	}
 }
 
-// commit lands one sealed group as a single store mutation — one
+// commit lands one group as a single store mutation — one
 // clone, one incremental build, one durable delta (one WAL record and
 // fsync on a disk backend), one epoch — then fans the outcome to every
 // caller in the group. On error the store published nothing and every

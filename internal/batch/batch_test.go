@@ -36,7 +36,7 @@ func fixture(t *testing.T) (*corpus.Corpus, *ontology.Ontology) {
 func TestSingleIngestCommits(t *testing.T) {
 	c, o := fixture(t)
 	st := state.NewStore(c, o)
-	b := New(st, Options{})
+	b := New(st, nil)
 	defer b.Close()
 
 	base := st.Load()
@@ -60,59 +60,143 @@ func TestSingleIngestCommits(t *testing.T) {
 	}
 }
 
-// TestConcurrentIngestOneGroup: with a large window and a size trigger
-// equal to the writer count, N concurrent single-doc writers land as
-// exactly one group — one epoch for all of them — and every caller's
-// snapshot contains its own document.
-func TestConcurrentIngestOneGroup(t *testing.T) {
+// blockFirst is a durability hook that parks the first publish until
+// open is called, so a test can queue requests behind a commit in
+// flight. Every publish, the first included, returns err.
+type blockFirst struct {
+	entered  chan struct{} // closed once the first publish is parked
+	release  chan struct{} // closed by open
+	parked   sync.Once
+	released sync.Once
+	err      error
+}
+
+func (h *blockFirst) BeforePublish(*state.Snapshot, *state.Delta) error {
+	h.parked.Do(func() {
+		close(h.entered)
+		<-h.release
+	})
+	return h.err
+}
+
+// open lets the parked publish finish. Idempotent.
+func (h *blockFirst) open() { h.released.Do(func() { close(h.release) }) }
+
+// blockedBatcher builds a batcher over a fresh fixture store whose
+// hook fails every publish with hookErr, and parks its first commit
+// (one "blocker" document) in that hook, so later requests queue
+// behind a commit in flight. It returns once the commit is parked,
+// with a channel carrying that commit's outcome. Cleanup opens the
+// hook before closing the batcher, so a failed test does not hang.
+func blockedBatcher(t *testing.T, hookErr error) (*Batcher, *state.Store, *blockFirst, <-chan error) {
+	t.Helper()
 	c, o := fixture(t)
 	st := state.NewStore(c, o)
-	const n = 32
-	b := New(st, Options{MaxDocs: n, MaxWait: 5 * time.Second})
-	defer b.Close()
+	hook := &blockFirst{entered: make(chan struct{}), release: make(chan struct{}), err: hookErr}
+	st.SetDurable(hook)
+	b := New(st, nil)
+	t.Cleanup(b.Close)
+	t.Cleanup(hook.open) // cleanups run last-in, first-out
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.Ingest(context.Background(), []corpus.Document{{ID: "blocker", Text: "blocking commit"}})
+		done <- err
+	}()
+	<-hook.entered
+	return b, st, hook, done
+}
 
-	base := st.Load()
+// waitFor polls cond, evaluated under b.mu, until it holds.
+func waitFor(t *testing.T, b *Batcher, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		b.mu.Lock()
+		ok := cond()
+		b.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitQueued blocks until n requests wait behind the commit in flight.
+func waitQueued(t *testing.T, b *Batcher, n int) {
+	t.Helper()
+	waitFor(t, b, fmt.Sprintf("%d queued requests", n), func() bool { return len(b.pending) == n })
+}
+
+// ingestAll starts n single-document Ingests, document i carrying the
+// token uniqueToken(i), and returns a wait function yielding every
+// caller's snapshot and error.
+func ingestAll(b *Batcher, n int) func() ([]*state.Snapshot, []error) {
 	var wg sync.WaitGroup
-	errs := make([]error, n)
 	snaps := make([]*state.Snapshot, n)
+	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			snaps[i], errs[i] = b.Ingest(context.Background(), []corpus.Document{
-				{ID: fmt.Sprintf("d%d", i), Text: fmt.Sprintf("uniquetoken%d lesion", i)},
+				{ID: fmt.Sprintf("d%d", i), Text: uniqueToken(i) + " lesion"},
 			})
 		}(i)
 	}
-	wg.Wait()
+	return func() ([]*state.Snapshot, []error) {
+		wg.Wait()
+		return snaps, errs
+	}
+}
+
+func uniqueToken(i int) string { return fmt.Sprintf("uniquetoken%d", i) }
+
+// TestConcurrentIngestOneGroup: N writers that queue while a commit is
+// in flight land as exactly one group — one epoch, one published
+// snapshot shared by all of them — and every caller's snapshot
+// contains its own document.
+func TestConcurrentIngestOneGroup(t *testing.T) {
+	b, st, hook, blocked := blockedBatcher(t, nil)
+	base := st.Load()
+	const n = 32
+	wait := ingestAll(b, n)
+	waitQueued(t, b, n)
+	hook.open()
+	if err := <-blocked; err != nil {
+		t.Fatalf("blocking commit: %v", err)
+	}
+	snaps, errs := wait()
 
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			t.Fatalf("writer %d: %v", i, errs[i])
 		}
-		if snaps[i].Epoch < base.Epoch+1 {
-			t.Errorf("writer %d: epoch %d < commit epoch", i, snaps[i].Epoch)
+		if snaps[i] != snaps[0] {
+			t.Errorf("writer %d: snapshot epoch %d, writer 0 epoch %d (not one group)", i, snaps[i].Epoch, snaps[0].Epoch)
 		}
-		if tf := snaps[i].Corpus.TF(fmt.Sprintf("uniquetoken%d", i)); tf != 1 {
+		if tf := snaps[i].Corpus.TF(uniqueToken(i)); tf != 1 {
 			t.Errorf("writer %d: TF(own token) = %d, want 1", i, tf)
 		}
 	}
 	final := st.Load()
-	if final.Corpus.NumDocs() != base.Corpus.NumDocs()+n {
-		t.Errorf("final docs = %d, want %d", final.Corpus.NumDocs(), base.Corpus.NumDocs()+n)
+	if final.Epoch != base.Epoch+2 || snaps[0] != final {
+		t.Errorf("final epoch = %d, want %d (blocking commit + one group)", final.Epoch, base.Epoch+2)
 	}
-	if final.Epoch != base.Epoch+1 {
-		t.Errorf("final epoch = %d, want %d (one group commit)", final.Epoch, base.Epoch+1)
+	if final.Corpus.NumDocs() != base.Corpus.NumDocs()+n+1 {
+		t.Errorf("final docs = %d, want %d", final.Corpus.NumDocs(), base.Corpus.NumDocs()+n+1)
 	}
 }
 
-// TestConcurrentIngestAllLand: without any tuning (zero options), N
-// racing writers all land, the store gains exactly N documents, and
-// grouping keeps the epoch count at or below the writer count.
+// TestConcurrentIngestAllLand: N racing writers all land, the store
+// gains exactly N documents, and grouping keeps the epoch count at or
+// below the writer count.
 func TestConcurrentIngestAllLand(t *testing.T) {
 	c, o := fixture(t)
 	st := state.NewStore(c, o)
-	b := New(st, Options{})
+	b := New(st, nil)
 	defer b.Close()
 
 	base := st.Load()
@@ -139,103 +223,95 @@ func TestConcurrentIngestAllLand(t *testing.T) {
 	}
 }
 
-// failingDurable rejects every publish — the disk-full scenario.
-type failingDurable struct{ err error }
-
-func (f *failingDurable) BeforePublish(*state.Snapshot, *state.Delta) error { return f.err }
-
 // TestGroupFailureFansOutToEveryCaller: when the durability hook
-// rejects the group, nothing publishes and every caller in the group
-// sees the failure, wrapped in state.ErrUnavailable.
+// rejects a group, nothing publishes and every caller in the group
+// gets the very same error, wrapped in state.ErrUnavailable.
 func TestGroupFailureFansOutToEveryCaller(t *testing.T) {
-	c, o := fixture(t)
-	st := state.NewStore(c, o)
-	st.SetDurable(&failingDurable{err: errors.New("disk full")})
-	const n = 8
-	b := New(st, Options{MaxDocs: n, MaxWait: 5 * time.Second})
-	defer b.Close()
-
+	b, st, hook, blocked := blockedBatcher(t, errors.New("disk full"))
 	base := st.Load()
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = b.Ingest(context.Background(), []corpus.Document{
-				{ID: fmt.Sprintf("f%d", i), Text: "doomed"},
-			})
-		}(i)
+	const n = 8
+	wait := ingestAll(b, n)
+	waitQueued(t, b, n)
+	hook.open()
+	if err := <-blocked; !errors.Is(err, state.ErrUnavailable) {
+		t.Fatalf("blocking commit: err = %v, want state.ErrUnavailable", err)
 	}
-	wg.Wait()
+	snaps, errs := wait()
 
 	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("writer %d: nil error from a failed group", i)
+		if err == nil || snaps[i] != nil {
+			t.Fatalf("writer %d: snapshot %v, error %v from a failed group", i, snaps[i], err)
 		}
 		if !errors.Is(err, state.ErrUnavailable) {
 			t.Errorf("writer %d: error %v does not wrap state.ErrUnavailable", i, err)
 		}
+		if err != errs[0] {
+			t.Errorf("writer %d: error %v, writer 0 got %v (not one group)", i, err, errs[0])
+		}
 	}
 	final := st.Load()
-	if final.Epoch != base.Epoch || final.Corpus.NumDocs() != base.Corpus.NumDocs() {
-		t.Errorf("failed group published: epoch %d→%d docs %d→%d",
+	if final != base {
+		t.Errorf("failed groups published: epoch %d→%d docs %d→%d",
 			base.Epoch, final.Epoch, base.Corpus.NumDocs(), final.Corpus.NumDocs())
 	}
 }
 
-// TestCloseFlushesPendingAndRejectsNew: Close lets queued work land
-// (flushed as a final group) and fails later Ingests with ErrClosed.
+// TestCloseFlushesPendingAndRejectsNew: Close during a commit in
+// flight rejects new Ingests at once, lets the queued requests land as
+// a final group, and returns only after that group committed.
 func TestCloseFlushesPendingAndRejectsNew(t *testing.T) {
-	c, o := fixture(t)
-	st := state.NewStore(c, o)
-	// A long window would hold the group open for minutes; Close must
-	// cut it short and flush.
-	b := New(st, Options{MaxDocs: 1000, MaxWait: time.Minute})
+	b, st, hook, blocked := blockedBatcher(t, nil)
+	const n = 4
+	wait := ingestAll(b, n)
+	waitQueued(t, b, n)
 
-	done := make(chan error, 1)
+	closed := make(chan struct{})
 	go func() {
-		_, err := b.Ingest(context.Background(), []corpus.Document{{ID: "p1", Text: "pending doc"}})
-		done <- err
+		b.Close()
+		close(closed)
 	}()
-	// Wait for the request to be enqueued before closing.
-	for {
-		b.mu.Lock()
-		queued := len(b.pending) > 0
-		b.mu.Unlock()
-		if queued {
-			break
+	waitFor(t, b, "Close", func() bool { return b.closed })
+	if _, err := b.Ingest(context.Background(), []corpus.Document{{ID: "late", Text: "late"}}); !errors.Is(err, ErrClosed) {
+		t.Errorf("ingest while closing = %v, want ErrClosed", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a commit was still in flight")
+	default:
+	}
+
+	hook.open()
+	<-closed
+	if err := <-blocked; err != nil {
+		t.Fatalf("blocking commit: %v", err)
+	}
+	_, errs := wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("queued writer %d failed on close: %v", i, errs[i])
 		}
-		time.Sleep(time.Millisecond)
+		if st.Load().Corpus.TF(uniqueToken(i)) != 1 {
+			t.Errorf("queued writer %d: document did not land on close", i)
+		}
 	}
-	b.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("queued ingest failed on close: %v", err)
-	}
-	if st.Load().Corpus.TF("pending") != 1 {
-		t.Error("queued document did not land on close")
-	}
-	if _, err := b.Ingest(context.Background(), []corpus.Document{{ID: "p2", Text: "late"}}); !errors.Is(err, ErrClosed) {
+	if _, err := b.Ingest(context.Background(), []corpus.Document{{ID: "later", Text: "later"}}); !errors.Is(err, ErrClosed) {
 		t.Errorf("ingest after close = %v, want ErrClosed", err)
 	}
 	b.Close() // idempotent
 }
 
 // TestIngestContextCancelStopsWaiting: a caller whose context dies
-// mid-window stops waiting immediately; the group still commits.
+// while its group waits behind a commit in flight returns at once; its
+// documents still land.
 func TestIngestContextCancelStopsWaiting(t *testing.T) {
-	c, o := fixture(t)
-	st := state.NewStore(c, o)
-	b := New(st, Options{MaxDocs: 1000, MaxWait: 200 * time.Millisecond})
-	defer b.Close()
-
+	b, st, hook, blocked := blockedBatcher(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		_, err := b.Ingest(ctx, []corpus.Document{{ID: "c1", Text: "abandoned caller"}})
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitQueued(t, b, 1)
 	cancel()
 	select {
 	case err := <-done:
@@ -245,13 +321,16 @@ func TestIngestContextCancelStopsWaiting(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled caller still waiting")
 	}
-	// The group commits regardless once its window closes.
-	deadline := time.Now().Add(5 * time.Second)
-	for st.Load().Corpus.TF("abandoned") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned caller's documents never landed")
-		}
-		time.Sleep(5 * time.Millisecond)
+
+	// The cancelled wait did not cancel the commit: once the blocking
+	// commit finishes, the abandoned caller's group lands too.
+	hook.open()
+	if err := <-blocked; err != nil {
+		t.Fatalf("blocking commit: %v", err)
+	}
+	b.Close()
+	if st.Load().Corpus.TF("abandoned") != 1 {
+		t.Fatal("abandoned caller's documents never landed")
 	}
 }
 
@@ -260,7 +339,7 @@ func TestIngestContextCancelStopsWaiting(t *testing.T) {
 func TestEmptyBatchRejected(t *testing.T) {
 	c, o := fixture(t)
 	st := state.NewStore(c, o)
-	b := New(st, Options{})
+	b := New(st, nil)
 	defer b.Close()
 	if _, err := b.Ingest(context.Background(), nil); err == nil {
 		t.Fatal("empty batch accepted")
@@ -296,7 +375,7 @@ func TestBatchedEnrichmentReportIdentical(t *testing.T) {
 	// Batched: same documents through the group committer.
 	c2, o2 := fixture(t)
 	st2 := state.NewStore(c2, o2)
-	b := New(st2, Options{})
+	b := New(st2, nil)
 	defer b.Close()
 	if _, err := b.Ingest(context.Background(), docs); err != nil {
 		t.Fatal(err)

@@ -199,11 +199,11 @@ func TestClassifyCacheHitMissAndEpochInvalidation(t *testing.T) {
 
 	// Publishing a new epoch invalidates the cached index for that key.
 	store := state.NewStoreAt(snap.Corpus, snap.Ontology, snap.Epoch)
-	if _, err := store.Update(func(cur *state.Snapshot) (*corpus.Corpus, *ontology.Ontology, error) {
+	if _, err := store.UpdateDelta(func(cur *state.Snapshot) (*corpus.Corpus, *ontology.Ontology, *state.Delta, error) {
 		next := cur.Corpus.Clone()
 		next.Add(corpus.Document{ID: "5", Text: "corneal scarring after injury."})
 		next.Build()
-		return next, cur.Ontology, nil
+		return next, cur.Ontology, nil, nil
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -58,28 +58,11 @@ func ReadBinary(r io.Reader) (*Corpus, error) {
 	c := New(textutil.ParseLang(env.Lang))
 	c.docs = env.Docs
 	c.tokens = env.Tokens
-	c.indexFromTokens()
-	return c, nil
-}
-
-// indexFromTokens rebuilds the inverted index from already-tokenized
-// streams (phase 2 of Build without phase 1).
-func (c *Corpus) indexFromTokens() {
-	c.index = make(map[string][]Posting)
-	c.df = make(map[string]int)
-	c.total = 0
 	for i, toks := range c.tokens {
-		seen := make(map[string]bool, len(toks))
-		for p, tok := range toks {
-			c.index[tok] = append(c.index[tok], Posting{Doc: int32(i), Pos: int32(p)})
-			if !seen[tok] {
-				seen[tok] = true
-				c.df[tok]++
-			}
-		}
-		c.total += len(toks)
+		c.mergeDocTokens(i, toks)
 	}
 	c.built = true
+	return c, nil
 }
 
 // SaveBinary writes the binary image to a file crash-safely

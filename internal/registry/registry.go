@@ -24,6 +24,7 @@ import (
 
 	"bioenrich/internal/batch"
 	"bioenrich/internal/corpus"
+	"bioenrich/internal/obs"
 	"bioenrich/internal/state"
 )
 
@@ -70,13 +71,13 @@ func (e *Entry) Ingest(ctx context.Context, docs []corpus.Document) (*state.Snap
 // Called by Registry.Close; direct use is for tests.
 func (e *Entry) Close() { e.ingest.Close() }
 
-// Registry maps names to entries. Reads (Get, Default, Names, Entries)
-// are lock-free; Add serializes on a short writer mutex and publishes
+// Registry maps names to entries. Reads (Get, Default, Entries) are
+// lock-free; Add serializes on a short writer mutex and publishes
 // a fresh map. The zero value is not usable; call New.
 type Registry struct {
 	defaultName string
-	// batchOpts shapes the per-entry ingest batcher every Add creates.
-	batchOpts batch.Options
+	// metrics instruments the ingest batcher every Add creates.
+	metrics *obs.Registry
 	// mu serializes Add only. Readers never touch it: lookups load the
 	// current immutable map through the atomic pointer.
 	mu      sync.Mutex
@@ -103,41 +104,16 @@ func ValidName(name string) bool {
 
 // New builds a registry whose default entry is (defaultName, store).
 // The default entry is what the single-ontology API surface (the
-// pre-registry routes) serves. Entries batch ingestion with zero-value
-// batch.Options; use NewWithBatch to tune group size and window.
-func New(defaultName string, store *state.Store) (*Registry, error) {
-	return NewWithBatch(defaultName, store, batch.Options{})
-}
-
-// NewWithBatch is New with explicit ingest-batching options, applied
-// to the batcher of every entry registered now or later.
-func NewWithBatch(defaultName string, store *state.Store, opts batch.Options) (*Registry, error) {
-	r := &Registry{defaultName: defaultName, batchOpts: opts}
+// pre-registry routes) serves. metrics receives the group-commit
+// metrics of every entry's ingest batcher; nil disables them.
+func New(defaultName string, store *state.Store, metrics *obs.Registry) (*Registry, error) {
+	r := &Registry{defaultName: defaultName, metrics: metrics}
 	m := make(map[string]*Entry, 1)
 	r.entries.Store(&m)
 	if _, err := r.Add(defaultName, store); err != nil {
 		return nil, err
 	}
 	return r, nil
-}
-
-// MustNew is New for callers with a statically valid default name
-// (tests, cmd wiring); it panics on error.
-func MustNew(defaultName string, store *state.Store) *Registry {
-	r, err := New(defaultName, store)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// MustNewWithBatch is NewWithBatch panicking on error.
-func MustNewWithBatch(defaultName string, store *state.Store, opts batch.Options) *Registry {
-	r, err := NewWithBatch(defaultName, store, opts)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // DefaultName returns the name of the default entry.
@@ -182,7 +158,7 @@ func (r *Registry) Add(name string, store *state.Store) (*Entry, error) {
 	if store == nil {
 		return nil, fmt.Errorf("registry: nil store for ontology %q", name)
 	}
-	e := &Entry{Name: name, Store: store, ingest: batch.New(store, r.batchOpts)}
+	e := &Entry{Name: name, Store: store, ingest: batch.New(store, r.metrics)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cur := r.entries.Load()
@@ -200,17 +176,6 @@ func (r *Registry) Add(name string, store *state.Store) (*Entry, error) {
 
 // Len returns the number of registered entries.
 func (r *Registry) Len() int { return len(*r.entries.Load()) }
-
-// Names returns all registered names in sorted order.
-func (r *Registry) Names() []string {
-	m := r.entries.Load()
-	out := make([]string, 0, len(*m))
-	for name := range *m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Entries returns all entries sorted by name — the deterministic
 // iteration order for listings and the recommender's input set.

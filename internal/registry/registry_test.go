@@ -2,14 +2,13 @@ package registry
 
 import (
 	"context"
-
-	"bioenrich/internal/batch"
 	"errors"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
+	"bioenrich/internal/batch"
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/ontology"
 	"bioenrich/internal/state"
@@ -28,8 +27,19 @@ func testStore(t *testing.T, name string) *state.Store {
 	return state.NewStore(c, o)
 }
 
+// newRegistry builds a registry whose default entry "default" serves
+// a fresh mesh store.
+func newRegistry(t *testing.T) *Registry {
+	t.Helper()
+	r, err := New("default", testStore(t, "mesh"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestDefaultEntry(t *testing.T) {
-	r := MustNew("default", testStore(t, "mesh"))
+	r := newRegistry(t)
 	if r.DefaultName() != "default" {
 		t.Fatalf("DefaultName = %q", r.DefaultName())
 	}
@@ -46,24 +56,22 @@ func TestDefaultEntry(t *testing.T) {
 }
 
 func TestAddGetNames(t *testing.T) {
-	r := MustNew("default", testStore(t, "mesh"))
+	r := newRegistry(t)
 	if _, err := r.Add("umls-fr", testStore(t, "umls-fr")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Add("agrovoc", testStore(t, "agrovoc")); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := r.Names(), []string{"agrovoc", "default", "umls-fr"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
+	var names []string
+	for _, e := range r.Entries() {
+		names = append(names, e.Name)
+	}
+	if want := []string{"agrovoc", "default", "umls-fr"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("Entries() names = %v, want %v", names, want)
 	}
 	if r.Len() != 3 {
 		t.Fatalf("Len() = %d", r.Len())
-	}
-	es := r.Entries()
-	for i := 1; i < len(es); i++ {
-		if es[i-1].Name >= es[i].Name {
-			t.Fatalf("Entries() unsorted: %q >= %q", es[i-1].Name, es[i].Name)
-		}
 	}
 	if _, ok := r.Get("umls-fr"); !ok {
 		t.Fatal("Get(umls-fr) missing")
@@ -77,7 +85,7 @@ func TestAddGetNames(t *testing.T) {
 }
 
 func TestAddDuplicateAndInvalid(t *testing.T) {
-	r := MustNew("default", testStore(t, "mesh"))
+	r := newRegistry(t)
 	if _, err := r.Add("default", testStore(t, "other")); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate Add err = %v, want ErrExists", err)
 	}
@@ -108,7 +116,7 @@ func TestValidName(t *testing.T) {
 // race detector: concurrent registrations and lock-free lookups must
 // never observe a torn map.
 func TestConcurrentAddAndGet(t *testing.T) {
-	r := MustNew("default", testStore(t, "mesh"))
+	r := newRegistry(t)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(2)
@@ -125,7 +133,7 @@ func TestConcurrentAddAndGet(t *testing.T) {
 					t.Error("default entry unreadable during concurrent Add")
 					return
 				}
-				r.Names()
+				r.Entries()
 			}
 		}()
 	}
@@ -138,7 +146,7 @@ func TestConcurrentAddAndGet(t *testing.T) {
 // TestEntryIngestAndClose: every entry carries its own group-commit
 // batcher — Ingest lands documents, Close flushes and then rejects.
 func TestEntryIngestAndClose(t *testing.T) {
-	r := MustNew("default", testStore(t, "mesh"))
+	r := newRegistry(t)
 	e := r.Default()
 
 	snap, err := e.Ingest(context.Background(), []corpus.Document{

@@ -171,6 +171,39 @@ func TestPprofOptIn(t *testing.T) {
 	}
 }
 
+// TestIngestBatchMetrics pins the group-commit metric names and their
+// values after one 3-document ingest: one group carrying three
+// documents. The benchmark derives its documents-per-group figure from
+// the two counters by name.
+func TestIngestBatchMetrics(t *testing.T) {
+	ts := obsFixture(t, Options{Obs: obs.New()})
+	resp, err := http.Post(ts.URL+"/v1/documents", "application/json", strings.NewReader(
+		`[{"id":"m1","text":"corneal ulcer"},{"id":"m2","text":"retinal detachment"},{"id":"m3","text":"vitreous hemorrhage"}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/documents status = %d", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	expo := body(t, resp)
+	for _, want := range []string{
+		"\nbioenrich_ingest_batches_total 1\n",
+		"\nbioenrich_ingest_batched_docs_total 3\n",
+		"# TYPE bioenrich_ingest_batch_docs histogram\n",
+		"\nbioenrich_ingest_batch_docs_count 1\n",
+		"\nbioenrich_ingest_batch_docs_sum 3\n",
+	} {
+		if !strings.Contains(expo, want) {
+			t.Errorf("exposition missing %q\n---\n%s", want, expo)
+		}
+	}
+}
+
 // TestBodyLimit: a POST past Options.MaxBodyBytes is rejected with
 // 413 on both bounded endpoints; a small body still works.
 func TestBodyLimit(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"bioenrich/internal/batch"
 	"bioenrich/internal/core"
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/ontology"
@@ -58,7 +57,10 @@ func fixtureData(t *testing.T) (*corpus.Corpus, *ontology.Ontology) {
 // over a fresh registry whose default entry is st — the one way tests
 // construct a registry.
 func newServer(st *state.Store, opts Options) *Server {
-	reg := registry.MustNewWithBatch(DefaultOntology, st, batch.Options{Obs: opts.Obs})
+	reg, err := registry.New(DefaultOntology, st, opts.Obs)
+	if err != nil {
+		panic(err) // DefaultOntology is a valid name and st is non-nil
+	}
 	return New(reg, core.DefaultConfig(), opts)
 }
 

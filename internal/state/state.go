@@ -6,7 +6,7 @@
 // build on clones off to the side and commit by swapping the pointer:
 // Commit is an epoch-checked compare-and-swap (a commit built on a
 // superseded snapshot fails with ErrStale instead of silently
-// clobbering the interleaved write), and Update serializes
+// clobbering the interleaved write), and UpdateDelta serializes
 // read-modify-write sequences that must always land (document
 // ingestion). The short writer mutex covers only the pointer swap and
 // the epoch check — never the pipeline work that produced the clone.
@@ -60,7 +60,7 @@ type Delta struct {
 }
 
 // Durable is the store's durability hook (implemented by
-// storage.Backend). BeforePublish runs under the writer mutex after
+// storage.Disk). BeforePublish runs under the writer mutex after
 // the next snapshot is built and before the pointer swap — the commit
 // point. Returning an error aborts the mutation with nothing
 // published, which is what makes "not durable until fsynced" hold:
@@ -82,7 +82,7 @@ type Store struct {
 
 // NewStore builds a store whose first snapshot (epoch 1) wraps c and
 // o. The caller hands over ownership: c and o must not be mutated
-// afterwards except through Commit/Update.
+// afterwards except through Commit/UpdateDelta.
 func NewStore(c *corpus.Corpus, o *ontology.Ontology) *Store {
 	return NewStoreAt(c, o, 1)
 }
@@ -144,26 +144,17 @@ func (s *Store) Commit(base *Snapshot, c *corpus.Corpus, o *ontology.Ontology) (
 	return next, nil
 }
 
-// Update runs fn against the current snapshot under the writer mutex
-// and commits whatever it returns as the next snapshot. Unlike
-// Commit, an Update cannot lose a race — concurrent Updates serialize
-// — so it is the path for mutations that must always land, like
-// document ingestion. fn must not mutate the snapshot it is given
+// UpdateDelta runs fn against the current snapshot under the writer
+// mutex and commits whatever it returns as the next snapshot. Unlike
+// Commit, an UpdateDelta cannot lose a race — concurrent calls
+// serialize — so it is the path for mutations that must always land,
+// like document ingestion. fn must not mutate the snapshot it is given
 // (clone, then modify the clone); returning an error aborts with
 // nothing published. Readers are never blocked: they keep loading the
-// previous snapshot until the swap.
-func (s *Store) Update(fn func(*Snapshot) (*corpus.Corpus, *ontology.Ontology, error)) (*Snapshot, error) {
-	return s.UpdateDelta(func(snap *Snapshot) (*corpus.Corpus, *ontology.Ontology, *Delta, error) {
-		c, o, err := fn(snap)
-		return c, o, nil, err
-	})
-}
-
-// UpdateDelta is Update for mutations that can describe themselves
-// incrementally: fn additionally returns the Delta a durable sink
-// should log (for document ingestion, the appended docs — one WAL
-// record instead of a full snapshot rewrite). A nil delta downgrades
-// to full-snapshot durability, identical to Update.
+// previous snapshot until the swap. fn also returns the Delta a
+// durable sink should log (for document ingestion, the appended docs —
+// one WAL record instead of a full snapshot rewrite); a nil delta
+// means full-snapshot durability, as for Commit.
 func (s *Store) UpdateDelta(fn func(*Snapshot) (*corpus.Corpus, *ontology.Ontology, *Delta, error)) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -76,8 +76,9 @@ func TestCommitStale(t *testing.T) {
 	}
 }
 
-// TestUpdateSerializes: concurrent Updates all land (no conflicts) and
-// every epoch increments exactly once — document ingestion semantics.
+// TestUpdateSerializes: concurrent UpdateDelta calls all land (no
+// conflicts) and every epoch increments exactly once — document
+// ingestion semantics.
 func TestUpdateSerializes(t *testing.T) {
 	c, o := fixture(t)
 	st := NewStore(c, o)
@@ -87,11 +88,11 @@ func TestUpdateSerializes(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := st.Update(func(snap *Snapshot) (*corpus.Corpus, *ontology.Ontology, error) {
+			_, err := st.UpdateDelta(func(snap *Snapshot) (*corpus.Corpus, *ontology.Ontology, *Delta, error) {
 				cc := snap.Corpus.Clone()
 				cc.Add(corpus.Document{ID: fmt.Sprintf("u%d", i), Text: "more corneal text"})
 				cc.Build()
-				return cc, snap.Ontology, nil
+				return cc, snap.Ontology, nil, nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -108,13 +109,13 @@ func TestUpdateSerializes(t *testing.T) {
 	}
 }
 
-// TestUpdateAbort: an erroring Update publishes nothing.
+// TestUpdateAbort: an erroring UpdateDelta publishes nothing.
 func TestUpdateAbort(t *testing.T) {
 	c, o := fixture(t)
 	st := NewStore(c, o)
 	sentinel := errors.New("boom")
-	if _, err := st.Update(func(*Snapshot) (*corpus.Corpus, *ontology.Ontology, error) {
-		return nil, nil, sentinel
+	if _, err := st.UpdateDelta(func(*Snapshot) (*corpus.Corpus, *ontology.Ontology, *Delta, error) {
+		return nil, nil, nil, sentinel
 	}); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
 	}
@@ -123,8 +124,8 @@ func TestUpdateAbort(t *testing.T) {
 	}
 }
 
-// TestLoadNeverBlocks: readers keep loading while a slow Update holds
-// the writer mutex.
+// TestLoadNeverBlocks: readers keep loading while a slow UpdateDelta
+// holds the writer mutex.
 func TestLoadNeverBlocks(t *testing.T) {
 	c, o := fixture(t)
 	st := NewStore(c, o)
@@ -133,10 +134,10 @@ func TestLoadNeverBlocks(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = st.Update(func(snap *Snapshot) (*corpus.Corpus, *ontology.Ontology, error) {
+		_, _ = st.UpdateDelta(func(snap *Snapshot) (*corpus.Corpus, *ontology.Ontology, *Delta, error) {
 			close(inUpdate)
 			<-release
-			return snap.Corpus, snap.Ontology, nil
+			return snap.Corpus, snap.Ontology, nil, nil
 		})
 	}()
 	<-inUpdate
@@ -177,7 +178,7 @@ func (r *recordingDurable) BeforePublish(next *Snapshot, delta *Delta) error {
 
 // TestDurableHookSeesEveryPublish: Commit reports a nil delta (full
 // snapshot durability); UpdateDelta passes the mutation's delta
-// through verbatim.
+// through verbatim, nil included.
 func TestDurableHookSeesEveryPublish(t *testing.T) {
 	c, o := fixture(t)
 	st := NewStore(c, o)
@@ -196,8 +197,8 @@ func TestDurableHookSeesEveryPublish(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Update(func(cur *Snapshot) (*corpus.Corpus, *ontology.Ontology, error) {
-		return cur.Corpus, cur.Ontology.Clone(), nil
+	if _, err := st.UpdateDelta(func(cur *Snapshot) (*corpus.Corpus, *ontology.Ontology, *Delta, error) {
+		return cur.Corpus, cur.Ontology.Clone(), nil, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +230,8 @@ func TestDurableHookFailureAbortsPublish(t *testing.T) {
 	if _, err := st.Commit(before, c, o.Clone()); err == nil || !strings.Contains(err.Error(), "disk on fire") {
 		t.Fatalf("commit error = %v, want the hook's failure wrapped", err)
 	}
-	if _, err := st.Update(func(cur *Snapshot) (*corpus.Corpus, *ontology.Ontology, error) {
-		return cur.Corpus, cur.Ontology.Clone(), nil
+	if _, err := st.UpdateDelta(func(cur *Snapshot) (*corpus.Corpus, *ontology.Ontology, *Delta, error) {
+		return cur.Corpus, cur.Ontology.Clone(), nil, nil
 	}); err == nil {
 		t.Fatal("update published despite hook failure")
 	}

@@ -107,12 +107,14 @@ func OpenDisk(opts DiskOptions) (*Disk, error) {
 	return d, nil
 }
 
-// Recover implements Backend: load the newest intact segment, replay
-// every intact WAL record after it in epoch order, and start a fresh
-// WAL at the recovered epoch. ok is false when the directory holds no
-// durable state (cold start). An epoch gap among intact records —
-// acknowledged data that cannot be reconstructed — is an error, never
-// a silent partial recovery.
+// Recover loads the newest durable snapshot — the newest intact
+// segment plus every intact WAL record after it, replayed in epoch
+// order — and starts a fresh WAL at the recovered epoch, ready for
+// BeforePublish. ok is false when the directory holds no durable state
+// (cold start). An error means the directory holds data that cannot be
+// trusted, and serving must not proceed: an epoch gap among intact
+// records (acknowledged data that cannot be reconstructed) is an
+// error, never a silent partial recovery.
 func (d *Disk) Recover(ctx context.Context) (*state.Snapshot, bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -163,12 +165,9 @@ func (d *Disk) Recover(ctx context.Context) (*state.Snapshot, bool, error) {
 		return nil, false, fmt.Errorf("storage: no intact segment in %s (%d candidates, all corrupt)", d.dir, len(segs))
 	}
 
-	cur, added, err := d.replayLocked(ctx, c, epoch, wals)
+	cur, err := d.replayLocked(ctx, c, epoch, wals)
 	if err != nil {
 		return nil, false, err
-	}
-	if added > 0 {
-		c.Build() // one rebuild over the replayed documents, not one per record
 	}
 
 	// Fresh WAL at the recovered epoch. Older logs stay on disk until a
@@ -186,15 +185,15 @@ func (d *Disk) Recover(ctx context.Context) (*state.Snapshot, bool, error) {
 }
 
 // replayLocked replays every WAL in base order onto c, starting from
-// segment epoch base, and returns the final epoch and how many
-// records applied. Records at or below the current epoch are already
-// inside the segment and skip; a record further than one ahead is a
-// gap.
-func (d *Disk) replayLocked(ctx context.Context, c *corpus.Corpus, base uint64, wals []uint64) (uint64, int, error) {
+// segment epoch base, and returns the final epoch. Each record extends
+// c's index incrementally, exactly as its group commit did, so the
+// segment's documents are never re-tokenized. Records at or below the
+// current epoch are already inside the segment and skip; a record
+// further than one ahead is a gap.
+func (d *Disk) replayLocked(ctx context.Context, c *corpus.Corpus, base uint64, wals []uint64) (uint64, error) {
 	_, span := d.opts.Obs.StartSpan(ctx, ReplaySpan)
 	defer span.End()
 	cur := base
-	added := 0
 	for _, wb := range wals {
 		path := filepath.Join(d.dir, walName(wb))
 		if _, _, err := replayWAL(path, func(epoch uint64, docs []corpus.Document) error {
@@ -202,19 +201,18 @@ func (d *Disk) replayLocked(ctx context.Context, c *corpus.Corpus, base uint64, 
 			case epoch <= cur:
 				return nil // already durable in the segment we loaded
 			case epoch == cur+1:
-				c.AddAll(docs)
+				c.AppendBuild(docs)
 				cur++
-				added++
 				return nil
 			default:
 				return fmt.Errorf("storage: wal %s: record for epoch %d but store is at %d — acknowledged records are missing", path, epoch, cur)
 			}
 		}); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
-	d.replayed.Add(float64(added))
-	return cur, added, nil
+	d.replayed.Add(float64(cur - base))
+	return cur, nil
 }
 
 // BeforePublish implements state.Durable: make next durable before
@@ -252,9 +250,9 @@ func (d *Disk) BeforePublish(next *state.Snapshot, delta *state.Delta) error {
 	return d.checkpointLocked(next)
 }
 
-// Checkpoint implements Backend: persist snap as a full segment now.
-// Used to seed a cold data directory and to bound the next boot's
-// replay at shutdown.
+// Checkpoint durably persists snap as a full segment now, rotates the
+// WAL and applies retention. Used to seed a cold data directory and to
+// bound the next boot's replay at shutdown.
 func (d *Disk) Checkpoint(snap *state.Snapshot) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -356,7 +354,8 @@ func (d *Disk) pruneLocked() error {
 	return writeManifest(d.dir, m)
 }
 
-// Close implements Backend.
+// Close releases the WAL file handle. The backend must not be used
+// after.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -1,51 +1,18 @@
-// Package storage is the pluggable persistence layer behind the
-// snapshot store (internal/state). A Backend decides what "commit"
-// means for durability:
+// Package storage is the persistence layer behind the snapshot store
+// (internal/state). Disk makes the epoch/CAS design durable: every
+// published snapshot can be written as an immutable, checksummed
+// segment file keyed by epoch, document ingestion appends a CRC-framed
+// record to a write-ahead log and fsyncs *before* the in-memory
+// pointer swap, and boot loads the newest valid segment then replays
+// the WAL tail to land on the exact pre-crash epoch.
 //
-//   - Memory is today's behavior and the default: nothing outlives
-//     the process, every hook is a no-op.
-//   - Disk makes the epoch/CAS design durable: every published
-//     snapshot can be written as an immutable, checksummed segment
-//     file keyed by epoch, document ingestion appends a CRC-framed
-//     record to a write-ahead log and fsyncs *before* the in-memory
-//     pointer swap, and boot loads the newest valid segment then
-//     replays the WAL tail to land on the exact pre-crash epoch.
-//
-// The store consults the backend through state.Durable.BeforePublish,
-// which runs under the writer mutex before readers can observe the
-// new snapshot — so a commit is not durable until its bytes are
-// fsynced, and a crash can only ever lose mutations that were never
-// acknowledged.
+// The store consults the disk through its state.Durable hook
+// (BeforePublish), which runs under the writer mutex before readers
+// can observe the new snapshot — so a commit is not durable until its
+// bytes are fsynced, and a crash can only ever lose mutations that
+// were never acknowledged. A store with no hook installed is
+// in-memory only: nothing outlives the process.
 package storage
-
-import (
-	"context"
-
-	"bioenrich/internal/state"
-)
-
-// Backend is one durability strategy for a snapshot store. It extends
-// state.Durable (the per-publish hook) with the boot-time and
-// lifecycle half of the contract.
-type Backend interface {
-	state.Durable
-
-	// Recover loads the newest durable snapshot: the latest intact
-	// segment plus every intact WAL record after it. ok is false on a
-	// cold start (nothing durable yet); an error means the directory
-	// holds data that cannot be trusted and serving must not proceed.
-	// After a successful Recover the backend is positioned to accept
-	// BeforePublish for the following epochs.
-	Recover(ctx context.Context) (snap *state.Snapshot, ok bool, err error)
-
-	// Checkpoint durably persists snap as a full segment, rotates the
-	// WAL, and applies retention. Callers use it to seed a fresh data
-	// directory (epoch 1) and to bound replay on shutdown.
-	Checkpoint(snap *state.Snapshot) error
-
-	// Close releases file handles. The backend must not be used after.
-	Close() error
-}
 
 // Metric names the disk backend registers, exported so the server's
 // exposition tests can pin them.
@@ -75,21 +42,3 @@ const (
 	RecoverSpan = "storage.recover"
 	ReplaySpan  = "storage.wal_replay"
 )
-
-// Memory is the no-op backend: state lives in RAM and dies with the
-// process, exactly as before the storage layer existed. The zero
-// value is ready to use.
-type Memory struct{}
-
-// Recover always reports a cold start.
-func (Memory) Recover(context.Context) (*state.Snapshot, bool, error) { return nil, false, nil }
-
-// BeforePublish acknowledges immediately: the pointer swap is the
-// whole commit.
-func (Memory) BeforePublish(*state.Snapshot, *state.Delta) error { return nil }
-
-// Checkpoint is a no-op.
-func (Memory) Checkpoint(*state.Snapshot) error { return nil }
-
-// Close is a no-op.
-func (Memory) Close() error { return nil }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -401,28 +402,55 @@ func TestHookFailureAbortsPublish(t *testing.T) {
 	}
 }
 
-// TestMemoryBackendIsNoOp: the default backend accepts everything and
-// persists nothing.
-func TestMemoryBackendIsNoOp(t *testing.T) {
-	var m Memory
-	if snap, ok, err := m.Recover(context.Background()); snap != nil || ok || err != nil {
-		t.Fatalf("Memory.Recover = %v %v %v", snap, ok, err)
+// TestRecoveryMatchesFullBuild: a corpus recovered from a segment
+// plus WAL records, each replayed by an incremental AppendBuild, is
+// reflect.DeepEqual to AddAll + Build over the same documents — no
+// replayed document needs a full re-tokenizing rebuild.
+func TestRecoveryMatchesFullBuild(t *testing.T) {
+	dir := t.TempDir()
+	d, st := openSeeded(t, dir, DiskOptions{})
+	docs := append([]corpus.Document(nil), st.Load().Corpus.Documents()...)
+	group := func(ids ...string) {
+		t.Helper()
+		var g []corpus.Document
+		for _, id := range ids {
+			g = append(g, corpus.Document{ID: id, Title: "case " + id, Text: "Corneal ulcer with retinal detachment, case " + id + "."})
+		}
+		if _, err := st.UpdateDelta(func(cur *state.Snapshot) (*corpus.Corpus, *ontology.Ontology, *state.Delta, error) {
+			cc := cur.Corpus.Clone()
+			cc.AppendBuild(g)
+			return cc, cur.Ontology, &state.Delta{Docs: g}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, g...)
 	}
-	if err := m.BeforePublish(&state.Snapshot{Epoch: 9}, nil); err != nil {
+	group("a1")
+	group("a2", "a3", "a4")
+	// A mid-stream segment ships token streams for WAL-ingested
+	// documents too; the records after it replay onto that image.
+	if err := d.Checkpoint(st.Load()); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Checkpoint(&state.Snapshot{}); err != nil {
-		t.Fatal(err)
+	group("b1", "b2")
+	group("b3")
+
+	snap := reopen(t, dir, DiskOptions{})
+	if snap.Epoch != st.Load().Epoch {
+		t.Fatalf("recovered epoch = %d, want %d", snap.Epoch, st.Load().Epoch)
 	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
+	want := corpus.New(textutil.English)
+	want.AddAll(docs)
+	want.Build()
+	if !reflect.DeepEqual(snap.Corpus, want) {
+		t.Error("recovered corpus differs from AddAll + Build over the same documents")
 	}
 }
 
 // TestEnrichmentParityDiskVsMemory: the same mutation history produces
-// byte-identical enrichment reports whether the store runs on the
-// memory backend or was round-tripped through disk and recovered —
-// durability must not perturb the pipeline's inputs in any way.
+// byte-identical enrichment reports whether the store runs in memory
+// (no durability hook) or was round-tripped through disk and recovered
+// — durability must not perturb the pipeline's inputs in any way.
 func TestEnrichmentParityDiskVsMemory(t *testing.T) {
 	docs := []string{
 		"Corneal abrasion with corneal scarring and corneal ulcer.",
@@ -430,10 +458,9 @@ func TestEnrichmentParityDiskVsMemory(t *testing.T) {
 		"Macular degeneration with retinal drusen in the macula.",
 	}
 
-	// Memory lane: plain store, same ingests.
+	// Memory lane: plain store, no hook, same ingests.
 	cm, om := fixture(t)
 	memStore := state.NewStore(cm, om)
-	memStore.SetDurable(Memory{})
 	mutate := func(st *state.Store) {
 		for i, text := range docs {
 			text := text
