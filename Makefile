@@ -7,12 +7,11 @@
 #   make fuzz-smoke   10s native-fuzz pass over the tokenizer and corpus reader
 #   make bench    full benchmark sweep -> BENCH_<timestamp>.json
 #   make bench-enricher   just the worker-pool speedup pair
-#   make bench-load       HTTP load grid (scripts/paper) -> BENCH_loadgen.json
-#   make bench-load-smoke CI-sized load grid over tiny corpora
+#   make perf-smoke   short read + enrich runs of the repository benchmark (perfbench/)
 
 GO ?= go
 
-.PHONY: verify build vet test race race-gate-check lint lint-bench fuzz-smoke staticcheck bench bench-enricher bench-ingest bench-load bench-load-smoke restart-test
+.PHONY: verify build vet test race race-gate-check lint lint-bench fuzz-smoke staticcheck bench bench-enricher bench-ingest perf-smoke restart-test
 
 build:
 	$(GO) build ./...
@@ -40,7 +39,7 @@ test:
 # so this is the one raced list, and scripts/race_gate_check.sh proves
 # it plus its documented exemptions cover ./internal/... exactly.
 race:
-	$(GO) test -race ./internal/core ./internal/server ./internal/linkage ./internal/obs ./internal/senseind ./internal/state ./internal/jobs ./internal/storage ./internal/registry ./internal/classify ./internal/recommend ./internal/batch ./internal/corpus ./internal/lint ./internal/loadtest
+	$(GO) test -race ./internal/core ./internal/server ./internal/linkage ./internal/obs ./internal/senseind ./internal/state ./internal/jobs ./internal/storage ./internal/registry ./internal/classify ./internal/recommend ./internal/batch ./internal/corpus ./internal/lint
 
 race-gate-check:
 	./scripts/race_gate_check.sh
@@ -105,14 +104,13 @@ bench-enricher:
 bench-ingest:
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestThroughput' -benchmem .
 
-# Scale proof: the full experiment grid (scripts/paper/experiments.json
-# — corpora x concurrency x workload mixes, each cell a fresh serve
-# boot measured by cmd/loadgen). Emits per-cell CSVs, summary tables
-# and the top-level BENCH_loadgen.json performance-trajectory record.
-# The smoke variant is the same harness on tiny corpora and short
-# cells; CI runs it and uploads BENCH_loadgen.json as an artifact.
-bench-load:
-	./scripts/paper/run_all.sh
-
-bench-load-smoke:
-	./scripts/paper/run_all.sh scripts/paper/experiments_smoke.json bench/loadgen-smoke
+# Smoke of the repository benchmark (perfbench/, see its README): each
+# run boots the real cmd/serve and exits non-zero when a byte-exact
+# probe or report check fails. Enrich keeps its full 20 s window,
+# because a shorter one finishes no job inside a segment and the run
+# then reports too few gated metrics. Churn is left out: its validity
+# gate (open-loop writer p99 lateness under 50 ms) measures the host's
+# load, and restart-test already drives ingest and SIGKILL.
+perf-smoke:
+	bash perfbench/run.sh --workload read --seed 1 --seconds 2 --trace 0
+	bash perfbench/run.sh --workload enrich --seed 1 --seconds 20 --trace 0

@@ -335,8 +335,8 @@ func main() {
 		fatal(logger, "listen", err)
 	}
 	if *addrFile != "" {
-		// Tooling (scripts/paper, cmd/loadgen's grid mode) polls this
-		// file to find the port when -addr was ":0".
+		// Tooling (the perfbench benchmark) polls this file to find the
+		// port when -addr was ":0".
 		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
 			fatal(logger, "write addr-file", err)
 		}

@@ -1,10 +1,7 @@
 // Package buildinfo reads the binary's own build metadata — module
 // version, Go toolchain, VCS revision — from the build-info record the
-// Go linker embeds in every binary (runtime/debug). The same Info
-// struct is served by GET /v1/version and stamped into every
-// BENCH_*.json record cmd/loadgen emits, so a recorded performance
-// number can always be traced back to the exact build that produced
-// it.
+// Go linker embeds in every binary (runtime/debug). GET /v1/version
+// serves it, so a client can tell exactly which build is answering.
 package buildinfo
 
 import (

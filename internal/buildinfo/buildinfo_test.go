@@ -20,9 +20,9 @@ func TestReadReportsModuleAndToolchain(t *testing.T) {
 }
 
 func TestInfoJSONShape(t *testing.T) {
-	// The wire shape is part of the /v1/version contract and of every
-	// BENCH record: stable lower-snake keys, optional VCS fields absent
-	// when unstamped (test binaries have no vcs.* settings).
+	// The wire shape is the /v1/version contract: stable lower-snake
+	// keys, optional VCS fields absent when unstamped (test binaries
+	// have no vcs.* settings).
 	b, err := json.Marshal(Info{Module: "bioenrich", Version: "(devel)", GoVersion: "go1.22.0"})
 	if err != nil {
 		t.Fatal(err)

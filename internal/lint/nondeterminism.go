@@ -24,7 +24,7 @@ var pipelineRoots = []string{
 	"experiments", // paper-table experiment harness
 	"registry",    // multi-ontology snapshot writer
 	"batch",       // group-commit snapshot writer
-	"loadtest",    // load-harness summaries feed BENCH_loadgen.json
+	"loadtest",    // seeded /v1 traffic the repository benchmark sends
 }
 
 // pipelinePackages names the packages under the determinism gate.
@@ -55,7 +55,6 @@ var pipelinePackages = map[string]bool{
 	"relext":      true,
 	"textutil":    true,
 	"loadtest":    true,
-	"buildinfo":   true,
 }
 
 // pipelineExempt names report-reachable internal packages that are

@@ -1,3 +1,11 @@
+// Package loadtest generates the seeded /v1 traffic that the repository
+// benchmark (perfbench) sends to a live bioenrich server: a weighted Mix
+// of op classes, and a Gen that turns a seed into the op sequence and
+// the request payloads (search queries, classify and recommend texts,
+// ingestable documents). Its output is a pure function of the seed, and
+// the biolint determinism gate covers the package. perfbench compiles
+// it from each checkout it measures, so TestTrafficGolden pins those
+// bytes: two checkouts that pass it send the server identical traffic.
 package loadtest
 
 import (
@@ -26,33 +34,16 @@ const (
 	OpEnrich    Op = "enrich"
 )
 
-// EndpointPoll labels job-poll GETs in summaries: polls are real
-// requests the server must absorb under load, but they are paced by
-// job latency rather than the mix, so they get their own row instead
-// of inflating the enrich numbers.
-const EndpointPoll = "poll"
-
-// allOps is the canonical op order — mix iteration, weight printing
-// and cumulative sampling all follow it so a given seed always
-// produces the same op sequence.
+// allOps is the canonical op order. Cumulative sampling follows it,
+// so a given seed always produces the same op sequence whatever order
+// the mix spec listed its ops in.
 var allOps = []Op{OpSearch, OpClassify, OpRecommend, OpIngest, OpEnrich}
 
 // Mix is a weighted workload blend. The zero value is invalid; build
-// one with ParseMix or DefaultMix.
+// one with ParseMix.
 type Mix struct {
 	weights map[Op]int
 	total   int
-}
-
-// DefaultMix is read-dominant with a trickle of writes and enrichment
-// — the interactive-service shape the snapshot-isolation work
-// optimizes for.
-func DefaultMix() Mix {
-	m, err := ParseMix("search=50,classify=25,recommend=10,ingest=10,enrich=5")
-	if err != nil {
-		panic(err) // the literal above is static; a failure is a programming error
-	}
-	return m
 }
 
 // ParseMix parses "search=50,classify=25,ingest=10" into a Mix.
@@ -106,18 +97,6 @@ func opList() string {
 	return strings.Join(parts, "|")
 }
 
-// String renders the mix in canonical op order (round-trips through
-// ParseMix).
-func (m Mix) String() string {
-	var parts []string
-	for _, op := range allOps {
-		if w := m.weights[op]; w > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", op, w))
-		}
-	}
-	return strings.Join(parts, ",")
-}
-
 // Pick samples one op from the mix using r. Sampling walks allOps
 // cumulatively, so the op sequence is a pure function of the seed.
 func (m Mix) Pick(r *rand.Rand) Op {
@@ -130,9 +109,6 @@ func (m Mix) Pick(r *rand.Rand) Op {
 	}
 	return allOps[len(allOps)-1] // unreachable: weights sum to total
 }
-
-// Has reports whether the mix gives op any weight.
-func (m Mix) Has(op Op) bool { return m.weights[op] > 0 }
 
 // Gen deterministically produces request payloads from a seeded
 // vocabulary of synth's biomedical pseudo-words. Generating with the

@@ -1,30 +1,41 @@
 package loadtest
 
 import (
-	"os"
-	"path/filepath"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
 )
 
+// TestParseMixRoundTrip: a spec's op order is presentation only.
+// Specs listing the same weights in any order sample the same op
+// sequence, and an op the spec omits is never sampled.
 func TestParseMixRoundTrip(t *testing.T) {
-	m, err := ParseMix("enrich=5, search=50,classify=25")
-	if err != nil {
-		t.Fatal(err)
+	picks := func(spec string) string {
+		t.Helper()
+		m, err := ParseMix(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewGen(42, 100, 0)
+		var b strings.Builder
+		for i := 0; i < 200; i++ {
+			b.WriteString(string(g.Pick(m)))
+			b.WriteByte('|')
+		}
+		return b.String()
 	}
-	// String renders canonical op order regardless of input order.
-	if got := m.String(); got != "search=50,classify=25,enrich=5" {
-		t.Errorf("String() = %q", got)
+	want := picks("search=50,classify=25,enrich=5")
+	for _, spec := range []string{"enrich=5, search=50,classify=25", "classify=25,enrich=5,search=50"} {
+		if got := picks(spec); got != want {
+			t.Errorf("ParseMix(%q) picks diverge from the canonical order", spec)
+		}
 	}
-	m2, err := ParseMix(m.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.String() != m.String() {
-		t.Errorf("round trip changed the mix: %q vs %q", m2.String(), m.String())
-	}
-	if !m.Has(OpEnrich) || m.Has(OpIngest) {
-		t.Error("Has() disagrees with the spec")
+	for _, op := range []Op{OpRecommend, OpIngest} {
+		if strings.Contains(want, string(op)+"|") {
+			t.Errorf("picked %s, which the spec gives no weight", op)
+		}
 	}
 }
 
@@ -47,7 +58,10 @@ func TestParseMixErrors(t *testing.T) {
 // TestGenDeterminism: the same (seed, worker) produces the same op
 // sequence and payloads; a different worker slot diverges.
 func TestGenDeterminism(t *testing.T) {
-	mix := DefaultMix()
+	mix, err := ParseMix("search=50,classify=25,recommend=10,ingest=10,enrich=5")
+	if err != nil {
+		t.Fatal(err)
+	}
 	seq := func(worker int) string {
 		g := NewGen(42, 100, worker)
 		var b strings.Builder
@@ -72,46 +86,40 @@ func TestGenDeterminism(t *testing.T) {
 	}
 }
 
-func TestLoadGridConfig(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "grid.json")
-	write := func(body string) {
-		t.Helper()
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	write(`{
-		"seed": 7, "duration": "3s", "warmup": "1s",
-		"corpora": [{"name": "a", "branches": 2, "depth": 2, "docs": 2}],
-		"concurrency": [2, 4],
-		"mixes": [{"name": "m", "spec": "search=100"}]
-	}`)
-	cfg, err := LoadGridConfig(path)
+// TestTrafficGolden pins the traffic perfbench sends. perfbench builds
+// this package from each checkout it measures, so an edit to Gen, Mix
+// or synth's word generator would otherwise have two checkouts send
+// the server different requests, and TestGenDeterminism would not
+// notice: it only checks that one build agrees with itself.
+// NewGen(42, 400, 16) is perfbench's seed 1, slot 0 (its corpus seed,
+// vocabulary size and seed*16+slot), sampling its read mix with its
+// payload sizes.
+func TestTrafficGolden(t *testing.T) {
+	mix, err := ParseMix("search=60,classify=25,recommend=15")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Name != "grid" { // defaults to the file basename
-		t.Errorf("Name = %q", cfg.Name)
-	}
-	if cfg.Cells() != 2 {
-		t.Errorf("Cells() = %d, want 2 (1 corpus x 2 conc x 1 mix x 1 rate)", cfg.Cells())
-	}
-	if len(cfg.Rates) != 1 || cfg.Rates[0] != 0 {
-		t.Errorf("Rates defaulted to %v, want [0]", cfg.Rates)
-	}
-
-	for name, body := range map[string]string{
-		"no corpora":   `{"concurrency":[1],"mixes":[{"name":"m","spec":"search=1"}]}`,
-		"bad duration": `{"duration":"x","corpora":[{"name":"a","branches":1,"depth":1,"docs":1}],"concurrency":[1],"mixes":[{"name":"m","spec":"search=1"}]}`,
-		"bad mix":      `{"corpora":[{"name":"a","branches":1,"depth":1,"docs":1}],"concurrency":[1],"mixes":[{"name":"m","spec":"nope=1"}]}`,
-		"bad conc":     `{"corpora":[{"name":"a","branches":1,"depth":1,"docs":1}],"concurrency":[0],"mixes":[{"name":"m","spec":"search=1"}]}`,
-		"bad corpus":   `{"corpora":[{"name":"","branches":1,"depth":1,"docs":1}],"concurrency":[1],"mixes":[{"name":"m","spec":"search=1"}]}`,
-	} {
-		write(body)
-		if _, err := LoadGridConfig(path); err == nil {
-			t.Errorf("%s: LoadGridConfig succeeded, want error", name)
+	g := NewGen(42, 400, 16)
+	var b strings.Builder
+	for i := 0; i < 200; i++ {
+		op := g.Pick(mix)
+		var payload string
+		if op == OpSearch {
+			payload = g.Query()
+		} else {
+			payload = g.Text(30)
 		}
+		b.WriteString(string(op) + "|" + payload + "\n")
+	}
+	docs, err := json.Marshal(g.Documents(4, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Write(docs)
+
+	sum := sha256.Sum256([]byte(b.String()))
+	const want = "ef9b35358f73ce167946dc3bd7d4b49bb5d746c171d1597a1ce0b0574c08f0e9"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("traffic digest = %s, want %s", got, want)
 	}
 }

@@ -48,9 +48,9 @@ func TestReadyLifecycle(t *testing.T) {
 	}
 }
 
-// TestVersion: /v1/version reports the build identity loadgen stamps
-// into BENCH records. Under `go test` there is no VCS stamp, but
-// module path and toolchain are always present.
+// TestVersion: /v1/version reports the binary's build identity. Under
+// `go test` there is no VCS stamp, but module path and toolchain are
+// always present.
 func TestVersion(t *testing.T) {
 	ts := testServer(t)
 	out := getJSON(t, ts.URL+"/v1/version", http.StatusOK)

@@ -485,8 +485,6 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // handleVersion serves the binary's build identity (GET /v1/version):
 // module version, Go toolchain, VCS revision — read from the embedded
 // build-info record, so what answers is provably what was built.
-// cmd/loadgen stamps the same record into BENCH_*.json files, which
-// ties every recorded performance number to a specific build.
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, buildinfo.Read())
 }

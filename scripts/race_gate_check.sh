@@ -34,6 +34,7 @@ bioenrich/internal/termex	pure term extraction
 bioenrich/internal/textutil	pure string utilities
 bioenrich/internal/storage/fsio	sequential file primitives, no goroutines
 bioenrich/internal/buildinfo	pure build-metadata read (debug.ReadBuildInfo), no goroutines
+bioenrich/internal/loadtest	seeded traffic generator perfbench imports, single goroutine
 EOF
 }
 
