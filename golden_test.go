@@ -1,0 +1,229 @@
+package bioenrich
+
+// Golden outputs: exact values the pipeline must keep producing. The
+// benchmark compares the server with the in-process library of the
+// same checkout, so it cannot see an output change; these pins can.
+// A change that moves any of them must update EXPERIMENTS.md (or the
+// checked-in golden files) in the same commit and say why.
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"bioenrich/internal/classify"
+	"bioenrich/internal/core"
+	"bioenrich/internal/corpus"
+	"bioenrich/internal/experiments"
+	"bioenrich/internal/ontology"
+	"bioenrich/internal/recommend"
+	"bioenrich/internal/state"
+	"bioenrich/internal/synth"
+)
+
+// reportDigest runs the pipeline at topN with one worker and returns
+// the SHA-256 of its report encoded as the server's job result
+// encodes it.
+func reportDigest(t *testing.T, c *corpus.Corpus, o *ontology.Ontology, topN int) string {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.TopCandidates = topN
+	cfg.Workers = 1
+	rep, err := core.NewEnricher(c, o, cfg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Candidates == nil {
+		rep.Candidates = []core.Candidate{}
+	}
+	b, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// benchMesh is BenchmarkEnricherRun's and BenchmarkClassify's input:
+// the default mesh with three documents per concept.
+func benchMesh() (*synth.Mesh, *corpus.Corpus) {
+	mesh := synth.GenerateMesh(synth.DefaultMeshOptions())
+	copts := synth.DefaultCorpusOptions()
+	copts.DocsPerConcept = 3
+	return mesh, synth.GenerateMeshCorpus(mesh, copts)
+}
+
+// smallCorpus is the benchmark's enrich input: 3 branches, depth 3,
+// 4 documents per concept, ontology at seed 42 and text at 43, saved
+// and loaded back as the server loads it.
+func smallCorpus(t *testing.T) (*corpus.Corpus, *ontology.Ontology) {
+	t.Helper()
+	mopts := synth.DefaultMeshOptions()
+	mopts.Seed = 42
+	mopts.Branches, mopts.Depth = 3, 3
+	mesh := synth.GenerateMesh(mopts)
+	copts := synth.DefaultCorpusOptions()
+	copts.Seed = 43
+	copts.DocsPerConcept = 4
+	c := synth.GenerateMeshCorpus(mesh, copts)
+	dir := t.TempDir()
+	cp, op := filepath.Join(dir, "corpus.json"), filepath.Join(dir, "ontology.json")
+	if err := c.Save(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := mesh.Ontology.Save(op); err != nil {
+		t.Fatal(err)
+	}
+	lc, err := corpus.Load(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, err := ontology.Load(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lc, lo
+}
+
+func TestGoldenReports(t *testing.T) {
+	mesh, c := benchMesh()
+	sc, so := smallCorpus(t)
+	for _, tc := range []struct {
+		name   string
+		c      *corpus.Corpus
+		o      *ontology.Ontology
+		topN   int
+		digest string
+	}{
+		{"small/top3", sc, so, 3, "c0b6dbfdf3173a2a47ae04dc6a7507e2b049629f41ec7913ca065056fa6aa947"},
+		{"mesh/top3", c, mesh.Ontology, 3, "c5c3495d3eee036b76811c1cd0eb88b43b6a039696865b4a4d45a42159030df3"},
+		{"mesh/top12", c, mesh.Ontology, 12, "8e1d53431109ce4a16e756a8a1192fcf7dc73c4b3e70ac0bd35510db7b9b4753"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			if got := reportDigest(t, tc.c, tc.o, tc.topN); got != tc.digest {
+				t.Errorf("report sha256 = %s, want %s", got, tc.digest)
+			}
+		})
+	}
+}
+
+// goldenTexts are fixed inputs for the classify and recommend pins:
+// documents spread over the mesh corpus, one document of the other
+// mesh, the mesh's first preferred terms, and hand-written text mixing
+// stopwords, case, accents and numbers.
+func goldenTexts(mesh *synth.Mesh, c, other *corpus.Corpus) []string {
+	var texts []string
+	docs := c.Documents()
+	for i := 0; i < 6; i++ {
+		texts = append(texts, docs[i*len(docs)/6].Text)
+	}
+	var terms string
+	for _, id := range mesh.Ontology.ConceptIDs()[:12] {
+		terms += mesh.Ontology.Concept(id).Preferred + ", "
+	}
+	return append(texts,
+		other.Documents()[0].Text,
+		terms,
+		"The CORNEAL injury of the eye (n = 12) was treated; l'hôpital reported 3.5% Straße résultats.",
+	)
+}
+
+// checkGolden compares got with the checked-in file line by line.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w []byte
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if !bytes.Equal(g, w) {
+			t.Fatalf("%s line %d:\n got %s\nwant %s", path, i+1, g, w)
+		}
+	}
+}
+
+func TestGoldenClassifyRecommend(t *testing.T) {
+	mesh, c := benchMesh()
+	snap := state.NewStore(c, mesh.Ontology).Load()
+	mopts := synth.DefaultMeshOptions()
+	mopts.Seed = 2
+	copts := synth.DefaultCorpusOptions()
+	copts.Seed = 2
+	copts.DocsPerConcept = 2
+	other := synth.GenerateMesh(mopts)
+	oc := synth.GenerateMeshCorpus(other, copts)
+	texts := goldenTexts(mesh, c, oc)
+	ctx := context.Background()
+
+	var cls bytes.Buffer
+	cl := classify.New(classify.Options{})
+	for i, text := range texts {
+		cold, err := classify.New(classify.Options{}).Classify(ctx, "golden", snap, text, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := cl.Classify(ctx, "golden", snap, text, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, _ := json.Marshal(cold)
+		wb, _ := json.Marshal(warm)
+		if !bytes.Equal(cb, wb) {
+			t.Errorf("text %d: cold index %s, warm index %s", i, cb, wb)
+		}
+		cls.Write(cb)
+		cls.WriteByte('\n')
+	}
+	checkGolden(t, "classify.jsonl", cls.Bytes())
+
+	inputs := []recommend.Input{
+		{Name: "mesh", Snap: snap},
+		{Name: "mesh-2", Snap: state.NewStore(oc, other.Ontology).Load()},
+	}
+	var rec bytes.Buffer
+	for _, text := range texts {
+		scores, err := recommend.Rank(ctx, inputs, text, recommend.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(scores)
+		rec.Write(b)
+		rec.WriteByte('\n')
+	}
+	checkGolden(t, "recommend.jsonl", rec.Bytes())
+}
+
+// TestGoldenTable4 pins Table 4 at BenchmarkTable4LinkagePrecision's
+// reduced size (20 held-out terms), exactly.
+func TestGoldenTable4(t *testing.T) {
+	opts := experiments.DefaultTable4Options()
+	opts.Terms = 20
+	res, err := experiments.Table4(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("P@1=%v P@2=%v P@5=%v P@10=%v MRR=%v",
+		res.PrecisionAt[1], res.PrecisionAt[2], res.PrecisionAt[5], res.PrecisionAt[10], res.MRR)
+	if want := "P@1=0.2 P@2=0.3 P@5=0.45 P@10=0.6 MRR=0.3113095238095238"; got != want {
+		t.Errorf("Table 4 = %s, want %s", got, want)
+	}
+}
