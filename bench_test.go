@@ -168,6 +168,7 @@ func BenchmarkEnricherRun(b *testing.B) {
 	c := synth.GenerateMeshCorpus(mesh, copts)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			cfg := core.DefaultConfig()
 			cfg.TopCandidates = 12
 			cfg.Workers = workers
@@ -289,7 +290,10 @@ func BenchmarkCorpusIndexing(b *testing.B) {
 // full O(corpus) profile build every iteration (a fresh Classifier per
 // op — the cost every request would pay without the cache). cached
 // must beat uncached by a wide margin: that gap is the reason the
-// serving path is O(document), not O(corpus).
+// serving path is O(document), not O(corpus). Both report allocations:
+// uncached's bytes/op is what every profile rebuild hands the
+// collector, and on a write-heavy server the collector's assists land
+// on the ingest path.
 func BenchmarkClassify(b *testing.B) {
 	mesh := synth.GenerateMesh(synth.DefaultMeshOptions())
 	copts := synth.DefaultCorpusOptions()
@@ -300,6 +304,7 @@ func BenchmarkClassify(b *testing.B) {
 	ctx := context.Background()
 
 	b.Run("cached", func(b *testing.B) {
+		b.ReportAllocs()
 		cl := classify.New(classify.Options{})
 		if _, err := cl.Classify(ctx, "bench", snap, text, 5); err != nil {
 			b.Fatal(err) // warm the index outside the timed loop
@@ -312,6 +317,7 @@ func BenchmarkClassify(b *testing.B) {
 		}
 	})
 	b.Run("uncached", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cl := classify.New(classify.Options{})
 			if _, err := cl.Classify(ctx, "bench", snap, text, 5); err != nil {

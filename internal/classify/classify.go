@@ -213,8 +213,10 @@ func (cl *Classifier) index(ctx context.Context, key string, snap *state.Snapsho
 
 // build computes the per-concept profile vectors: for each concept
 // (in sorted id order), the sum of the corpus context vectors of its
-// terms, unit-normalized. Concepts absent from the corpus keep an
-// empty vector and score 0 against everything.
+// terms, unit-normalized. Each term's contexts are counted straight
+// into the concept's one vector (AddContextVector), with no per-term
+// vector in between. Concepts absent from the corpus keep an empty
+// vector and score 0 against everything.
 func (cl *Classifier) build(ctx context.Context, snap *state.Snapshot) (*index, error) {
 	o, c := snap.Ontology, snap.Corpus
 	ids := o.ConceptIDs()
@@ -229,7 +231,7 @@ func (cl *Classifier) build(ctx context.Context, snap *state.Snapshot) (*index, 
 		idx.prefs[i] = concept.Preferred
 		v := sparse.New(64)
 		for _, t := range concept.Terms() {
-			v.Add(c.ContextVector(t, cl.opts.Window))
+			c.AddContextVector(v, t, cl.opts.Window)
 		}
 		v.Normalize()
 		idx.vecs[i] = v

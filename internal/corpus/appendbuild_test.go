@@ -150,4 +150,20 @@ func TestCloneAppendBuildIndependence(t *testing.T) {
 		t.Errorf("original mutated: docs %d tf %d, want %d/%d untouched",
 			c.NumDocs(), c.TF("corneal"), docs, tf)
 	}
+
+	// Sibling clones of one snapshot share its token streams, and
+	// cl's stream list has spare capacity after its AppendBuild: each
+	// sibling must append to a list of its own.
+	a, b := cl.Clone(), cl.Clone()
+	a.AppendBuild([]Document{{ID: "4", Text: "Retinal detachment."}})
+	b.AppendBuild([]Document{{ID: "4", Text: "Lens opacity."}})
+	if got := a.Tokens(docs + 1)[0]; got != "retinal" {
+		t.Errorf("sibling a's new document starts %q, want retinal", got)
+	}
+	if got := b.Tokens(docs + 1)[0]; got != "lens" {
+		t.Errorf("sibling b's new document starts %q, want lens", got)
+	}
+	if cl.NumDocs() != docs+1 || cl.TF("retinal") != 0 {
+		t.Errorf("parent clone mutated by its siblings: docs %d, tf(retinal) %d", cl.NumDocs(), cl.TF("retinal"))
+	}
 }

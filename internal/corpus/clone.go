@@ -1,11 +1,14 @@
 package corpus
 
-// Clone returns a deep copy of the corpus: documents, token streams,
-// the positional index and the frequency statistics are all copied,
-// so mutating and rebuilding the clone (Add/AddAll + Build) never
-// disturbs the original. This is the corpus half of the server's
-// copy-on-write snapshot commit (internal/state): readers keep
-// querying the original while a writer grows the clone.
+// Clone returns a copy of the corpus that can be mutated and rebuilt
+// (Add/AddAll + Build, AppendBuild) without disturbing the original.
+// Documents, the positional index and the frequency statistics are
+// copied. Each document's token stream is shared: no method writes
+// into one once built (Build replaces them all, AppendBuild appends
+// new documents' streams to the clone's own list), and sharing them
+// roughly halves the bytes a clone allocates. This is the corpus half
+// of the server's copy-on-write snapshot commit (internal/state):
+// readers keep querying the original while a writer grows the clone.
 func (c *Corpus) Clone() *Corpus {
 	out := &Corpus{
 		lang:  c.lang,
@@ -16,10 +19,7 @@ func (c *Corpus) Clone() *Corpus {
 		df:    make(map[string]int, len(c.df)),
 	}
 	if c.tokens != nil {
-		out.tokens = make([][]string, len(c.tokens))
-		for i, toks := range c.tokens {
-			out.tokens[i] = append([]string(nil), toks...)
-		}
+		out.tokens = append([][]string(nil), c.tokens...)
 	}
 	for tok, postings := range c.index {
 		cp := make([]Posting, len(postings))

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"slices"
 	"strings"
 
 	"bioenrich/internal/graph"
@@ -20,38 +21,13 @@ type Context struct {
 // side) around every occurrence of term. The term's own words are
 // excluded from the window; stopwords and numerics are filtered.
 func (c *Corpus) Contexts(term string, window int) []Context {
-	c.ensureBuilt()
-	words := strings.Fields(textutil.NormalizeTerm(term))
-	termSet := make(map[string]bool, len(words))
-	for _, w := range words {
-		termSet[w] = true
-	}
-	occ := c.Occurrences(term)
-	out := make([]Context, 0, len(occ))
-	for _, p := range occ {
-		toks := c.tokens[p.Doc]
-		lo := int(p.Pos) - window
-		if lo < 0 {
-			lo = 0
-		}
-		hi := int(p.Pos) + len(words) + window
-		if hi > len(toks) {
-			hi = len(toks)
-		}
-		var ctx []string
-		for i := lo; i < hi; i++ {
-			if i >= int(p.Pos) && i < int(p.Pos)+len(words) {
-				continue // the term itself
-			}
-			w := toks[i]
-			if len(w) < 2 || termSet[w] ||
-				textutil.IsNumeric(w) || textutil.IsStopword(w, c.lang) {
-				continue
-			}
-			ctx = append(ctx, w)
-		}
-		out = append(out, Context{Doc: p.Doc, Pos: p.Pos, Words: ctx})
-	}
+	var out []Context
+	c.scanContexts(term, window,
+		func(p Posting) { out = append(out, Context{Doc: p.Doc, Pos: p.Pos}) },
+		func(w string) {
+			last := &out[len(out)-1]
+			last.Words = append(last.Words, w)
+		})
 	return out
 }
 
@@ -60,12 +36,49 @@ func (c *Corpus) Contexts(term string, window int) []Context {
 // semantic-linkage cosine.
 func (c *Corpus) ContextVector(term string, window int) sparse.Vector {
 	v := sparse.New(64)
-	for _, ctx := range c.Contexts(term, window) {
-		for _, w := range ctx.Words {
-			v[w]++
+	c.AddContextVector(v, term, window)
+	return v
+}
+
+// AddContextVector adds the term's context counts (ContextVector's
+// entries) into v in place. Counts are whole numbers, so adding
+// several terms into one vector gives bit-for-bit the floats of
+// summing their ContextVectors, without building any of them. Once v
+// holds every word it will count, the scan allocates the same no
+// matter how often the term occurs.
+func (c *Corpus) AddContextVector(v sparse.Vector, term string, window int) {
+	c.scanContexts(term, window, nil, func(w string) { v[w]++ })
+}
+
+// scanContexts is the one window scan behind Contexts and
+// AddContextVector. For every occurrence of term, in posting order, it
+// calls occurrence (when non-nil) and then word for each content word
+// of the window around it, in position order: window tokens on each
+// side, the term's own words excluded, one-letter tokens, numerics and
+// stopwords filtered. Corpus tokens are canonical, so the stopword
+// test is a plain lookup.
+func (c *Corpus) scanContexts(term string, window int, occurrence func(Posting), word func(string)) {
+	c.ensureBuilt()
+	words := strings.Fields(textutil.NormalizeTerm(term))
+	for _, p := range c.occurrences(words) {
+		if occurrence != nil {
+			occurrence(p)
+		}
+		toks := c.tokens[p.Doc]
+		start, end := int(p.Pos), int(p.Pos)+len(words)
+		lo, hi := max(start-window, 0), min(end+window, len(toks))
+		for i := lo; i < hi; i++ {
+			if i >= start && i < end {
+				continue // the term itself
+			}
+			w := toks[i]
+			if len(w) < 2 || slices.Contains(words, w) ||
+				textutil.IsNumeric(w) || textutil.IsStopword(w, c.lang) {
+				continue
+			}
+			word(w)
 		}
 	}
-	return v
 }
 
 // ContextVectors returns one count vector per occurrence — the input

@@ -160,7 +160,7 @@ func (c *Corpus) Build() {
 // every indexed one, so the merged postings extend each token's list
 // in document order and the result is indistinguishable from
 // AddAll + Build — at O(batch) instead of O(corpus) cost. This is what
-// makes a copy-on-write ingest cheap: Clone() already deep-copied the
+// makes a copy-on-write ingest cheap: Clone() already copied the
 // index, and AppendBuild grows that copy instead of discarding it. On
 // an unbuilt corpus it degrades to a full Build.
 func (c *Corpus) AppendBuild(docs []Document) {
@@ -205,7 +205,12 @@ func (c *Corpus) TokenTF(token string) int {
 // verifying the surrounding tokens.
 func (c *Corpus) Occurrences(term string) []Posting {
 	c.ensureBuilt()
-	words := strings.Fields(textutil.NormalizeTerm(term))
+	return c.occurrences(strings.Fields(textutil.NormalizeTerm(term)))
+}
+
+// occurrences is Occurrences for a term already split into canonical
+// words.
+func (c *Corpus) occurrences(words []string) []Posting {
 	if len(words) == 0 {
 		return nil
 	}

@@ -2,8 +2,11 @@ package corpus
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"bioenrich/internal/sparse"
 	"bioenrich/internal/textutil"
 )
 
@@ -99,6 +102,60 @@ func TestContextVector(t *testing.T) {
 	vecs := c.ContextVectors("corneal injury", 6)
 	if len(vecs) != 4 {
 		t.Errorf("ContextVectors = %d", len(vecs))
+	}
+}
+
+// TestAddContextVectorSumsTerms: counting several terms into one
+// vector gives exactly the sum of their ContextVectors, and each
+// ContextVector counts exactly the words Contexts returns — the two
+// views of the one window scan agree.
+func TestAddContextVectorSumsTerms(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		c := randomCorpus(seed, 8)
+		terms := []string{"alpha", "Beta  GAMMA", "delta epsilon", "absent"}
+		got, want := sparse.New(0), sparse.New(0)
+		for _, term := range terms {
+			c.AddContextVector(got, term, 3)
+			tv := c.ContextVector(term, 3)
+			var words []string
+			for _, ctx := range c.Contexts(term, 3) {
+				words = append(words, ctx.Words...)
+			}
+			if fc := sparse.FromCounts(words); !reflect.DeepEqual(tv, fc) {
+				t.Fatalf("seed %d %q: ContextVector %v, Contexts count %v", seed, term, tv, fc)
+			}
+			want.Add(tv)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: AddContextVector %v, summed ContextVectors %v", seed, got, want)
+		}
+	}
+}
+
+// TestAddContextVectorAllocs pins what keeps profile rebuilds cheap
+// for the collector: once the vector holds every word, counting a
+// term's contexts allocates a fixed amount per call, however often the
+// term occurs.
+func TestAddContextVectorAllocs(t *testing.T) {
+	c := New(textutil.English)
+	for d := 0; d < 200; d++ {
+		text := "frequent marker sits beside cornea lens retina"
+		if d == 0 {
+			text += " rare cornea lens"
+		}
+		c.Add(Document{ID: fmt.Sprint(d), Text: text})
+	}
+	c.Build()
+	if c.TF("frequent") != 200 || c.TF("rare") != 1 {
+		t.Fatalf("fixture: tf frequent %d, rare %d", c.TF("frequent"), c.TF("rare"))
+	}
+	v := sparse.New(0)
+	c.AddContextVector(v, "frequent", 8)
+	c.AddContextVector(v, "rare", 8)
+	frequent := testing.AllocsPerRun(20, func() { c.AddContextVector(v, "frequent", 8) })
+	rare := testing.AllocsPerRun(20, func() { c.AddContextVector(v, "rare", 8) })
+	if frequent != rare {
+		t.Errorf("AddContextVector allocates %v times for a term with 200 occurrences, %v for one with 1", frequent, rare)
 	}
 }
 

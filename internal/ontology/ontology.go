@@ -257,8 +257,13 @@ func (o *Ontology) ConceptsForTerm(term string) []ConceptID {
 }
 
 // HasTerm reports whether the term exists anywhere in the ontology.
+// term must be a canonical key: NormalizeTerm's output, or a
+// space-join of Normalize'd tokens such as a corpus n-gram, which is
+// the same string (FuzzCanonicalKeys in internal/textutil pins this).
+// Raw input (HTTP, CLI) goes through NormalizeTerm first, or through
+// ConceptsForTerm, which normalizes.
 func (o *Ontology) HasTerm(term string) bool {
-	return len(o.byTerm[textutil.NormalizeTerm(term)]) > 0
+	return len(o.byTerm[term]) > 0
 }
 
 // SenseCount returns the number of concepts the term maps to.

@@ -1015,8 +1015,24 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // points the Location header at it — the one submit path of POST
 // /v1/jobs/enrich and recommend-routed jobs. A refusal is written
 // here: 429 when the queue is full, 503 before Start.
+//
+// A finished job keeps its result encoded (json.RawMessage), not the
+// live value: a *core.Report holds every sense's full centroids, which
+// the wire never shows, for as long as the job's TTL. writeJSON's
+// json.Marshal compacts the RawMessage with the same HTML escaping,
+// so the job bodies are byte-identical to encoding the value there.
 func (s *Server) submitEnrich(w http.ResponseWriter, r *http.Request, epoch uint64, run jobs.Fn) (jobs.Job, bool) {
-	job, err := s.jobs.Submit("enrich", requestID(r.Context()), epoch, run)
+	job, err := s.jobs.Submit("enrich", requestID(r.Context()), epoch, func(ctx context.Context) (any, error) {
+		res, err := run(ctx)
+		if err != nil {
+			return nil, err
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			return nil, err
+		}
+		return json.RawMessage(b), nil
+	})
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		writeError(w, http.StatusTooManyRequests, err)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"bioenrich/internal/core"
 	"bioenrich/internal/obs"
 	"bioenrich/internal/state"
 	"bioenrich/internal/synth"
@@ -412,6 +414,52 @@ func TestJobLifecycleHTTP(t *testing.T) {
 	b := readAll(t, resp)
 	if resp.StatusCode != http.StatusConflict || envelopeCode(t, b) != "conflict" {
 		t.Errorf("cancel finished job: status %d body %s, want 409/conflict", resp.StatusCode, b)
+	}
+}
+
+// TestJobResultEncoded: a finished job holds its result as the encoded
+// bytes, not the live report, and the report it serves is byte for
+// byte the in-process report's encoding.
+func TestJobResultEncoded(t *testing.T) {
+	ts, srv := startedServer(t, Options{})
+	id := postJob(t, ts.URL, `{"top":3}`)
+	pollJob(t, ts.URL, id, func(s string) bool { return s == "done" })
+	job, ok := srv.jobs.Get(id)
+	if !ok {
+		t.Fatalf("job %s not found", id)
+	}
+	if _, ok := job.Result.(json.RawMessage); !ok {
+		t.Errorf("job result is %T, want json.RawMessage", job.Result)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view struct {
+		Result struct {
+			Report json.RawMessage `json:"report"`
+		} `json:"result"`
+	}
+	if err := json.Unmarshal(readAll(t, resp), &view); err != nil {
+		t.Fatal(err)
+	}
+	c, o := fixtureData(t)
+	cfg := core.DefaultConfig()
+	cfg.TopCandidates = 3
+	rep, err := core.NewEnricher(c, o, cfg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Candidates == nil {
+		rep.Candidates = []core.Candidate{}
+	}
+	want, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(view.Result.Report, want) {
+		t.Errorf("job report:\n got %s\nwant %s", view.Result.Report, want)
 	}
 }
 

@@ -1,6 +1,10 @@
 package textutil
 
-import "testing"
+import (
+	"strings"
+	"testing"
+	"unicode"
+)
 
 // Native fuzz targets: `go test` exercises the seed corpus; `go test
 // -fuzz` explores further. The invariants are crash-freedom plus the
@@ -65,4 +69,50 @@ func FuzzNormalizeStem(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCanonicalKeys pins the precondition of the canonical-key
+// lookups (IsStopword, ontology.HasTerm): every token the corpus
+// pipeline emits — Normalize of a Words token — is its own
+// NormalizeTerm, and so is any space-join of such tokens. Callers that
+// hold those tokens, or n-grams joined from them, look them up without
+// normalizing again.
+func FuzzCanonicalKeys(f *testing.F) {
+	for _, seed := range []string{
+		"İstanbul", "ǅemal", "ﬁne Straße", "\u212a \u212b", "ᾈ",
+		"l'Hôpital X-ray", "ΣΊΣΥΦΟΣ", "Ǉubljana ǈ", "e\u0301clair",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(checkCanonicalKeys)
+}
+
+func checkCanonicalKeys(t *testing.T, s string) {
+	var toks []string
+	for _, w := range Words(s) {
+		n := Normalize(w)
+		if n == "" {
+			continue
+		}
+		if got := NormalizeTerm(n); got != n {
+			t.Fatalf("token %q of %q: NormalizeTerm(%q) = %q", w, s, n, got)
+		}
+		toks = append(toks, n)
+	}
+	if join := strings.Join(toks, " "); NormalizeTerm(join) != join {
+		t.Fatalf("join of %q: NormalizeTerm(%q) = %q", s, join, NormalizeTerm(join))
+	}
+}
+
+// TestCanonicalKeysSweep runs FuzzCanonicalKeys' check on every letter
+// and digit rune, alone and inside a hyphenated token (a<r>-<r>b).
+func TestCanonicalKeysSweep(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			continue
+		}
+		s := string(r)
+		checkCanonicalKeys(t, s)
+		checkCanonicalKeys(t, "a"+s+"-"+s+"b")
+	}
 }

@@ -108,10 +108,13 @@ var stopSets = func() map[Lang]map[string]bool {
 	return m
 }()
 
-// IsStopword reports whether the normalized form of w is a stopword in
-// lang.
+// IsStopword reports whether w is a stopword in lang. w must already
+// be canonical: a token as Normalize returns it, which is what the
+// corpus index, ContentWords and the POS tagger hold. Raw input goes
+// through Normalize first. FuzzCanonicalKeys pins that every such
+// token is its own normal form, so no lookup needs to redo it.
 func IsStopword(w string, lang Lang) bool {
-	return stopSets[lang][Normalize(w)]
+	return stopSets[lang][w]
 }
 
 // Stopwords returns a copy of the stopword set for lang.
