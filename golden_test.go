@@ -15,14 +15,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bioenrich/internal/classify"
+	"bioenrich/internal/cluster"
 	"bioenrich/internal/core"
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/experiments"
 	"bioenrich/internal/ontology"
+	"bioenrich/internal/polysemy"
 	"bioenrich/internal/recommend"
+	"bioenrich/internal/senseind"
 	"bioenrich/internal/state"
 	"bioenrich/internal/synth"
 )
@@ -226,4 +230,71 @@ func TestGoldenTable4(t *testing.T) {
 	if want := "P@1=0.2 P@2=0.3 P@5=0.45 P@10=0.6 MRR=0.3113095238095238"; got != want {
 		t.Errorf("Table 4 = %s, want %s", got, want)
 	}
+}
+
+// TestGoldenExperiments pins one reduced-scale run of each of E1, E2
+// and E3 exactly. E1's clustering and E2's polysemy features are the
+// callers of sparse.Cosine outside classify and linkage, so these
+// catch any drift in its floats.
+func TestGoldenExperiments(t *testing.T) {
+	t.Run("E1", func(t *testing.T) {
+		t.Parallel()
+		opts := experiments.DefaultE1Options()
+		opts.Entities, opts.ContextsPerSense = 10, 12
+		opts.Indexes = []cluster.Index{cluster.CK, cluster.FK}
+		opts.Representations = []senseind.Representation{senseind.BagOfWords}
+		cells, err := experiments.E1(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, c := range cells {
+			got = append(got, fmt.Sprintf("%s/%s %v", c.Algorithm, c.Index, c.Accuracy))
+		}
+		want := "agglo/ck 1, agglo/fk 1, rb/fk 1, rbr/fk 1, direct/fk 0.9, " +
+			"rb/ck 0.8, rbr/ck 0.8, direct/ck 0.7, graph/ck 0.7, graph/fk 0.7"
+		if g := strings.Join(got, ", "); g != want {
+			t.Errorf("E1 cells = %s\nwant        %s", g, want)
+		}
+	})
+	// TestE2SmallPanel's size; only the best row is pinned.
+	t.Run("E2", func(t *testing.T) {
+		t.Parallel()
+		opts := experiments.DefaultE2Options()
+		opts.Polysemic, opts.Monosemic = 8, 8
+		opts.ContextsPerTerm = 16
+		opts.Folds = 4
+		opts.FeatureSets = []polysemy.FeatureSet{polysemy.AllFeatures}
+		rows, err := experiments.E2(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := rows[0]
+		cf := best.Confusion
+		got := fmt.Sprintf("%s %s TP=%d FP=%d TN=%d FN=%d F1=%v",
+			best.Classifier, best.Features, cf.TP, cf.FP, cf.TN, cf.FN, cf.F1())
+		if want := "gaussian-nb all-23 TP=7 FP=1 TN=7 FN=1 F1=0.875"; got != want {
+			t.Errorf("E2 best row = %s, want %s", got, want)
+		}
+	})
+	// The seed cmd/tables -table e3 uses: these are EXPERIMENTS.md's
+	// "Measure ablation" values.
+	t.Run("E3", func(t *testing.T) {
+		t.Parallel()
+		rows, err := experiments.E3(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range rows {
+			got = append(got, fmt.Sprintf("%s %v/%v/%v n=%d",
+				r.Measure, r.PrecisionAt[50], r.PrecisionAt[100], r.PrecisionAt[200], r.Candidates))
+		}
+		want := "tf-idf 0.34/0.39/0.435 n=90542, lidf-value 0.32/0.34/0.41 n=90542, " +
+			"tergraph 0.32/0.41/0.505 n=90542, c-value 0.22/0.28/0.39 n=90542, " +
+			"f-tfidf-c 0.22/0.3/0.405 n=90542, okapi 0.06/0.16/0.27 n=90542"
+		if g := strings.Join(got, ", "); g != want {
+			t.Errorf("E3 rows = %s\nwant       %s", g, want)
+		}
+	})
 }

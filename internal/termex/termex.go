@@ -241,18 +241,26 @@ func (e *Extractor) tfidfScores() map[string]float64 {
 }
 
 // okapiScores is summed BM25 over the documents containing the term,
-// with k1 = 1.2, b = 0.75.
+// with k1 = 1.2, b = 0.75. The sum runs in ascending document order:
+// summing in map order let a term's low bits, and so ranking ties,
+// vary from run to run.
 func (e *Extractor) okapiScores() map[string]float64 {
 	const k1, b = 1.2, 0.75
 	n := float64(e.c.NumDocs())
 	avg := e.c.AvgDocLen()
 	out := make(map[string]float64, len(e.freq))
+	var docs []int
 	for term, docSet := range e.docs {
 		df := float64(len(docSet))
 		idf := math.Log((n-df+0.5)/(df+0.5) + 1)
 		var score float64
 		perDocTF := float64(e.freq[term]) / df // mean tf per containing doc
+		docs = docs[:0]
 		for d := range docSet {
+			docs = append(docs, d)
+		}
+		sort.Ints(docs)
+		for _, d := range docs {
 			dl := float64(len(e.c.Tokens(d)))
 			score += idf * (perDocTF * (k1 + 1)) / (perDocTF + k1*(1-b+b*dl/avg))
 		}
