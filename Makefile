@@ -4,7 +4,7 @@
 #   make test     plain test run (what CI's quick loop wants)
 #   make lint     in-repo analyzers (cmd/biolint): determinism/context/obs/lock/snapshot/goroutine/envelope/metric invariants
 #   make lint-bench   serial-vs-parallel lint driver wall-clock -> LINTBENCH_<timestamp>.txt
-#   make fuzz-smoke   10s native-fuzz passes over the tokenizer, canonical keys, corpus reader and WAL
+#   make fuzz-smoke   10s native-fuzz passes over the tokenizer, canonical keys, batched cosines, corpus reader and WAL
 #   make bench    full benchmark sweep -> BENCH_<timestamp>.json
 #   make bench-enricher   just the worker-pool speedup pair
 #   make perf-smoke   short read + enrich runs of the repository benchmark (perfbench/)
@@ -66,13 +66,15 @@ lint:
 lint-bench:
 	$(GO) test -run '^$$' -bench 'Benchmark(Lint|CheckAnalyze)(Serial|Parallel)' -benchtime 3x ./internal/lint | tee LINTBENCH_$$(date +%Y%m%d_%H%M%S).txt
 
-# Short native-fuzz passes over the untrusted-input parsers and the
-# canonical-key invariant the stopword and ontology lookups rely on.
-# CI runs the same smoke lane; longer local sessions just raise
+# Short native-fuzz passes over the untrusted-input parsers, the
+# canonical-key invariant the stopword and ontology lookups rely on,
+# and Cosines' bit-identity to Cosine, which classify and linkage rely
+# on. CI runs the same smoke lane; longer local sessions just raise
 # -fuzztime.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzTokenize' -fuzztime 10s ./internal/textutil
 	$(GO) test -fuzz 'FuzzCanonicalKeys' -fuzztime 10s ./internal/textutil
+	$(GO) test -fuzz 'FuzzCosines' -fuzztime 10s ./internal/sparse
 	$(GO) test -fuzz 'FuzzReadJSONL' -fuzztime 10s ./internal/corpus
 	$(GO) test -fuzz 'FuzzWALReplay' -fuzztime 10s ./internal/storage
 

@@ -10,14 +10,15 @@
 //	classify -corpus data/corpus.json -ontology data/ontology.json \
 //	         -text "one document to classify"
 //	classify -corpus data/corpus.json -ontology data/ontology.json \
-//	         -in docs.jsonl [-top 5] [-window 8] [-workers N] [-out results.jsonl]
+//	         -in docs.jsonl [-top 5] [-window 8] [-out results.jsonl]
 //
 // -in reads documents as JSONL ({"id":...,"title":...,"text":...}, one
 // per line) in the corpus's language; -text classifies a single inline
-// document instead. The concept-profile index is built once and shared
-// across the whole batch, so a large batch costs O(corpus) once plus
-// O(document) per line. SIGINT cancels the batch cleanly; documents
-// already classified stay written.
+// document instead. The concept-profile index, with each profile's
+// norm, is built once and shared across the whole batch, so a large
+// batch costs O(corpus) once plus one sequential scoring pass per
+// line. SIGINT cancels the batch cleanly; documents already classified
+// stay written.
 package main
 
 import (
@@ -43,7 +44,6 @@ type options struct {
 	text, inPath        string
 	outPath             string
 	top, window         int
-	workers             int
 }
 
 func main() {
@@ -55,7 +55,6 @@ func main() {
 	flag.StringVar(&o.outPath, "out", "", "write JSONL results here (default stdout)")
 	flag.IntVar(&o.top, "top", 5, "concepts to report per document")
 	flag.IntVar(&o.window, "window", 0, "context window for concept profiles (0 = default 8)")
-	flag.IntVar(&o.workers, "workers", 0, "worker pool for scoring (0 = sequential; results identical at any value)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -82,8 +81,8 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 	if (o.text == "") == (o.inPath == "") {
 		return fmt.Errorf("exactly one of -text or -in is required")
 	}
-	if o.top < 0 || o.window < 0 || o.workers < 0 {
-		return fmt.Errorf("-top, -window and -workers must be non-negative")
+	if o.top < 0 || o.window < 0 {
+		return fmt.Errorf("-top and -window must be non-negative")
 	}
 	c, err := corpus.Load(o.corpusPath)
 	if err != nil {
@@ -117,7 +116,7 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 	}
 	enc := json.NewEncoder(out)
 
-	cl := classify.New(classify.Options{Window: o.window, Workers: o.workers})
+	cl := classify.New(classify.Options{Window: o.window})
 	for _, d := range docs {
 		if err := ctx.Err(); err != nil {
 			return err

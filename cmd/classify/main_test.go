@@ -103,7 +103,7 @@ func TestRunBatchJSONL(t *testing.T) {
 	out := filepath.Join(dir, "results.jsonl")
 	err := run(context.Background(), options{
 		corpusPath: corpPath, ontPath: ontPath,
-		inPath: in, outPath: out, top: 2, workers: 4,
+		inPath: in, outPath: out, top: 2,
 	}, os.Stdout)
 	if err != nil {
 		t.Fatal(err)
@@ -129,37 +129,6 @@ func TestRunBatchJSONL(t *testing.T) {
 	}
 	if lines[2].Doc != "b3" || len(lines[2].Concepts) == 0 {
 		t.Fatalf("b3 = %+v", lines[2])
-	}
-}
-
-// TestRunDeterministicAcrossWorkers pins byte-identical batch output
-// at workers=1 vs workers=8.
-func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	corpPath, ontPath, dir := writeFixtures(t)
-	in := filepath.Join(dir, "docs.jsonl")
-	batch := `{"id":"b1","text":"corneal injury with epithelium scarring"}
-{"id":"b2","text":"severe corneal abrasion near tissue"}
-`
-	if err := os.WriteFile(in, []byte(batch), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var first []byte
-	for _, workers := range []int{1, 8} {
-		var buf bytes.Buffer
-		err := run(context.Background(), options{
-			corpusPath: corpPath, ontPath: ontPath,
-			inPath: in, top: 5, workers: workers,
-		}, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(buf.Bytes(), first) {
-			t.Fatalf("workers=%d output differs:\n%s\nvs\n%s", workers, buf.Bytes(), first)
-		}
 	}
 }
 

@@ -9,15 +9,16 @@
 // Building the per-concept profiles is O(corpus) — one context scan
 // per ontology term — so the Classifier caches them per (key, epoch):
 // the first classification after a snapshot publish rebuilds the
-// profile index, every later one is O(document): tokenize, one dot
-// product per concept against cached unit vectors. The cache is
-// keyed by the registry entry name and invalidated by epoch
-// comparison, riding the snapshot design: an index is immutable once
-// built, readers grab it with one atomic load.
+// profile index, every later one is O(document): tokenize, then one
+// sequential sparse.Cosines pass against the cached unit vectors and
+// the norms stored beside them. The cache is keyed by the registry
+// entry name and invalidated by epoch comparison, riding the snapshot
+// design: an index is immutable once built, readers grab it with one
+// atomic load.
 //
-// Classification is deterministic byte-for-byte across worker counts:
-// per-concept scores are pure functions of (document, snapshot) and
-// workers write into pre-sized slots, so no reduction order leaks in.
+// Classification is deterministic byte-for-byte: every score is
+// bit-identical to sparse.Vector.Cosine of (document, profile), and
+// the ranking breaks score ties by concept id.
 package classify
 
 import (
@@ -52,27 +53,20 @@ const (
 )
 
 // Options configures a Classifier. The zero value classifies with the
-// paper's context window on one worker.
+// paper's context window.
 type Options struct {
 	// Window is the context window used to build per-concept profile
 	// vectors (default 8 — the linkage step's ContextWindow).
 	Window int
-	// Workers bounds the goroutines used for profile builds and
-	// per-concept scoring. 0 or 1 is sequential; results are
-	// byte-identical at any value.
-	Workers int
 	// Obs, when non-nil, receives the concept-cache hit/miss counters.
 	// nil disables them at zero cost.
 	Obs *obs.Registry
 }
 
-// WithDefaults fills unset fields: Window 8, Workers 1.
+// WithDefaults fills unset fields: Window 8.
 func (o Options) WithDefaults() Options {
 	if o.Window == 0 {
 		o.Window = 8
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	return o
 }
@@ -101,12 +95,13 @@ type Result struct {
 }
 
 // index is the immutable per-epoch concept-profile index: ids sorted,
-// vecs unit-normalized, parallel slices.
+// vecs unit-normalized, norms[i] == vecs[i].Norm(), parallel slices.
 type index struct {
 	epoch uint64
 	ids   []ontology.ConceptID
 	prefs []string
 	vecs  []sparse.Vector
+	norms []float64
 }
 
 // Classifier classifies documents against snapshot-backed ontologies,
@@ -157,16 +152,7 @@ func (cl *Classifier) Classify(ctx context.Context, key string, snap *state.Snap
 		return nil, err
 	}
 
-	// Score every concept. Each slot is a pure function of (docVec,
-	// idx) — workers partition the index and write their own slots, so
-	// any worker count produces identical floats.
-	scores := make([]float64, len(idx.ids))
-	if err := cl.parallel(ctx, len(idx.ids), func(i int) {
-		scores[i] = docVec.Cosine(idx.vecs[i])
-	}); err != nil {
-		return nil, fmt.Errorf("classify: %w", err)
-	}
-
+	scores := docVec.Cosines(idx.vecs, idx.norms)
 	out := make([]ConceptScore, 0, len(idx.ids))
 	for i, s := range scores {
 		if s > 0 {
@@ -216,7 +202,8 @@ func (cl *Classifier) index(ctx context.Context, key string, snap *state.Snapsho
 // terms, unit-normalized. Each term's contexts are counted straight
 // into the concept's one vector (AddContextVector), with no per-term
 // vector in between. Concepts absent from the corpus keep an empty
-// vector and score 0 against everything.
+// vector and score 0 against everything. The context is checked per
+// concept.
 func (cl *Classifier) build(ctx context.Context, snap *state.Snapshot) (*index, error) {
 	o, c := snap.Ontology, snap.Corpus
 	ids := o.ConceptIDs()
@@ -225,9 +212,13 @@ func (cl *Classifier) build(ctx context.Context, snap *state.Snapshot) (*index, 
 		ids:   ids,
 		prefs: make([]string, len(ids)),
 		vecs:  make([]sparse.Vector, len(ids)),
+		norms: make([]float64, len(ids)),
 	}
-	if err := cl.parallel(ctx, len(ids), func(i int) {
-		concept := o.Concept(ids[i])
+	for i, id := range ids {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("classify: build concept profiles: %w", err)
+		}
+		concept := o.Concept(id)
 		idx.prefs[i] = concept.Preferred
 		v := sparse.New(64)
 		for _, t := range concept.Terms() {
@@ -235,53 +226,11 @@ func (cl *Classifier) build(ctx context.Context, snap *state.Snapshot) (*index, 
 		}
 		v.Normalize()
 		idx.vecs[i] = v
-	}); err != nil {
-		return nil, fmt.Errorf("classify: build concept profiles: %w", err)
+		// Taken after Normalize: 1 up to rounding (0 for an empty
+		// profile), and exactly the norm Cosine would compute.
+		idx.norms[i] = v.Norm()
 	}
 	return idx, nil
-}
-
-// parallel runs fn(i) for i in [0, n) across opts.Workers goroutines,
-// partitioning the range into contiguous chunks. fn must only write
-// state owned by slot i. The context is checked per iteration; a
-// cancelled run returns ctx's error after all workers stop.
-func (cl *Classifier) parallel(ctx context.Context, n int, fn func(i int)) error {
-	workers := cl.opts.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i)
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return ctx.Err()
 }
 
 // sortScores orders scores descending, ties broken by ascending

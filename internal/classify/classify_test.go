@@ -1,7 +1,6 @@
 package classify
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +12,7 @@ import (
 	"bioenrich/internal/obs"
 	"bioenrich/internal/ontology"
 	"bioenrich/internal/state"
+	"bioenrich/internal/synth"
 	"bioenrich/internal/textutil"
 )
 
@@ -111,33 +111,6 @@ func TestClassifyEmptyDocument(t *testing.T) {
 	}
 }
 
-// TestClassifyDeterministicAcrossWorkers pins the byte-for-byte
-// contract: the JSON encoding of a classification is identical at
-// workers=1 and workers=8.
-func TestClassifyDeterministicAcrossWorkers(t *testing.T) {
-	snap := fixtureSnapshot(t)
-	text := "corneal damage and corneal diseases in elderly patients with keratitis"
-	var want []byte
-	for _, workers := range []int{1, 2, 8} {
-		cl := New(Options{Workers: workers})
-		res, err := cl.Classify(context.TODO(), "default", snap, text, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d output differs:\n  got  %s\n  want %s", workers, got, want)
-		}
-	}
-}
-
 func TestClassifyConceptsNeverNil(t *testing.T) {
 	// An ontology whose concepts never occur in the corpus scores 0
 	// everywhere — the result must encode concepts as [], not null.
@@ -231,7 +204,7 @@ func TestClassifyCancelled(t *testing.T) {
 
 func TestClassifyConcurrent(t *testing.T) {
 	snap := fixtureSnapshot(t)
-	cl := New(Options{Workers: 4})
+	cl := New(Options{})
 	done := make(chan error, 16)
 	for i := 0; i < 16; i++ {
 		go func(i int) {
@@ -243,5 +216,36 @@ func TestClassifyConcurrent(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestClassifyWarmAllocsFlatInConcepts pins the scoring pass's
+// allocations: a warm Classify allocates per document and per call,
+// never per concept, so the same text costs the same number of
+// allocations against a 29-concept and a 151-concept mesh.
+func TestClassifyWarmAllocsFlatInConcepts(t *testing.T) {
+	const text = "Severe corneal injury and damage to the epithelium healed after treatment."
+	warmAllocs := func(branches, depth, concepts int) float64 {
+		t.Helper()
+		mopts := synth.DefaultMeshOptions()
+		mopts.Seed = 42
+		mopts.Branches, mopts.Depth = branches, depth
+		mesh := synth.GenerateMesh(mopts)
+		if n := len(mesh.Ontology.ConceptIDs()); n != concepts {
+			t.Fatalf("mesh %d,%d has %d concepts, want %d", branches, depth, n, concepts)
+		}
+		snap := state.NewStore(synth.GenerateMeshCorpus(mesh, synth.DefaultCorpusOptions()), mesh.Ontology).Load()
+		cl := New(Options{})
+		classify := func() {
+			if _, err := cl.Classify(context.TODO(), "default", snap, text, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		classify() // build the index; the runs below are warm
+		return testing.AllocsPerRun(20, classify)
+	}
+	small, large := warmAllocs(2, 2, 29), warmAllocs(3, 3, 151)
+	if small != large {
+		t.Fatalf("warm classify allocations: %v on 29 concepts, %v on 151; want equal", small, large)
 	}
 }

@@ -54,21 +54,26 @@ func TestProposeConcurrentMatchesSequential(t *testing.T) {
 
 // TestContextVectorCached verifies the cache is a real cache: the
 // second lookup returns the stored vector, including for terms absent
-// from the corpus (the empty-vector case common for ontology leaves).
+// from the corpus (the empty-vector case common for ontology leaves),
+// and the norm cached beside it is the vector's Norm.
 func TestContextVectorCached(t *testing.T) {
 	o, c := fixture()
 	l := New(c, o, DefaultOptions())
 
-	first := l.contextVector("corneal injuries")
+	tv := l.contextVector("corneal injuries")
+	first := tv.vec
 	if len(first) == 0 {
 		t.Fatal("fixture term has no context vector")
 	}
-	second := l.contextVector("corneal injuries")
+	if tv.norm != first.Norm() {
+		t.Errorf("cached norm = %v, vector's Norm = %v", tv.norm, first.Norm())
+	}
+	second := l.contextVector("corneal injuries").vec
 	if reflect.ValueOf(first).Pointer() != reflect.ValueOf(second).Pointer() {
 		t.Error("second lookup did not return the cached vector")
 	}
 
-	missing := l.contextVector("no such term anywhere")
+	missing := l.contextVector("no such term anywhere").vec
 	if len(missing) != 0 {
 		t.Fatalf("absent term yielded %d entries", len(missing))
 	}

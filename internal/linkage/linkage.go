@@ -110,9 +110,9 @@ type Linker struct {
 	o    *ontology.Ontology
 	opts Options
 
-	// vecs caches term → sparse.Vector (the aggregated context vector
-	// at opts.ContextWindow). Cached vectors are shared and must be
-	// treated as read-only.
+	// vecs caches term → termVec (the aggregated context vector at
+	// opts.ContextWindow, with its norm). Cached vectors are shared and
+	// must be treated as read-only.
 	vecs sync.Map
 
 	// cacheHits/cacheMisses are resolved once at construction so the
@@ -131,20 +131,27 @@ func New(c *corpus.Corpus, o *ontology.Ontology, opts Options) *Linker {
 	}
 }
 
-// contextVector returns the term's aggregated context vector, reading
-// the corpus at most once per term for the Linker's lifetime. Empty
-// vectors (terms absent from the corpus) are cached too — they are
-// the common case for ontology leaves and just as expensive to
-// recompute.
-func (l *Linker) contextVector(term string) sparse.Vector {
+// termVec is a cached context vector and its Norm, computed once on
+// the miss that cached it.
+type termVec struct {
+	vec  sparse.Vector
+	norm float64
+}
+
+// contextVector returns the term's aggregated context vector and its
+// norm, reading the corpus at most once per term for the Linker's
+// lifetime. Empty vectors (terms absent from the corpus) are cached
+// too — they are the common case for ontology leaves and just as
+// expensive to recompute.
+func (l *Linker) contextVector(term string) termVec {
 	if v, ok := l.vecs.Load(term); ok {
 		l.cacheHits.Inc()
-		return v.(sparse.Vector)
+		return v.(termVec)
 	}
 	l.cacheMisses.Inc()
 	v := l.c.ContextVector(term, l.opts.ContextWindow)
-	actual, _ := l.vecs.LoadOrStore(term, v)
-	return actual.(sparse.Vector)
+	actual, _ := l.vecs.LoadOrStore(term, termVec{vec: v, norm: v.Norm()})
+	return actual.(termVec)
 }
 
 // Propose returns the top-N position proposals for a candidate term,
@@ -165,7 +172,7 @@ func (l *Linker) ProposeContext(ctx context.Context, candidate string, topN int)
 		return nil, fmt.Errorf("linkage: propose %q: %w", candidate, err)
 	}
 	cand := textutil.NormalizeTerm(candidate)
-	candVec := l.contextVector(cand)
+	candVec := l.contextVector(cand).vec
 	if len(candVec) == 0 {
 		return nil, fmt.Errorf("linkage: candidate %q has no corpus contexts", candidate)
 	}
@@ -215,24 +222,28 @@ func (l *Linker) ProposeContext(ctx context.Context, candidate string, topN int)
 		}
 	}
 
-	// Rank the pool by context cosine with the candidate. Each pool
-	// term may cost a full corpus scan on a cache miss, so this loop
+	// Rank the pool by context cosine with the candidate: gather the
+	// pool terms' cached vectors and norms, then score them in one
+	// Cosines pass, which computes the candidate's norm once. Each pool
+	// term may cost a full corpus scan on a cache miss, so gathering
 	// is the other cancellation point.
 	proposals := make([]Proposal, 0, len(pool))
+	vecs := make([]sparse.Vector, 0, len(pool))
+	norms := make([]float64, 0, len(pool))
 	for term, pe := range pool {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("linkage: propose %q: %w", candidate, err)
 		}
-		v := l.contextVector(term)
-		if len(v) == 0 {
+		tv := l.contextVector(term)
+		if len(tv.vec) == 0 {
 			continue // ontology term absent from the corpus
 		}
-		proposals = append(proposals, Proposal{
-			Where:    term,
-			Concept:  pe.concept,
-			Cosine:   candVec.Cosine(v),
-			Relation: pe.relation,
-		})
+		proposals = append(proposals, Proposal{Where: term, Concept: pe.concept, Relation: pe.relation})
+		vecs = append(vecs, tv.vec)
+		norms = append(norms, tv.norm)
+	}
+	for i, c := range candVec.Cosines(vecs, norms) {
+		proposals[i].Cosine = c
 	}
 	sort.Slice(proposals, func(i, j int) bool {
 		if proposals[i].Cosine != proposals[j].Cosine {
@@ -308,5 +319,5 @@ func (l *Linker) meshNeighbors(ctx context.Context, cand string) ([]string, erro
 // CandidateVector exposes the candidate's aggregated context vector
 // (diagnostics and the quickstart example).
 func (l *Linker) CandidateVector(candidate string) sparse.Vector {
-	return l.contextVector(textutil.NormalizeTerm(candidate))
+	return l.contextVector(textutil.NormalizeTerm(candidate)).vec
 }

@@ -204,10 +204,7 @@ func New(reg *registry.Registry, cfg core.Config, opts Options) *Server {
 			TTL:     opts.JobTTL,
 			Obs:     opts.Obs,
 		}),
-		classifier: classify.New(classify.Options{
-			Workers: cfg.Workers,
-			Obs:     opts.Obs,
-		}),
+		classifier: classify.New(classify.Options{Obs: opts.Obs}),
 	}
 }
 

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -32,6 +33,8 @@ func TestReductionsOrderCanonical(t *testing.T) {
 	wantL1 := a.L1Norm()
 	wantCos := a.Cosine(b)
 	wantJac := a.Jaccard(b)
+	others, norms := []Vector{b, a}, []float64{b.Norm(), a.Norm()}
+	wantCoses := a.Cosines(others, norms)
 	for i := 0; i < 200; i++ {
 		if got := a.Dot(b); got != wantDot {
 			t.Fatalf("Dot drifted at call %d: %v != %v", i, got, wantDot)
@@ -48,7 +51,50 @@ func TestReductionsOrderCanonical(t *testing.T) {
 		if got := a.Jaccard(b); got != wantJac {
 			t.Fatalf("Jaccard drifted at call %d: %v != %v", i, got, wantJac)
 		}
+		if got := a.Cosines(others, norms); !slices.Equal(got, wantCoses) {
+			t.Fatalf("Cosines drifted at call %d: %v != %v", i, got, wantCoses)
+		}
 	}
+}
+
+// checkCosines asserts the Cosines contract: given each other's Norm,
+// every score is bit for bit what Cosine returns for that pair.
+func checkCosines(t *testing.T, v Vector, others []Vector) {
+	t.Helper()
+	norms := make([]float64, len(others))
+	for i, o := range others {
+		norms[i] = o.Norm()
+	}
+	got := v.Cosines(others, norms)
+	if len(got) != len(others) {
+		t.Fatalf("Cosines returned %d scores for %d vectors", len(got), len(others))
+	}
+	for i, o := range others {
+		if want := v.Cosine(o); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Errorf("Cosines[%d] = %v (%#x), Cosine = %v (%#x)",
+				i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+		}
+	}
+}
+
+// TestCosinesMatchCosine pins Cosines to Cosine bit for bit over
+// irregular weights, against others smaller, as large as and larger
+// than v, empty others (norm 0), v itself and its negation (the clamp
+// at both ends), and for an empty v.
+func TestCosinesMatchCosine(t *testing.T) {
+	v := irregularVector(300, 1)
+	others := []Vector{
+		irregularVector(40, 3),
+		irregularVector(300, 1e-7),
+		irregularVector(900, 0.5),
+		{},
+		nil,
+		v,
+		irregularVector(300, -1),
+	}
+	checkCosines(t, v, others)
+	checkCosines(t, Vector{}, others)
+	checkCosines(t, v, nil)
 }
 
 // TestReductionsInsertionOrderIndependent pins the same contract

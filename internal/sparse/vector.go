@@ -131,6 +131,57 @@ func (v Vector) Cosine(other Vector) float64 {
 	return c
 }
 
+// Cosines scores v against many vectors at once: out[i] is bit for bit
+// v.Cosine(others[i]), given norms[i] == others[i].Norm(). Callers that
+// compare against the same vectors repeatedly keep their norms, so the
+// only norm computed here is v's, once. Each pair's products go through
+// one reused buffer and the same detSum, zero checks and clamp as
+// Cosine.
+func (v Vector) Cosines(others []Vector, norms []float64) []float64 {
+	out := make([]float64, len(others))
+	nv := v.Norm()
+	if nv == 0 {
+		return out
+	}
+	keys := make([]string, 0, len(v))
+	vals := make([]float64, 0, len(v))
+	for k, w := range v {
+		keys = append(keys, k)
+		vals = append(vals, w)
+	}
+	// A pair has at most len(v) products, so terms never grows.
+	terms := make([]float64, 0, len(v))
+	for i, o := range others {
+		no := norms[i]
+		if no == 0 {
+			continue
+		}
+		terms = terms[:0]
+		// Iterate the smaller side, as Dot does.
+		if len(o) < len(v) {
+			for k, ow := range o {
+				if vw, ok := v[k]; ok {
+					terms = append(terms, ow*vw)
+				}
+			}
+		} else {
+			for j, k := range keys {
+				if ow, ok := o[k]; ok {
+					terms = append(terms, vals[j]*ow)
+				}
+			}
+		}
+		c := detSum(terms) / (nv * no)
+		if c > 1 {
+			c = 1
+		} else if c < -1 {
+			c = -1
+		}
+		out[i] = c
+	}
+	return out
+}
+
 // Jaccard returns the weighted Jaccard similarity
 // Σ min(v_i, o_i) / Σ max(v_i, o_i) for non-negative vectors.
 func (v Vector) Jaccard(other Vector) float64 {
