@@ -236,13 +236,13 @@ func TestClassifyWarmAllocsFlatInConcepts(t *testing.T) {
 		}
 		snap := state.NewStore(synth.GenerateMeshCorpus(mesh, synth.DefaultCorpusOptions()), mesh.Ontology).Load()
 		cl := New(Options{})
-		classify := func() {
+		run := func() {
 			if _, err := cl.Classify(context.TODO(), "default", snap, text, 5); err != nil {
 				t.Fatal(err)
 			}
 		}
-		classify() // build the index; the runs below are warm
-		return testing.AllocsPerRun(20, classify)
+		run() // build the index; the runs below are warm
+		return testing.AllocsPerRun(20, run)
 	}
 	small, large := warmAllocs(2, 2, 29), warmAllocs(3, 3, 151)
 	if small != large {

@@ -241,9 +241,9 @@ func (e *Extractor) tfidfScores() map[string]float64 {
 }
 
 // okapiScores is summed BM25 over the documents containing the term,
-// with k1 = 1.2, b = 0.75. The sum runs in ascending document order:
-// summing in map order let a term's low bits, and so ranking ties,
-// vary from run to run.
+// with k1 = 1.2, b = 0.75. The sum runs in ascending document order,
+// so a term's low bits, and with them ranking ties, do not depend on
+// map iteration order.
 func (e *Extractor) okapiScores() map[string]float64 {
 	const k1, b = 1.2, 0.75
 	n := float64(e.c.NumDocs())
