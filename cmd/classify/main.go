@@ -10,7 +10,7 @@
 //	classify -corpus data/corpus.json -ontology data/ontology.json \
 //	         -text "one document to classify"
 //	classify -corpus data/corpus.json -ontology data/ontology.json \
-//	         -in docs.jsonl [-top 5] [-window 8] [-out results.jsonl]
+//	         -in docs.jsonl [-top 5] [-out results.jsonl]
 //
 // -in reads documents as JSONL ({"id":...,"title":...,"text":...}, one
 // per line) in the corpus's language; -text classifies a single inline
@@ -43,7 +43,7 @@ type options struct {
 	corpusPath, ontPath string
 	text, inPath        string
 	outPath             string
-	top, window         int
+	top                 int
 }
 
 func main() {
@@ -54,7 +54,6 @@ func main() {
 	flag.StringVar(&o.inPath, "in", "", "classify each JSONL document in this file")
 	flag.StringVar(&o.outPath, "out", "", "write JSONL results here (default stdout)")
 	flag.IntVar(&o.top, "top", 5, "concepts to report per document")
-	flag.IntVar(&o.window, "window", 0, "context window for concept profiles (0 = default 8)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -81,8 +80,8 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 	if (o.text == "") == (o.inPath == "") {
 		return fmt.Errorf("exactly one of -text or -in is required")
 	}
-	if o.top < 0 || o.window < 0 {
-		return fmt.Errorf("-top and -window must be non-negative")
+	if o.top < 0 {
+		return fmt.Errorf("-top must be non-negative")
 	}
 	c, err := corpus.Load(o.corpusPath)
 	if err != nil {
@@ -116,7 +115,7 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 	}
 	enc := json.NewEncoder(out)
 
-	cl := classify.New(classify.Options{Window: o.window})
+	cl := classify.New(classify.Options{})
 	for _, d := range docs {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bioenrich/internal/linkage"
 	"bioenrich/internal/obs"
 	"bioenrich/internal/ontology"
 	"bioenrich/internal/sparse"
@@ -52,23 +53,11 @@ const (
 	SecondsMetric = "bioenrich_classify_seconds"
 )
 
-// Options configures a Classifier. The zero value classifies with the
-// paper's context window.
+// Options configures a Classifier.
 type Options struct {
-	// Window is the context window used to build per-concept profile
-	// vectors (default 8 — the linkage step's ContextWindow).
-	Window int
 	// Obs, when non-nil, receives the concept-cache hit/miss counters.
 	// nil disables them at zero cost.
 	Obs *obs.Registry
-}
-
-// WithDefaults fills unset fields: Window 8.
-func (o Options) WithDefaults() Options {
-	if o.Window == 0 {
-		o.Window = 8
-	}
-	return o
 }
 
 // ConceptScore is one ranked assignment: the document resembles this
@@ -109,7 +98,6 @@ type index struct {
 // use: index pointers swap atomically, builds serialize on a mutex so
 // concurrent first-classifications after a publish build once.
 type Classifier struct {
-	opts Options
 	// buildMu serializes index builds only; classification never takes
 	// it once the index for the current epoch exists.
 	buildMu sync.Mutex
@@ -121,11 +109,9 @@ type Classifier struct {
 	hits, misses *obs.Counter
 }
 
-// New builds a classifier. Zero-valued Options fields get defaults.
+// New builds a classifier.
 func New(opts Options) *Classifier {
-	opts = opts.WithDefaults()
 	return &Classifier{
-		opts:   opts,
 		hits:   opts.Obs.Counter(CacheHitsMetric),
 		misses: opts.Obs.Counter(CacheMissesMetric),
 	}
@@ -199,11 +185,11 @@ func (cl *Classifier) index(ctx context.Context, key string, snap *state.Snapsho
 
 // build computes the per-concept profile vectors: for each concept
 // (in sorted id order), the sum of the corpus context vectors of its
-// terms, unit-normalized. Each term's contexts are counted straight
-// into the concept's one vector (AddContextVector), with no per-term
-// vector in between. Concepts absent from the corpus keep an empty
-// vector and score 0 against everything. The context is checked per
-// concept.
+// terms, counted over step IV's linkage.ContextWindow and
+// unit-normalized. Each term's contexts are counted straight into the
+// concept's one vector (AddContextVector), with no per-term vector in
+// between. Concepts absent from the corpus keep an empty vector and
+// score 0 against everything. The context is checked per concept.
 func (cl *Classifier) build(ctx context.Context, snap *state.Snapshot) (*index, error) {
 	o, c := snap.Ontology, snap.Corpus
 	ids := o.ConceptIDs()
@@ -222,7 +208,7 @@ func (cl *Classifier) build(ctx context.Context, snap *state.Snapshot) (*index, 
 		idx.prefs[i] = concept.Preferred
 		v := sparse.New(64)
 		for _, t := range concept.Terms() {
-			c.AddContextVector(v, t, cl.opts.Window)
+			c.AddContextVector(v, t, linkage.ContextWindow)
 		}
 		v.Normalize()
 		idx.vecs[i] = v

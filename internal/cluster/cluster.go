@@ -60,9 +60,6 @@ func (c *Clustering) recompute() {
 // Size returns the number of objects in cluster i.
 func (c *Clustering) Size(i int) int { return c.sizes[i] }
 
-// Sizes returns a copy of all cluster sizes.
-func (c *Clustering) Sizes() []int { return append([]int(nil), c.sizes...) }
-
 // Members returns the indices assigned to cluster i.
 func (c *Clustering) Members(i int) []int {
 	var out []int

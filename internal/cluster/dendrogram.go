@@ -17,10 +17,9 @@ type Dendrogram struct {
 }
 
 // mergeStep records one merge: the two current cluster representatives
-// (indices into the original objects) and the I2 delta of the merge.
+// (indices into the original objects).
 type mergeStep struct {
-	A, B  int
-	Delta float64
+	A, B int
 }
 
 // BuildDendrogram runs the full agglomerative process (cosine, I2
@@ -69,7 +68,7 @@ func BuildDendrogram(vecs []sparse.Vector) (*Dendrogram, error) {
 				}
 			}
 		}
-		dg.merges = append(dg.merges, mergeStep{A: bestA, B: bestB, Delta: bestDelta})
+		dg.merges = append(dg.merges, mergeStep{A: bestA, B: bestB})
 		for x := 0; x < n; x++ {
 			if !alive[x] || x == bestA || x == bestB {
 				continue
@@ -124,14 +123,4 @@ func (d *Dendrogram) Cut(k int) (*Clustering, error) {
 		assign[i] = id
 	}
 	return newClustering(d.unit, assign, len(idOf)), nil
-}
-
-// MergeDeltas returns the I2 delta of each merge in order — the
-// "heights" of the dendrogram, useful for knee-point diagnostics.
-func (d *Dendrogram) MergeDeltas() []float64 {
-	out := make([]float64, len(d.merges))
-	for i, m := range d.merges {
-		out[i] = m.Delta
-	}
-	return out
 }

@@ -78,21 +78,3 @@ func TestDendrogramEmpty(t *testing.T) {
 		t.Errorf("single object cut: %v %v", c, err)
 	}
 }
-
-func TestMergeDeltas(t *testing.T) {
-	vecs, _ := blobs(2, 5, 53)
-	dg, err := BuildDendrogram(vecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deltas := dg.MergeDeltas()
-	if len(deltas) != dg.N()-1 {
-		t.Fatalf("deltas = %d, want %d", len(deltas), dg.N()-1)
-	}
-	// Greedy I2 merging: early merges (within blobs) cost less than
-	// the final cross-blob merge.
-	last := deltas[len(deltas)-1]
-	if deltas[0] < last {
-		t.Errorf("first merge delta %v < last %v (expected the cross-blob merge to be worst)", deltas[0], last)
-	}
-}

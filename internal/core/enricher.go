@@ -159,11 +159,11 @@ func (c Config) withDefaults() Config {
 	if c.Representation == "" {
 		c.Representation = def.Representation
 	}
-	// Link is defaulted per field (linkage.Options.WithDefaults), not
-	// replaced wholesale: a caller who set only Link.Obs, a coherence
-	// lambda, or the expansion flags keeps them — the same bug class
-	// already fixed for the outer Config.
-	c.Link = c.Link.WithDefaults()
+	// Only a fully-zero Link means the paper's linkage: a caller who
+	// set Link.Obs or an expansion flag keeps the Link as given.
+	if c.Link == (linkage.Options{}) {
+		c.Link = def.Link
+	}
 	if c.TopPositions == 0 {
 		c.TopPositions = def.TopPositions
 	}
@@ -190,9 +190,6 @@ func (c Config) workers() int {
 func NewEnricher(c *corpus.Corpus, o *ontology.Ontology, cfg Config) *Enricher {
 	return &Enricher{cfg: cfg.withDefaults(), c: c, o: o}
 }
-
-// Ontology returns the enricher's (live) ontology.
-func (e *Enricher) Ontology() *ontology.Ontology { return e.o }
 
 // TrainPolysemy fits step II's classifier on terms with known status.
 // Callers usually label terms via the metathesaurus: terms with ≥ 2
@@ -322,28 +319,6 @@ func (e *Enricher) run(ctx context.Context) (*Report, error) {
 	workers := e.cfg.workers()
 	if workers > len(work) {
 		workers = len(work)
-	}
-	if workers <= 1 {
-		busy := e.cfg.Obs.Counter("bioenrich_pool_worker_busy_seconds_total", "worker", "0")
-		for _, slot := range work {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: run cancelled: %w", err)
-			}
-			active.Add(1)
-			var start time.Time
-			if timed {
-				start = obs.Now()
-			}
-			e.enrichCandidate(ctx, &report.Candidates[slot], linker, inducer, int64(slot), spans)
-			if timed {
-				busy.Add(obs.Since(start).Seconds())
-			}
-			active.Add(-1)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: run cancelled: %w", err)
-		}
-		return report, nil
 	}
 	slots := make(chan int)
 	var wg sync.WaitGroup

@@ -50,8 +50,8 @@ func TestConfigWithDefaultsPreservesCustomFields(t *testing.T) {
 	if e.cfg.MaxKnown != 3 {
 		t.Errorf("MaxKnown = %d, want TopCandidates (3)", e.cfg.MaxKnown)
 	}
-	if e.cfg.Link.ContextWindow == 0 {
-		t.Error("zero Link options not defaulted")
+	if e.cfg.Link != linkage.DefaultOptions() {
+		t.Errorf("zero Link options not defaulted: %+v", e.cfg.Link)
 	}
 
 	// And the honored TopCandidates actually bounds the run.
@@ -71,35 +71,26 @@ func TestConfigWithDefaultsPreservesCustomFields(t *testing.T) {
 }
 
 // TestWithDefaultsPreservesLinkFields is the regression for the Link
-// clobber: `if c.Link.ContextWindow == 0 { c.Link = def.Link }`
-// replaced the whole Options, silently dropping an explicitly-set Obs
-// registry, coherence lambda, or disabled expansion flag. Defaulting
-// is now per field.
+// clobber: replacing the whole Options whenever a numeric field was
+// zero silently dropped an explicitly-set Obs registry or disabled
+// expansion flag.
 func TestWithDefaultsPreservesLinkFields(t *testing.T) {
 	reg := obs.New()
 	cfg := Config{Link: linkage.Options{
-		Obs:             reg,
-		CoherenceLambda: 0.25,
-		ExpandFathers:   true,
-		ExpandSons:      false, // the table-4a ablation shape
+		Obs:           reg,
+		ExpandFathers: true,
+		ExpandSons:    false, // the table-4a ablation shape
 	}}
 	got := cfg.withDefaults().Link
 	if got.Obs != reg {
 		t.Error("Link.Obs clobbered by defaulting")
 	}
-	if got.CoherenceLambda != 0.25 {
-		t.Errorf("Link.CoherenceLambda = %v, want 0.25", got.CoherenceLambda)
-	}
 	if !got.ExpandFathers || got.ExpandSons {
 		t.Errorf("expansion flags clobbered: fathers=%v sons=%v", got.ExpandFathers, got.ExpandSons)
 	}
-	def := linkage.DefaultOptions()
-	if got.ContextWindow != def.ContextWindow || got.CooccurWindow != def.CooccurWindow ||
-		got.MaxNeighbors != def.MaxNeighbors {
-		t.Errorf("zero numeric Link fields not defaulted: %+v", got)
-	}
 
 	// A fully-zero Link still means the paper's defaults, expansion on.
+	def := linkage.DefaultOptions()
 	if got := (Config{}).withDefaults().Link; !reflect.DeepEqual(got, def) {
 		t.Errorf("zero Link = %+v, want DefaultOptions", got)
 	}

@@ -81,49 +81,6 @@ func (c *Corpus) scanContexts(term string, window int, occurrence func(Posting),
 	}
 }
 
-// ContextVectors returns one count vector per occurrence — the input
-// representation for clustering in sense induction.
-func (c *Corpus) ContextVectors(term string, window int) []sparse.Vector {
-	ctxs := c.Contexts(term, window)
-	out := make([]sparse.Vector, len(ctxs))
-	for i, ctx := range ctxs {
-		out[i] = sparse.FromCounts(ctx.Words)
-	}
-	return out
-}
-
-// CooccurrenceGraph builds the undirected co-occurrence graph of
-// content words across the whole corpus: an edge {a,b} accumulates 1
-// for every sliding window of the given size in which both appear.
-// Edges below minWeight are dropped at the end. This is the "graph
-// induced from the text corpus" of the paper's step II and the term
-// co-occurrence graph of step IV.
-func (c *Corpus) CooccurrenceGraph(window int, minWeight float64) *graph.Graph {
-	c.ensureBuilt()
-	g := graph.New()
-	for d := range c.tokens {
-		content := c.contentPositions(int32(d))
-		for i := 0; i < len(content); i++ {
-			for j := i + 1; j < len(content); j++ {
-				if content[j].pos-content[i].pos > int32(window) {
-					break
-				}
-				if content[i].word != content[j].word {
-					g.AddEdge(content[i].word, content[j].word, 1)
-				}
-			}
-		}
-	}
-	if minWeight > 1 {
-		for _, e := range g.Edges() {
-			if e.Weight < minWeight {
-				g.SetEdge(e.A, e.B, 0)
-			}
-		}
-	}
-	return g
-}
-
 // TermCooccurrenceGraph builds a co-occurrence graph restricted to the
 // given vocabulary (e.g. the extracted candidate terms plus ontology
 // labels), at sentence-window granularity. Multi-word vocabulary
@@ -158,25 +115,6 @@ func (c *Corpus) TermCooccurrenceGraph(vocab []string, window int) *graph.Graph 
 		}
 	}
 	return g
-}
-
-type posWord struct {
-	pos  int32
-	word string
-}
-
-// contentPositions returns the positions of content words (non-stop,
-// non-numeric, length ≥ 2) in document d, in order.
-func (c *Corpus) contentPositions(d int32) []posWord {
-	toks := c.tokens[d]
-	out := make([]posWord, 0, len(toks))
-	for i, w := range toks {
-		if len(w) < 2 || textutil.IsNumeric(w) || textutil.IsStopword(w, c.lang) {
-			continue
-		}
-		out = append(out, posWord{pos: int32(i), word: w})
-	}
-	return out
 }
 
 // EgoCooccurrence builds the local co-occurrence graph around a single

@@ -186,19 +186,6 @@ func (c *Corpus) ensureBuilt() {
 	}
 }
 
-// TokenDF returns the document frequency of a single normalized token.
-func (c *Corpus) TokenDF(token string) int {
-	c.ensureBuilt()
-	return c.df[token]
-}
-
-// TokenTF returns the collection frequency of a single normalized
-// token.
-func (c *Corpus) TokenTF(token string) int {
-	c.ensureBuilt()
-	return len(c.index[token])
-}
-
 // Occurrences returns every position at which the (normalized,
 // space-separated, possibly multi-word) term occurs. Multi-word terms
 // are located by scanning the postings of their rarest word and

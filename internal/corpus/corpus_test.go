@@ -37,14 +37,14 @@ func TestBuildCounts(t *testing.T) {
 func TestTokenStats(t *testing.T) {
 	c := buildTestCorpus()
 	// "corneal" appears in d1 (title 1 + text 2) and d2 (1): tf=5, df=2.
-	if got := c.TokenTF("corneal"); got != 5 {
-		t.Errorf("TokenTF(corneal) = %d, want 5", got)
+	if got := c.TF("corneal"); got != 5 {
+		t.Errorf("TF(corneal) = %d, want 5", got)
 	}
-	if got := c.TokenDF("corneal"); got != 2 {
-		t.Errorf("TokenDF(corneal) = %d, want 2", got)
+	if got := c.DF("corneal"); got != 2 {
+		t.Errorf("DF(corneal) = %d, want 2", got)
 	}
-	if got := c.TokenTF("absent"); got != 0 {
-		t.Errorf("TokenTF(absent) = %d", got)
+	if got := c.TF("absent"); got != 0 {
+		t.Errorf("TF(absent) = %d", got)
 	}
 }
 
@@ -99,10 +99,6 @@ func TestContextVector(t *testing.T) {
 	if v["healed"] == 0 {
 		t.Errorf("expected 'healed' in context vector: %v", v)
 	}
-	vecs := c.ContextVectors("corneal injury", 6)
-	if len(vecs) != 4 {
-		t.Errorf("ContextVectors = %d", len(vecs))
-	}
 }
 
 // TestAddContextVectorSumsTerms: counting several terms into one
@@ -156,31 +152,6 @@ func TestAddContextVectorAllocs(t *testing.T) {
 	rare := testing.AllocsPerRun(20, func() { c.AddContextVector(v, "rare", 8) })
 	if frequent != rare {
 		t.Errorf("AddContextVector allocates %v times for a term with 200 occurrences, %v for one with 1", frequent, rare)
-	}
-}
-
-func TestCooccurrenceGraph(t *testing.T) {
-	c := buildTestCorpus()
-	g := c.CooccurrenceGraph(5, 0)
-	if g.NumNodes() == 0 || g.NumEdges() == 0 {
-		t.Fatal("empty co-occurrence graph")
-	}
-	if !g.HasEdge("corneal", "injury") {
-		t.Error("corneal–injury edge missing")
-	}
-	// Stopwords never become nodes.
-	if g.HasNode("the") || g.HasNode("of") {
-		t.Error("stopword node present")
-	}
-}
-
-func TestCooccurrenceMinWeight(t *testing.T) {
-	c := buildTestCorpus()
-	full := c.CooccurrenceGraph(5, 0)
-	pruned := c.CooccurrenceGraph(5, 3)
-	if pruned.NumEdges() >= full.NumEdges() {
-		t.Errorf("pruning did not reduce edges: %d >= %d",
-			pruned.NumEdges(), full.NumEdges())
 	}
 }
 
@@ -242,14 +213,14 @@ func TestQueryBeforeBuildPanics(t *testing.T) {
 	}()
 	c := New(textutil.English)
 	c.Add(Document{ID: "x", Text: "text"})
-	c.TokenTF("text") // index not built
+	c.TF("text") // index not built
 }
 
 func TestFrenchCorpusStopwords(t *testing.T) {
 	c := New(textutil.French)
 	c.Add(Document{ID: "f1", Text: "La maladie de crohn est une maladie chronique."})
 	c.Build()
-	g := c.CooccurrenceGraph(5, 0)
+	g := c.EgoCooccurrence("maladie", 5)
 	if g.HasNode("la") || g.HasNode("de") {
 		t.Error("french stopwords leaked into graph")
 	}

@@ -62,29 +62,3 @@ func (c *Corpus) Search(query string, n int) []SearchHit {
 	}
 	return hits
 }
-
-// SubCorpus builds a new (built) corpus from a subset of this corpus's
-// documents — the "retrieve the context of these terms using PubMed"
-// operation of step IV: query the big corpus, keep the matching
-// abstracts, work on the focused collection.
-func (c *Corpus) SubCorpus(docIdx []int) *Corpus {
-	out := New(c.lang)
-	for _, i := range docIdx {
-		if i >= 0 && i < len(c.docs) {
-			out.Add(c.docs[i])
-		}
-	}
-	out.Build()
-	return out
-}
-
-// RetrieveContextCorpus searches for a term and returns the sub-corpus
-// of the top-n matching documents.
-func (c *Corpus) RetrieveContextCorpus(term string, n int) *Corpus {
-	hits := c.Search(term, n)
-	idx := make([]int, len(hits))
-	for i, h := range hits {
-		idx[i] = h.Doc
-	}
-	return c.SubCorpus(idx)
-}

@@ -2,8 +2,6 @@ package corpus
 
 import (
 	"testing"
-
-	"bioenrich/internal/textutil"
 )
 
 func TestSearchRanksRelevantFirst(t *testing.T) {
@@ -44,30 +42,5 @@ func TestSearchTopN(t *testing.T) {
 	c := buildTestCorpus()
 	if hits := c.Search("eye treatment", 1); len(hits) > 1 {
 		t.Errorf("n=1 returned %d hits", len(hits))
-	}
-}
-
-func TestSubCorpus(t *testing.T) {
-	c := buildTestCorpus()
-	sub := c.SubCorpus([]int{0, 2, 99, -1})
-	if sub.NumDocs() != 2 {
-		t.Errorf("sub docs = %d, want 2 (out-of-range ignored)", sub.NumDocs())
-	}
-	if sub.TF("corneal injury") == 0 {
-		t.Error("sub corpus lost content")
-	}
-	if sub.Lang() != textutil.English {
-		t.Error("sub corpus lost language")
-	}
-}
-
-func TestRetrieveContextCorpus(t *testing.T) {
-	c := buildTestCorpus()
-	sub := c.RetrieveContextCorpus("corneal injury", 2)
-	if sub.NumDocs() == 0 || sub.NumDocs() > 2 {
-		t.Fatalf("retrieved %d docs", sub.NumDocs())
-	}
-	if sub.TF("corneal injury") == 0 {
-		t.Error("retrieved corpus lacks the query term")
 	}
 }

@@ -69,24 +69,6 @@ func (c Confusion) String() string {
 		c.TP, c.FP, c.TN, c.FN, c.Precision(), c.Recall(), c.F1(), c.Accuracy())
 }
 
-// Accuracy returns the fraction of equal pairs in two parallel label
-// slices. Panics if lengths differ (programming error).
-func Accuracy[T comparable](predicted, actual []T) float64 {
-	if len(predicted) != len(actual) {
-		panic("eval: length mismatch")
-	}
-	if len(actual) == 0 {
-		return 0
-	}
-	correct := 0
-	for i := range actual {
-		if predicted[i] == actual[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(actual))
-}
-
 // PrecisionAtK returns the paper's Table 4 metric: the fraction of
 // queries for which at least one of the first k ranked proposals is
 // correct. correct[i] reports whether proposal i of a query is correct;

@@ -32,24 +32,6 @@ func TestConfusionEmpty(t *testing.T) {
 	}
 }
 
-func TestAccuracyGeneric(t *testing.T) {
-	if got := Accuracy([]int{1, 2, 3}, []int{1, 9, 3}); !approx(got, 2.0/3) {
-		t.Errorf("Accuracy = %v", got)
-	}
-	if got := Accuracy([]string{}, []string{}); got != 0 {
-		t.Errorf("empty accuracy = %v", got)
-	}
-}
-
-func TestAccuracyPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Accuracy([]int{1}, []int{1, 2})
-}
-
 func TestPrecisionAtK(t *testing.T) {
 	results := [][]bool{
 		{true, false, false},  // hit at 1

@@ -37,11 +37,6 @@ func (g *Graph) Components() [][]string {
 	return comps
 }
 
-// NumComponents returns the number of connected components.
-func (g *Graph) NumComponents() int {
-	return len(g.Components())
-}
-
 // KCore returns the maximal induced subgraph in which every node has
 // degree ≥ k (the k-core). May be empty.
 func (g *Graph) KCore(k int) *Graph {
@@ -60,40 +55,4 @@ func (g *Graph) KCore(k int) *Graph {
 			core.RemoveNode(n)
 		}
 	}
-}
-
-// CoreNumber returns, per node, the largest k such that the node
-// belongs to the k-core (Batagelj–Zaveršnik style peeling).
-func (g *Graph) CoreNumber() map[string]int {
-	core := make(map[string]int, g.NumNodes())
-	work := g.Clone()
-	k := 0
-	for work.NumNodes() > 0 {
-		// Peel all nodes of minimum degree.
-		minDeg := -1
-		for _, n := range work.Nodes() {
-			if d := work.Degree(n); minDeg == -1 || d < minDeg {
-				minDeg = d
-			}
-		}
-		if minDeg > k {
-			k = minDeg
-		}
-		for {
-			var drop []string
-			for _, n := range work.Nodes() {
-				if work.Degree(n) <= k {
-					drop = append(drop, n)
-				}
-			}
-			if len(drop) == 0 {
-				break
-			}
-			for _, n := range drop {
-				core[n] = k
-				work.RemoveNode(n)
-			}
-		}
-	}
-	return core
 }

@@ -127,41 +127,6 @@ func (g *Graph) Nodes() []string {
 	return nodes
 }
 
-// Edge is one undirected edge with its weight; A < B lexically.
-type Edge struct {
-	A, B   string
-	Weight float64
-}
-
-// Edges returns every edge exactly once, sorted by (A, B).
-func (g *Graph) Edges() []Edge {
-	var edges []Edge
-	for a, nbrs := range g.adj {
-		for b, w := range nbrs {
-			if a < b {
-				edges = append(edges, Edge{A: a, B: b, Weight: w})
-			}
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
-		}
-		return edges[i].B < edges[j].B
-	})
-	return edges
-}
-
-// TotalWeight returns the sum of all edge weights, accumulated in
-// sorted-edge order for run-to-run reproducibility.
-func (g *Graph) TotalWeight() float64 {
-	var sum float64
-	for _, e := range g.Edges() {
-		sum += e.Weight
-	}
-	return sum
-}
-
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	out := New()
@@ -193,14 +158,6 @@ func (g *Graph) Subgraph(nodes []string) *Graph {
 		}
 	}
 	return out
-}
-
-// Ego returns the ego graph of n: n, its neighbors, and all edges among
-// them. Used by the graph-based polysemy features; removing n from its
-// ego graph reveals how many "sense communities" surround it.
-func (g *Graph) Ego(n string) *Graph {
-	nodes := append(g.Neighbors(n), n)
-	return g.Subgraph(nodes)
 }
 
 // String gives a compact description for debugging.

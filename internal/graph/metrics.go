@@ -109,18 +109,6 @@ func (g *Graph) BFSDistances(src string) map[string]int {
 	return dist
 }
 
-// Eccentricity returns the maximum hop distance from n to any node in
-// its connected component, or 0 for isolated/missing nodes.
-func (g *Graph) Eccentricity(n string) int {
-	max := 0
-	for _, d := range g.BFSDistances(n) {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // AveragePathLength returns the mean hop distance over all connected
 // ordered pairs, or 0 when no such pair exists. O(V·E); intended for
 // the small ego/co-occurrence graphs of a single term.

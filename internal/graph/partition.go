@@ -2,24 +2,6 @@ package graph
 
 import "sort"
 
-// CutWeight returns the total weight of edges crossing between the two
-// node sets (nodes absent from the graph are ignored).
-func (g *Graph) CutWeight(a, b []string) float64 {
-	inA := make(map[string]bool, len(a))
-	for _, n := range a {
-		inA[n] = true
-	}
-	var cut float64
-	for _, n := range b {
-		for nb, w := range g.adj[n] {
-			if inA[nb] {
-				cut += w
-			}
-		}
-	}
-	return cut
-}
-
 // Bipartition splits the graph's nodes into two balanced halves with a
 // small edge cut, using a Kernighan–Lin style refinement over a
 // deterministic initial split. Returns the two halves sorted.

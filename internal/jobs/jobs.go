@@ -269,18 +269,6 @@ func (m *Manager) Get(id string) (Job, bool) {
 	return j.Job, true
 }
 
-// List returns every retained job in submission order.
-func (m *Manager) List() []Job {
-	m.mu.Lock()
-	out := make([]Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		out = append(out, j.Job)
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
-}
-
 // ValidStatus reports whether s is one of the five lifecycle states —
 // the HTTP layer validates ?status= filters against it so a typo is a
 // 400, not an empty page.

@@ -224,8 +224,8 @@ func TestTTLGC(t *testing.T) {
 	}
 }
 
-// TestListOrder: List returns jobs in submission order with stable
-// IDs.
+// TestListOrder: an unbounded Page lists every job in submission
+// order with stable IDs.
 func TestListOrder(t *testing.T) {
 	m := startManager(t, Options{Queue: 8})
 	for i := 0; i < 3; i++ {
@@ -233,7 +233,10 @@ func TestListOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	list := m.List()
+	list, more := m.Page("", 0, "")
+	if more {
+		t.Error("unbounded page reports more jobs")
+	}
 	if len(list) != 3 {
 		t.Fatalf("list = %d jobs", len(list))
 	}

@@ -40,61 +40,34 @@ type Proposal struct {
 	Relation Relation
 }
 
-// Options configures the linker. Zero-valued numeric fields are
-// filled from DefaultOptions (negative MaxNeighbors disables the
-// cap); the expansion flags are honored as given in any non-zero
-// Options, so the table-4a ablation (expansion off) survives
-// defaulting — only the fully-zero Options means "all defaults".
+// ContextWindow is the window, in tokens either side of an
+// occurrence, of the context vectors step IV compares. Classify's
+// concept profiles count over the same window.
+const ContextWindow = 8
+
+// The neighborhood scan's fixed shape: ontology terms within
+// cooccurWindow tokens of a candidate occurrence are its neighbors,
+// and only the maxNeighbors most frequent are expanded.
+const (
+	cooccurWindow = 20
+	maxNeighbors  = 40
+)
+
+// Options configures the linker. New uses them as given, so the zero
+// Options expands neither fathers nor sons (the table-4a ablation);
+// DefaultOptions is the paper's setup.
 type Options struct {
-	ContextWindow int  // window for context vectors (default 8)
-	CooccurWindow int  // window for neighbor detection (default 20)
-	ExpandFathers bool // include neighbors' parents (default true)
-	ExpandSons    bool // include neighbors' children (default true)
-	MaxNeighbors  int  // cap on direct neighbors considered (default 40; negative = no cap)
-	// CoherenceLambda, when > 0, re-ranks proposals by blending the
-	// context cosine with structural coherence (see CoherenceRerank).
-	// 0 (the default, and the paper's method) disables re-ranking.
-	CoherenceLambda float64
+	ExpandFathers bool // include neighbors' parents
+	ExpandSons    bool // include neighbors' children
 	// Obs, when non-nil, counts context-vector cache hits and misses
 	// (bioenrich_linkage_cache_{hits,misses}_total). nil disables the
 	// counters at zero cost.
 	Obs *obs.Registry
 }
 
-// DefaultOptions mirrors the paper's setup.
+// DefaultOptions mirrors the paper's setup: both expansions on.
 func DefaultOptions() Options {
-	return Options{
-		ContextWindow: 8,
-		CooccurWindow: 20,
-		ExpandFathers: true,
-		ExpandSons:    true,
-		MaxNeighbors:  40,
-	}
-}
-
-// WithDefaults fills unset fields from DefaultOptions without
-// clobbering explicitly-set ones: a fully-zero Options becomes
-// DefaultOptions (expansion on — the paper's setup), while a
-// partially-built Options keeps its Obs, CoherenceLambda and
-// expansion flags and only has zero numeric fields filled. The old
-// behaviour — replacing the whole struct whenever ContextWindow was
-// zero — silently dropped an explicitly-set Obs registry or disabled
-// expansion flag.
-func (o Options) WithDefaults() Options {
-	if o == (Options{}) {
-		return DefaultOptions()
-	}
-	def := DefaultOptions()
-	if o.ContextWindow == 0 {
-		o.ContextWindow = def.ContextWindow
-	}
-	if o.CooccurWindow == 0 {
-		o.CooccurWindow = def.CooccurWindow
-	}
-	if o.MaxNeighbors == 0 {
-		o.MaxNeighbors = def.MaxNeighbors
-	}
-	return o
+	return Options{ExpandFathers: true, ExpandSons: true}
 }
 
 // Linker proposes ontology positions for candidate terms. A Linker is
@@ -111,7 +84,7 @@ type Linker struct {
 	opts Options
 
 	// vecs caches term → termVec (the aggregated context vector at
-	// opts.ContextWindow, with its norm). Cached vectors are shared and
+	// ContextWindow, with its norm). Cached vectors are shared and
 	// must be treated as read-only.
 	vecs sync.Map
 
@@ -121,9 +94,7 @@ type Linker struct {
 }
 
 // New builds a linker over a corpus and the target ontology.
-// Zero-valued Options fields are filled per WithDefaults.
 func New(c *corpus.Corpus, o *ontology.Ontology, opts Options) *Linker {
-	opts = opts.WithDefaults()
 	return &Linker{
 		c: c, o: o, opts: opts,
 		cacheHits:   opts.Obs.Counter("bioenrich_linkage_cache_hits_total"),
@@ -149,7 +120,7 @@ func (l *Linker) contextVector(term string) termVec {
 		return v.(termVec)
 	}
 	l.cacheMisses.Inc()
-	v := l.c.ContextVector(term, l.opts.ContextWindow)
+	v := l.c.ContextVector(term, ContextWindow)
 	actual, _ := l.vecs.LoadOrStore(term, termVec{vec: v, norm: v.Norm()})
 	return actual.(termVec)
 }
@@ -251,9 +222,6 @@ func (l *Linker) ProposeContext(ctx context.Context, candidate string, topN int)
 		}
 		return proposals[i].Where < proposals[j].Where
 	})
-	if l.opts.CoherenceLambda > 0 {
-		proposals = CoherenceRerank(l.o, proposals, l.opts.CoherenceLambda)
-	}
 	if topN > 0 && topN < len(proposals) {
 		proposals = proposals[:topN]
 	}
@@ -262,12 +230,12 @@ func (l *Linker) ProposeContext(ctx context.Context, candidate string, topN int)
 
 // meshNeighbors returns the ontology terms co-occurring with the
 // candidate within the co-occurrence window, most frequent first,
-// capped at MaxNeighbors. The context is checked once per candidate
+// capped at maxNeighbors. The context is checked once per candidate
 // occurrence (one window scan each), the loop that dominates for
 // frequent candidates.
 func (l *Linker) meshNeighbors(ctx context.Context, cand string) ([]string, error) {
 	counts := make(map[string]int)
-	w := l.opts.CooccurWindow
+	w := cooccurWindow
 	candWords := len(strings.Fields(cand))
 	for _, occ := range l.c.Occurrences(cand) {
 		if err := ctx.Err(); err != nil {
@@ -310,14 +278,8 @@ func (l *Linker) meshNeighbors(ctx context.Context, cand string) ([]string, erro
 		}
 		return terms[i] < terms[j]
 	})
-	if l.opts.MaxNeighbors > 0 && len(terms) > l.opts.MaxNeighbors {
-		terms = terms[:l.opts.MaxNeighbors]
+	if len(terms) > maxNeighbors {
+		terms = terms[:maxNeighbors]
 	}
 	return terms, nil
-}
-
-// CandidateVector exposes the candidate's aggregated context vector
-// (diagnostics and the quickstart example).
-func (l *Linker) CandidateVector(candidate string) sparse.Vector {
-	return l.contextVector(textutil.NormalizeTerm(candidate)).vec
 }

@@ -10,40 +10,18 @@ import (
 	"bioenrich/internal/synth"
 )
 
-// TestNewPreservesExplicitOptions is the regression for New replacing
-// a partially-built Options wholesale whenever ContextWindow was zero:
-// an explicitly-set Obs registry, coherence lambda, or disabled
-// expansion flag must survive defaulting.
+// TestNewPreservesExplicitOptions: New keeps an explicitly-set Obs
+// registry and disabled expansion flag.
 func TestNewPreservesExplicitOptions(t *testing.T) {
 	o, c := fixture()
 	reg := obs.New()
-	l := New(c, o, Options{Obs: reg, CoherenceLambda: 0.3, ExpandFathers: true})
+	l := New(c, o, Options{Obs: reg, ExpandFathers: true})
 	if l.opts.Obs != reg {
-		t.Error("Obs clobbered by defaulting")
-	}
-	if l.opts.CoherenceLambda != 0.3 {
-		t.Errorf("CoherenceLambda = %v, want 0.3", l.opts.CoherenceLambda)
+		t.Error("Obs clobbered")
 	}
 	if !l.opts.ExpandFathers || l.opts.ExpandSons {
 		t.Errorf("expansion flags not honored: fathers=%v sons=%v",
 			l.opts.ExpandFathers, l.opts.ExpandSons)
-	}
-	def := DefaultOptions()
-	if l.opts.ContextWindow != def.ContextWindow || l.opts.CooccurWindow != def.CooccurWindow ||
-		l.opts.MaxNeighbors != def.MaxNeighbors {
-		t.Errorf("zero numeric fields not defaulted: %+v", l.opts)
-	}
-}
-
-func TestWithDefaultsZeroValue(t *testing.T) {
-	if got := (Options{}).WithDefaults(); !reflect.DeepEqual(got, DefaultOptions()) {
-		t.Errorf("zero Options = %+v, want DefaultOptions", got)
-	}
-	// Negative MaxNeighbors (no cap) is explicit, not zero: keep it.
-	o := DefaultOptions()
-	o.MaxNeighbors = -1
-	if got := o.WithDefaults(); got.MaxNeighbors != -1 {
-		t.Errorf("MaxNeighbors = %d, want -1 preserved", got.MaxNeighbors)
 	}
 }
 

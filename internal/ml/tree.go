@@ -77,16 +77,6 @@ func gini(pos, total int) float64 {
 	return 2 * p * (1 - p)
 }
 
-func majority(y []bool, idx []int) bool {
-	pos := 0
-	for _, i := range idx {
-		if y[i] {
-			pos++
-		}
-	}
-	return pos*2 >= len(idx)
-}
-
 func (m *DecisionTree) grow(X [][]float64, y []bool, idx []int, depth int) *treeNode {
 	pos := 0
 	for _, i := range idx {

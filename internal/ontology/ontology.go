@@ -266,11 +266,6 @@ func (o *Ontology) HasTerm(term string) bool {
 	return len(o.byTerm[term]) > 0
 }
 
-// SenseCount returns the number of concepts the term maps to.
-func (o *Ontology) SenseCount(term string) int {
-	return len(o.byTerm[textutil.NormalizeTerm(term)])
-}
-
 // Terms returns all distinct terms in sorted order.
 func (o *Ontology) Terms() []string {
 	terms := make([]string, 0, len(o.byTerm))
@@ -279,100 +274,6 @@ func (o *Ontology) Terms() []string {
 	}
 	sort.Strings(terms)
 	return terms
-}
-
-// Roots returns all concepts with no parents, sorted.
-func (o *Ontology) Roots() []ConceptID {
-	var roots []ConceptID
-	for id, c := range o.concepts {
-		if len(c.Parents) == 0 {
-			roots = append(roots, id)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	return roots
-}
-
-// Fathers returns the parent concepts of every sense of the term.
-func (o *Ontology) Fathers(term string) []ConceptID {
-	var out []ConceptID
-	seen := map[ConceptID]bool{}
-	for _, id := range o.ConceptsForTerm(term) {
-		for _, p := range o.concepts[id].Parents {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Sons returns the child concepts of every sense of the term.
-func (o *Ontology) Sons(term string) []ConceptID {
-	var out []ConceptID
-	seen := map[ConceptID]bool{}
-	for _, id := range o.ConceptsForTerm(term) {
-		for _, ch := range o.concepts[id].Children {
-			if !seen[ch] {
-				seen[ch] = true
-				out = append(out, ch)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Ancestors returns the transitive parents of id (id excluded), sorted.
-func (o *Ontology) Ancestors(id ConceptID) []ConceptID {
-	seen := map[ConceptID]bool{}
-	var walk func(ConceptID)
-	walk = func(cur ConceptID) {
-		c := o.concepts[cur]
-		if c == nil {
-			return
-		}
-		for _, p := range c.Parents {
-			if !seen[p] {
-				seen[p] = true
-				walk(p)
-			}
-		}
-	}
-	walk(id)
-	out := make([]ConceptID, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Descendants returns the transitive children of id (id excluded), sorted.
-func (o *Ontology) Descendants(id ConceptID) []ConceptID {
-	seen := map[ConceptID]bool{}
-	var walk func(ConceptID)
-	walk = func(cur ConceptID) {
-		c := o.concepts[cur]
-		if c == nil {
-			return
-		}
-		for _, ch := range c.Children {
-			if !seen[ch] {
-				seen[ch] = true
-				walk(ch)
-			}
-		}
-	}
-	walk(id)
-	out := make([]ConceptID, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Validate checks structural invariants: parent/child symmetry,

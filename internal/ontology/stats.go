@@ -38,51 +38,6 @@ func (o *Ontology) MonosemicTerms() []string {
 	return out
 }
 
-// Neighborhood returns, for a set of seed concept ids, the union of
-// the seeds with their parents and children — the "MeSH neighborhood"
-// step IV compares a candidate term against.
-func (o *Ontology) Neighborhood(seeds []ConceptID) []ConceptID {
-	seen := map[ConceptID]bool{}
-	add := func(id ConceptID) {
-		if o.concepts[id] != nil {
-			seen[id] = true
-		}
-	}
-	for _, id := range seeds {
-		c := o.concepts[id]
-		if c == nil {
-			continue
-		}
-		add(id)
-		for _, p := range c.Parents {
-			add(p)
-		}
-		for _, ch := range c.Children {
-			add(ch)
-		}
-	}
-	out := make([]ConceptID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// TermDiff returns the terms present in newer but absent from older —
-// the protocol the paper uses to collect its 60 evaluation terms (MeSH
-// terms added between 2009 and 2015).
-func TermDiff(older, newer *Ontology) []string {
-	var out []string
-	for t := range newer.byTerm {
-		if len(older.byTerm[t]) == 0 {
-			out = append(out, t)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // RelatedTerms returns the gold-standard paradigmatic relatives of a
 // term: its synonyms (other lexicalizations of its concepts), the
 // terms of its father concepts and of its son concepts. Step IV's

@@ -145,9 +145,3 @@ func Candidates(tagged []TaggedWord, lang textutil.Lang) []Candidate {
 	}
 	return out
 }
-
-// ExtractCandidates tokenizes, tags and extracts candidates from raw
-// sentence text.
-func ExtractCandidates(text string, tagger *Tagger) []Candidate {
-	return Candidates(tagger.TagSentence(text), tagger.Lang())
-}

@@ -148,6 +148,3 @@ func (t *Tagger) Tag(tokens []string) []TaggedWord {
 func (t *Tagger) TagSentence(text string) []TaggedWord {
 	return t.Tag(textutil.Words(text))
 }
-
-// Lang returns the tagger's language.
-func (t *Tagger) Lang() textutil.Lang { return t.lang }

@@ -92,6 +92,11 @@ func TestTagString(t *testing.T) {
 	}
 }
 
+// extractCandidates tags raw sentence text and extracts its candidates.
+func extractCandidates(text string, tg *Tagger) []Candidate {
+	return Candidates(tg.TagSentence(text), tg.lang)
+}
+
 func hasCandidate(cands []Candidate, term string) bool {
 	for _, c := range cands {
 		if c.Term() == term {
@@ -103,7 +108,7 @@ func hasCandidate(cands []Candidate, term string) bool {
 
 func TestCandidatesEnglish(t *testing.T) {
 	tg := NewTagger(textutil.English)
-	cands := ExtractCandidates("The severe corneal injury affected the eye", tg)
+	cands := extractCandidates("The severe corneal injury affected the eye", tg)
 	for _, want := range []string{
 		"severe corneal injury", "corneal injury", "injury", "eye",
 	} {
@@ -121,7 +126,7 @@ func TestCandidatesEnglish(t *testing.T) {
 
 func TestCandidatesNoStopwordEdges(t *testing.T) {
 	tg := NewTagger(textutil.English)
-	cands := ExtractCandidates("treatment of infection", tg)
+	cands := extractCandidates("treatment of infection", tg)
 	if !hasCandidate(cands, "treatment") || !hasCandidate(cands, "infection") {
 		t.Errorf("missing unigrams: %v", cands)
 	}
@@ -134,7 +139,7 @@ func TestCandidatesNoStopwordEdges(t *testing.T) {
 
 func TestCandidatesFrenchPrepPattern(t *testing.T) {
 	tg := NewTagger(textutil.French)
-	cands := ExtractCandidates("la maladie de crohn est chronique", tg)
+	cands := extractCandidates("la maladie de crohn est chronique", tg)
 	if !hasCandidate(cands, "maladie de crohn") {
 		t.Errorf("missing 'maladie de crohn' in %v", cands)
 	}
@@ -145,7 +150,7 @@ func TestCandidatesFrenchPrepPattern(t *testing.T) {
 
 func TestCandidatesFrenchPostAdjective(t *testing.T) {
 	tg := NewTagger(textutil.French)
-	cands := ExtractCandidates("une infection bacterienne severe", tg)
+	cands := extractCandidates("une infection bacterienne severe", tg)
 	if !hasCandidate(cands, "infection bacterienne") {
 		t.Errorf("missing 'infection bacterienne' in %v", cands)
 	}
@@ -153,7 +158,7 @@ func TestCandidatesFrenchPostAdjective(t *testing.T) {
 
 func TestCandidatesSpanish(t *testing.T) {
 	tg := NewTagger(textutil.Spanish)
-	cands := ExtractCandidates("la enfermedad cronica del corazon", tg)
+	cands := extractCandidates("la enfermedad cronica del corazon", tg)
 	if !hasCandidate(cands, "enfermedad cronica") {
 		t.Errorf("missing 'enfermedad cronica' in %v", cands)
 	}
@@ -161,7 +166,7 @@ func TestCandidatesSpanish(t *testing.T) {
 
 func TestCandidateStartOffsets(t *testing.T) {
 	tg := NewTagger(textutil.English)
-	cands := ExtractCandidates("severe injury", tg)
+	cands := extractCandidates("severe injury", tg)
 	for _, c := range cands {
 		if c.Start < 0 || c.Start+len(c.Words) > 2 {
 			t.Errorf("bad span: %+v", c)
@@ -171,7 +176,7 @@ func TestCandidateStartOffsets(t *testing.T) {
 
 func TestCandidatesLengthBound(t *testing.T) {
 	tg := NewTagger(textutil.English)
-	cands := ExtractCandidates(
+	cands := extractCandidates(
 		"acute severe chronic bilateral corneal epithelial stromal injury", tg)
 	for _, c := range cands {
 		if len(c.Words) > MaxTermWords {

@@ -7,10 +7,9 @@
 // enrichment job at the top-ranked entry instead of making the client
 // guess.
 //
-// Scoring reads only immutable snapshots, so ranking N ontologies is
-// embarrassingly parallel; per-candidate scores write into pre-sized
-// slots and the final sort breaks ties by name, keeping the ranking
-// byte-identical across worker counts.
+// Scoring reads only immutable snapshots, one candidate after another,
+// and the final sort breaks ties by name, so the ranking is
+// byte-identical from run to run.
 package recommend
 
 import (
@@ -19,7 +18,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"bioenrich/internal/ontology"
 	"bioenrich/internal/state"
@@ -35,47 +33,23 @@ const (
 	SecondsMetric = "bioenrich_recommend_seconds"
 )
 
-// Weights are the mixing coefficients of the final score. They should
-// sum to 1 for the score to stay in [0, 1].
-type Weights struct {
-	Coverage   float64
-	Acceptance float64
-	Detail     float64
-}
+// The score's mixing weights mirror the emphasis of NCBO Recommender
+// 2.0's annotation use case: coverage dominates, specificity second,
+// curation quality third. They sum to 1, so the score stays in [0, 1].
+const (
+	coverageWeight   = 0.55
+	acceptanceWeight = 0.15
+	detailWeight     = 0.30
+)
 
-// DefaultWeights mirrors the emphasis of NCBO Recommender 2.0's
-// annotation use case: coverage dominates, specificity second,
-// curation quality third.
-var DefaultWeights = Weights{Coverage: 0.55, Acceptance: 0.15, Detail: 0.30}
+// maxGram bounds multi-word term matching: input token windows of
+// 1..maxGram words are looked up, longest first, against each
+// ontology's term index.
+const maxGram = 4
 
-// Options configures a ranking. The zero value uses DefaultWeights,
-// 4-token grams, one worker.
-type Options struct {
-	// MaxGram bounds multi-word term matching: input token windows of
-	// 1..MaxGram words are looked up against each ontology's term index
-	// (default 4, longest-match-first).
-	MaxGram int
-	// Workers bounds the goroutines scoring candidates. Results are
-	// byte-identical at any value.
-	Workers int
-	// Weights mixes the three sub-scores; a zero value means
-	// DefaultWeights.
-	Weights Weights
-}
-
-// WithDefaults fills unset fields.
-func (o Options) WithDefaults() Options {
-	if o.MaxGram <= 0 {
-		o.MaxGram = 4
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
-	if o.Weights == (Weights{}) {
-		o.Weights = DefaultWeights
-	}
-	return o
-}
+// Options has no fields: Rank's weights and gram bound are the
+// constants above. Callers pass Options{}.
+type Options struct{}
 
 // Input is one candidate ontology: a name (the registry entry) plus
 // the snapshot to score against.
@@ -114,8 +88,7 @@ type Score struct {
 // Rank scores text against every candidate and returns the ranking,
 // best first. The result is never nil; an empty candidate set ranks to
 // []. Text with no tokens is an input error.
-func Rank(ctx context.Context, inputs []Input, text string, opts Options) ([]Score, error) {
-	opts = opts.WithDefaults()
+func Rank(ctx context.Context, inputs []Input, text string, _ Options) ([]Score, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("recommend: %w", err)
 	}
@@ -124,10 +97,11 @@ func Rank(ctx context.Context, inputs []Input, text string, opts Options) ([]Sco
 		return nil, fmt.Errorf("recommend: input has no tokens")
 	}
 	scores := make([]Score, len(inputs))
-	if err := parallel(ctx, opts.Workers, len(inputs), func(i int) {
-		scores[i] = scoreOne(inputs[i], tokens, text, opts)
-	}); err != nil {
-		return nil, fmt.Errorf("recommend: %w", err)
+	for i, in := range inputs {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("recommend: %w", err)
+		}
+		scores[i] = scoreOne(in, tokens, text)
 	}
 	sort.Slice(scores, func(i, j int) bool {
 		if scores[i].Score != scores[j].Score {
@@ -153,13 +127,13 @@ func normalizedTokens(text string) []string {
 }
 
 // scoreOne computes one candidate's sub-scores. Pure function of
-// (input snapshot, tokens) — safe to run in any slot order.
-func scoreOne(in Input, tokens []string, text string, opts Options) Score {
+// (input snapshot, tokens).
+func scoreOne(in Input, tokens []string, text string) Score {
 	o, c := in.Snap.Ontology, in.Snap.Corpus
 	s := Score{Ontology: in.Name, Epoch: in.Snap.Epoch}
 	s.TotalTokens = len(textutil.ContentWords(text, c.Lang()))
 
-	matched := greedyMatch(o, tokens, opts.MaxGram)
+	matched := greedyMatch(o, tokens)
 	s.MatchedTerms = len(matched.terms)
 	s.MatchedTokens = matched.tokens
 
@@ -168,9 +142,9 @@ func scoreOne(in Input, tokens []string, text string, opts Options) Score {
 	}
 	s.Acceptance = acceptance(o)
 	s.Detail = detail(o, matched.concepts)
-	s.Score = opts.Weights.Coverage*s.Coverage +
-		opts.Weights.Acceptance*s.Acceptance +
-		opts.Weights.Detail*s.Detail
+	s.Score = coverageWeight*s.Coverage +
+		acceptanceWeight*s.Acceptance +
+		detailWeight*s.Detail
 	return s
 }
 
@@ -184,7 +158,7 @@ type matchResult struct {
 // greedyMatch scans the token stream left to right, preferring the
 // longest gram (up to maxGram words) present in the ontology's term
 // index at each position — the standard annotator longest-match rule.
-func greedyMatch(o *ontology.Ontology, tokens []string, maxGram int) matchResult {
+func greedyMatch(o *ontology.Ontology, tokens []string) matchResult {
 	var res matchResult
 	seenTerm := map[string]bool{}
 	seenConcept := map[ontology.ConceptID]bool{}
@@ -280,45 +254,4 @@ func depth(o *ontology.Ontology, id ontology.ConceptID, memo map[ontology.Concep
 	}
 	memo[id] = best
 	return best
-}
-
-// parallel runs fn(i) for i in [0, n) across workers goroutines with
-// contiguous chunking; fn must only write slot i. Context is checked
-// per iteration.
-func parallel(ctx context.Context, workers, n int, fn func(i int)) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i)
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return ctx.Err()
 }

@@ -1,7 +1,6 @@
 package recommend
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -128,33 +127,6 @@ func TestRankStopwordGramMatches(t *testing.T) {
 	}
 	if scores[0].Coverage <= 0 {
 		t.Fatalf("coverage = %v, want > 0", scores[0].Coverage)
-	}
-}
-
-func TestRankDeterministicAcrossWorkers(t *testing.T) {
-	inputs := []Input{
-		{Name: "plants", Snap: snapFor(t, plantOntology(t), textutil.English)},
-		{Name: "eye", Snap: snapFor(t, eyeOntology(t), textutil.English)},
-		{Name: "eye2", Snap: snapFor(t, eyeOntology(t), textutil.English)},
-	}
-	text := "corneal damage and soil nutrients for the eye"
-	var want []byte
-	for _, workers := range []int{1, 2, 8} {
-		scores, err := Rank(context.TODO(), inputs, text, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := json.Marshal(scores)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d ranking differs:\n  got  %s\n  want %s", workers, got, want)
-		}
 	}
 }
 

@@ -105,12 +105,6 @@ type evidence struct {
 	sentence string
 }
 
-// ExtractSentence finds relation evidence within one sentence.
-func (e *Extractor) ExtractSentence(sentence string) []Relation {
-	evs := e.sentenceEvidence(sentence)
-	return aggregate(evs)
-}
-
 func (e *Extractor) sentenceEvidence(sentence string) []evidence {
 	raw := textutil.Words(sentence)
 	tokens := make([]string, len(raw))

@@ -14,9 +14,15 @@ func vocabExtractor() *Extractor {
 	}, textutil.English)
 }
 
+// extractSentence finds e's relations within one sentence, the
+// per-sentence step of Extract.
+func extractSentence(e *Extractor, sentence string) []Relation {
+	return aggregate(e.sentenceEvidence(sentence))
+}
+
 func firstRelation(t *testing.T, sentence string) Relation {
 	t.Helper()
-	rels := vocabExtractor().ExtractSentence(sentence)
+	rels := extractSentence(vocabExtractor(), sentence)
 	if len(rels) == 0 {
 		t.Fatalf("no relation in %q", sentence)
 	}
@@ -87,7 +93,7 @@ func TestAssociationFallback(t *testing.T) {
 }
 
 func TestNoRelationWithoutPattern(t *testing.T) {
-	rels := vocabExtractor().ExtractSentence(
+	rels := extractSentence(vocabExtractor(),
 		"Keratitis presentations near infection wards were counted.")
 	if len(rels) != 0 {
 		t.Errorf("spurious relations: %v", rels)
@@ -95,7 +101,7 @@ func TestNoRelationWithoutPattern(t *testing.T) {
 }
 
 func TestGapTooLong(t *testing.T) {
-	rels := vocabExtractor().ExtractSentence(
+	rels := extractSentence(vocabExtractor(),
 		"Keratitis in several of the many very long and winding clinical observations causes infection.")
 	if len(rels) != 0 {
 		t.Errorf("over-long gap matched: %v", rels)
@@ -138,7 +144,7 @@ func TestExtractCorpusAggregates(t *testing.T) {
 
 func TestExtractorEmptyVocab(t *testing.T) {
 	e := NewExtractor(nil, textutil.English)
-	if rels := e.ExtractSentence("Anything causes something."); len(rels) != 0 {
+	if rels := extractSentence(e, "Anything causes something."); len(rels) != 0 {
 		t.Errorf("empty vocab extracted %v", rels)
 	}
 }

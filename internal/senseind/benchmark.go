@@ -2,9 +2,8 @@ package senseind
 
 import (
 	"fmt"
-	"runtime"
+
 	"sort"
-	"sync"
 
 	"bioenrich/internal/cluster"
 	"bioenrich/internal/sparse"
@@ -24,56 +23,6 @@ type GridCell struct {
 func (g GridCell) String() string {
 	return fmt.Sprintf("%-6s %-3s %-5s %.3f",
 		g.Algorithm, g.Index, g.Representation, g.Accuracy)
-}
-
-// EvaluateWSD scores one configuration on the WSD benchmark: the
-// fraction of entities whose sense count is predicted exactly (the
-// paper's accuracy; its best cell reaches 93.1%).
-func EvaluateWSD(ds *synth.WSDDataset, alg cluster.Algorithm, ix cluster.Index,
-	rep Representation, seed int64) (float64, error) {
-	// Entities are independent; fan the predictions out over the CPUs.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ds.Entities) {
-		workers = len(ds.Entities)
-	}
-	type outcome struct {
-		correct bool
-		err     error
-	}
-	results := make([]outcome, len(ds.Entities))
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			in := &Inducer{Algorithm: alg, Index: ix, Representation: rep, Seed: seed}
-			for i := range jobs {
-				e := ds.Entities[i]
-				k, err := in.PredictK(e.Contexts)
-				if err != nil {
-					results[i] = outcome{err: fmt.Errorf("senseind: entity %s: %w", e.Term, err)}
-					continue
-				}
-				results[i] = outcome{correct: k == e.K}
-			}
-		}()
-	}
-	for i := range ds.Entities {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	correct := 0
-	for _, r := range results {
-		if r.err != nil {
-			return 0, r.err
-		}
-		if r.correct {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(ds.Entities)), nil
 }
 
 // EvaluateGrid runs the full experiment grid and returns the cells

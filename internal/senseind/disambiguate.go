@@ -59,15 +59,3 @@ func (d *Disambiguator) Disambiguate(context []string) (sense int, sim float64) 
 	}
 	return best, bestSim
 }
-
-// DisambiguateAll assigns a batch of contexts.
-func (d *Disambiguator) DisambiguateAll(contexts [][]string) []int {
-	out := make([]int, len(contexts))
-	for i, ctx := range contexts {
-		out[i], _ = d.Disambiguate(ctx)
-	}
-	return out
-}
-
-// NumSenses returns the number of senses the disambiguator knows.
-func (d *Disambiguator) NumSenses() int { return len(d.centroids) }

@@ -37,10 +37,13 @@ func TestDisambiguatorRecoversGoldSenses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumSenses() != res.K {
-		t.Fatalf("NumSenses = %d, want %d", d.NumSenses(), res.K)
+	if len(d.centroids) != res.K {
+		t.Fatalf("%d sense centroids, want %d", len(d.centroids), res.K)
 	}
-	assigned := d.DisambiguateAll(ent.Contexts)
+	assigned := make([]int, len(ent.Contexts))
+	for i, ctx := range ent.Contexts {
+		assigned[i], _ = d.Disambiguate(ctx)
+	}
 	// Best label matching for k=2: direct or flipped.
 	direct, flipped := 0, 0
 	for i, a := range assigned {

@@ -106,11 +106,15 @@ func TestInduceErrors(t *testing.T) {
 
 func TestEvaluateWSDCleanData(t *testing.T) {
 	ds := tinyWSD()
-	acc, err := EvaluateWSD(ds, cluster.Direct, cluster.CK, BagOfWords, 1)
+	cells, err := EvaluateGrid(ds, []cluster.Algorithm{cluster.Direct},
+		[]cluster.Index{cluster.CK}, []Representation{BagOfWords}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc < 0.7 {
+	if len(cells) != 1 {
+		t.Fatalf("grid = %d cells, want 1", len(cells))
+	}
+	if acc := cells[0].Accuracy; acc < 0.7 {
 		t.Errorf("accuracy = %.3f on clean data", acc)
 	}
 }

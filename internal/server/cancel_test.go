@@ -195,3 +195,29 @@ func TestCancelledEnrichReleasesLock(t *testing.T) {
 		t.Errorf("cancelled apply mutated the ontology: %d -> %d terms", before, got)
 	}
 }
+
+// TestPreCancelledStepRequests: a step III or IV request whose client
+// has already gone answers 499 "cancelled" instead of running the
+// step.
+func TestPreCancelledStepRequests(t *testing.T) {
+	c, o := fixtureData(t)
+	h := newServer(state.NewStore(c, o), Options{}).Handler()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct{ method, target, body string }{
+		{http.MethodGet, "/v1/link?term=corneal+abrasion&top=3", ""},
+		{http.MethodGet, "/v1/senses?term=corneal+abrasion", ""},
+		{http.MethodPost, "/v1/disambiguate", `{"term":"corneal abrasion","context":["scarring"]}`},
+	} {
+		req := httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var env errorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("%s %s: decode %q: %v", tc.method, tc.target, rec.Body, err)
+		}
+		if rec.Code != statusClientClosedRequest || env.Error.Code != "cancelled" {
+			t.Errorf("%s %s: status %d code %q, want 499 cancelled", tc.method, tc.target, rec.Code, env.Error.Code)
+		}
+	}
+}

@@ -137,7 +137,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		inputs[i] = recommend.Input{Name: e.Name, Snap: e.Snapshot()}
 	}
 	start := obs.Now()
-	scores, err := recommend.Rank(r.Context(), inputs, req.Text, recommend.Options{Workers: s.cfg.Workers})
+	scores, err := recommend.Rank(r.Context(), inputs, req.Text, recommend.Options{})
 	if err != nil {
 		if r.Context().Err() != nil {
 			writeError(w, runStatus(err), err)

@@ -622,8 +622,12 @@ func (s *Server) handleSenses(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res, err := in.Induce(snap.Corpus, term, polysemic)
+	res, err := in.InduceContext(r.Context(), snap.Corpus, term, polysemic)
 	if err != nil {
+		if r.Context().Err() != nil {
+			writeError(w, runStatus(err), err)
+			return
+		}
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -763,8 +767,12 @@ func (s *Server) handleDisambiguate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	in := senseind.New()
-	res, err := in.Induce(snap.Corpus, req.Term, true)
+	res, err := in.InduceContext(r.Context(), snap.Corpus, req.Term, true)
 	if err != nil {
+		if r.Context().Err() != nil {
+			writeError(w, runStatus(err), err)
+			return
+		}
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

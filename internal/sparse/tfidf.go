@@ -31,27 +31,3 @@ func TFIDF(vecs []Vector) {
 		v.Normalize()
 	}
 }
-
-// IDFWeights returns the idf weight log(N/df) for each feature over the
-// collection, for weighting vectors built after the collection was
-// scanned.
-func IDFWeights(vecs []Vector) map[string]float64 {
-	df := DF(vecs)
-	n := float64(len(vecs))
-	out := make(map[string]float64, len(df))
-	for k, d := range df {
-		out[k] = math.Log(n / float64(d))
-	}
-	return out
-}
-
-// ApplyIDF multiplies v's weights by the given idf map in place
-// (features missing from idf keep their raw weight) and L2-normalizes.
-func ApplyIDF(v Vector, idf map[string]float64) {
-	for k, w := range v {
-		if iw, ok := idf[k]; ok {
-			v[k] = w * iw
-		}
-	}
-	v.Normalize()
-}

@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"math"
 	"testing"
 )
 
@@ -34,24 +33,5 @@ func TestTFIDF(t *testing.T) {
 		if n != 0 && !almostEqual(n, 1) {
 			t.Errorf("vec %d norm = %v", i, n)
 		}
-	}
-}
-
-func TestIDFWeightsAndApply(t *testing.T) {
-	vecs := []Vector{{"a": 1}, {"a": 1, "b": 1}}
-	idf := IDFWeights(vecs)
-	if !almostEqual(idf["a"], 0) {
-		t.Errorf("idf[a] = %v", idf["a"])
-	}
-	if !almostEqual(idf["b"], math.Log(2)) {
-		t.Errorf("idf[b] = %v", idf["b"])
-	}
-	v := Vector{"a": 2, "b": 3, "unseen": 1}
-	ApplyIDF(v, idf)
-	if v["a"] != 0 {
-		t.Errorf("a after ApplyIDF = %v", v["a"])
-	}
-	if !almostEqual(v.Norm(), 1) {
-		t.Errorf("norm = %v", v.Norm())
 	}
 }

@@ -94,15 +94,6 @@ func (v Vector) Norm() float64 {
 	return math.Sqrt(detSum(terms))
 }
 
-// L1Norm returns the sum of absolute weights.
-func (v Vector) L1Norm() float64 {
-	terms := make([]float64, 0, len(v))
-	for _, w := range v {
-		terms = append(terms, math.Abs(w))
-	}
-	return detSum(terms)
-}
-
 // Normalize scales v to unit L2 norm in place. A zero vector is left
 // unchanged.
 func (v Vector) Normalize() {
@@ -182,28 +173,6 @@ func (v Vector) Cosines(others []Vector, norms []float64) []float64 {
 	return out
 }
 
-// Jaccard returns the weighted Jaccard similarity
-// Σ min(v_i, o_i) / Σ max(v_i, o_i) for non-negative vectors.
-func (v Vector) Jaccard(other Vector) float64 {
-	mins := make([]float64, 0, len(v))
-	maxs := make([]float64, 0, len(v)+len(other))
-	for k, w := range v {
-		ow := other[k]
-		mins = append(mins, math.Min(w, ow))
-		maxs = append(maxs, math.Max(w, ow))
-	}
-	for k, ow := range other {
-		if _, seen := v[k]; !seen {
-			maxs = append(maxs, ow)
-		}
-	}
-	maxSum := detSum(maxs)
-	if maxSum == 0 {
-		return 0
-	}
-	return detSum(mins) / maxSum
-}
-
 // Top returns the n highest-weighted features in descending weight
 // order (ties broken alphabetically for determinism).
 func (v Vector) Top(n int) []Entry {
@@ -232,30 +201,6 @@ type Entry struct {
 // String renders the entry as "feature:weight".
 func (e Entry) String() string {
 	return fmt.Sprintf("%s:%.4f", e.Feature, e.Weight)
-}
-
-// Centroid returns the arithmetic mean of the given vectors. An empty
-// input yields an empty vector.
-func Centroid(vecs []Vector) Vector {
-	c := New(16)
-	if len(vecs) == 0 {
-		return c
-	}
-	for _, v := range vecs {
-		c.Add(v)
-	}
-	c.Scale(1 / float64(len(vecs)))
-	return c
-}
-
-// Sum returns the (unnormalized) vector sum of vecs. The composite
-// vector D_S of a cluster, used by the I2 clustering criterion.
-func Sum(vecs []Vector) Vector {
-	s := New(16)
-	for _, v := range vecs {
-		s.Add(v)
-	}
-	return s
 }
 
 // String renders the vector's top entries, mainly for debugging.

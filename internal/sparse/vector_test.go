@@ -27,9 +27,6 @@ func TestDotAndNorm(t *testing.T) {
 	if got := a.Norm(); !almostEqual(got, math.Sqrt(5)) {
 		t.Errorf("Norm = %v", got)
 	}
-	if got := a.L1Norm(); !almostEqual(got, 3) {
-		t.Errorf("L1Norm = %v", got)
-	}
 }
 
 func TestCosine(t *testing.T) {
@@ -73,21 +70,6 @@ func TestAddScaleClone(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	a := Vector{"x": 1, "y": 1}
-	b := Vector{"x": 1, "z": 1}
-	// min: x=1; max: x=1,y=1,z=1 => 1/3
-	if got := a.Jaccard(b); !almostEqual(got, 1.0/3) {
-		t.Errorf("Jaccard = %v", got)
-	}
-	if got := a.Jaccard(a); !almostEqual(got, 1) {
-		t.Errorf("self Jaccard = %v", got)
-	}
-	if got := (Vector{}).Jaccard(Vector{}); got != 0 {
-		t.Errorf("empty Jaccard = %v", got)
-	}
-}
-
 func TestTop(t *testing.T) {
 	v := Vector{"b": 2, "a": 2, "c": 5}
 	top := v.Top(2)
@@ -96,21 +78,6 @@ func TestTop(t *testing.T) {
 	}
 	if got := v.Top(10); len(got) != 3 {
 		t.Errorf("Top(10) len = %d", len(got))
-	}
-}
-
-func TestCentroidAndSum(t *testing.T) {
-	vecs := []Vector{{"x": 2}, {"x": 4, "y": 2}}
-	c := Centroid(vecs)
-	if !almostEqual(c["x"], 3) || !almostEqual(c["y"], 1) {
-		t.Errorf("Centroid = %v", c)
-	}
-	s := Sum(vecs)
-	if !almostEqual(s["x"], 6) || !almostEqual(s["y"], 2) {
-		t.Errorf("Sum = %v", s)
-	}
-	if got := Centroid(nil); len(got) != 0 {
-		t.Errorf("Centroid(nil) = %v", got)
 	}
 }
 
@@ -143,19 +110,6 @@ func TestDotSymmetryProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randVec(r), randVec(r)
 		return almostEqual(a.Dot(b), b.Dot(a))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTriangleJaccardProperty(t *testing.T) {
-	// Jaccard similarity is bounded in [0,1] and symmetric.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randVec(r), randVec(r)
-		j := a.Jaccard(b)
-		return j >= 0 && j <= 1+1e-12 && almostEqual(j, b.Jaccard(a))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -136,33 +136,6 @@ func sampleSentence(r *rand.Rand, topic, bg *Topic, opts CorpusOptions) []string
 	return words
 }
 
-// GenerateTermContexts produces a standalone corpus in which a single
-// candidate term occurs in contexts drawn from k sense topics (used by
-// sense induction tests and the WSD benchmark). Returns the corpus and
-// the gold sense label per document.
-func GenerateTermContexts(term string, topics []*Topic, perSense int, opts CorpusOptions) (*corpus.Corpus, []int) {
-	r := rand.New(rand.NewSource(opts.Seed))
-	bg := NewTopic(NewWordGen(opts.Seed+13).Words(opts.BackgroundSize), opts.BackgroundZipfS)
-	c := corpus.New(opts.Lang)
-	var labels []int
-	docID := 0
-	for sense, topic := range topics {
-		for i := 0; i < perSense; i++ {
-			docID++
-			words := sampleSentence(r, topic, bg, opts)
-			pos := len(words) / 2
-			sentence := append(append(append([]string{}, words[:pos]...), term), words[pos:]...)
-			c.Add(corpus.Document{
-				ID:   fmt.Sprintf("ctx%05d", docID),
-				Text: strings.Join(sentence, " ") + ".",
-			})
-			labels = append(labels, sense)
-		}
-	}
-	c.Build()
-	return c, labels
-}
-
 // HoldOut returns a clone of the ontology with the given term removed
 // — the step IV evaluation protocol (remove a term known to belong,
 // then ask the linker where it goes).

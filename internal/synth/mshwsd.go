@@ -124,12 +124,3 @@ func GenerateMSHWSD(opts WSDOptions) *WSDDataset {
 	}
 	return ds
 }
-
-// KDistribution reports how many entities have each sense count.
-func (d *WSDDataset) KDistribution() map[int]int {
-	out := map[int]int{}
-	for _, e := range d.Entities {
-		out[e.K]++
-	}
-	return out
-}

@@ -7,6 +7,36 @@ import (
 	"bioenrich/internal/textutil"
 )
 
+// overlap returns the fraction of a's vocabulary shared with b.
+func overlap(a, b *Topic) float64 {
+	if len(a.Words) == 0 {
+		return 0
+	}
+	set := make(map[string]bool, len(b.Words))
+	for _, w := range b.Words {
+		set[w] = true
+	}
+	n := 0
+	for _, w := range a.Words {
+		if set[w] {
+			n++
+		}
+	}
+	return float64(n) / float64(len(a.Words))
+}
+
+// table1Row returns PaperTable1's row for a vocabulary and language.
+func table1Row(t *testing.T, vocabulary string, lang textutil.Lang) Table1Row {
+	t.Helper()
+	for _, r := range PaperTable1 {
+		if r.Vocabulary == vocabulary && r.Lang == lang {
+			return r
+		}
+	}
+	t.Fatalf("PaperTable1 has no %s row for %v", vocabulary, lang)
+	return Table1Row{}
+}
+
 func TestWordGenUnique(t *testing.T) {
 	g := NewWordGen(1)
 	seen := map[string]bool{}
@@ -106,7 +136,7 @@ func TestMixedTopicOverlap(t *testing.T) {
 	g := NewWordGen(5)
 	parent := NewTopic(g.Words(40), 1)
 	child := Mixed(parent, g.Words(28), 0.3, 1)
-	ov := child.Overlap(parent)
+	ov := overlap(child, parent)
 	if ov < 0.2 || ov > 0.4 {
 		t.Errorf("overlap = %v, want ≈0.3", ov)
 	}
@@ -125,8 +155,14 @@ func TestGenerateMesh(t *testing.T) {
 	if m.Ontology.NumConcepts() < 50 {
 		t.Errorf("mesh too small: %d concepts", m.Ontology.NumConcepts())
 	}
-	if got := len(m.Ontology.Roots()); got != opts.Branches {
-		t.Errorf("roots = %d, want %d", got, opts.Branches)
+	roots := 0
+	for _, id := range m.Ontology.ConceptIDs() {
+		if len(m.Ontology.Concept(id).Parents) == 0 {
+			roots++
+		}
+	}
+	if roots != opts.Branches {
+		t.Errorf("roots = %d, want %d", roots, opts.Branches)
 	}
 	// Every concept has a topic.
 	for _, id := range m.Ontology.ConceptIDs() {
@@ -155,7 +191,7 @@ func TestMeshTopicInheritance(t *testing.T) {
 			continue
 		}
 		p := c.Parents[0]
-		ovParent := m.Topics[id].Overlap(m.Topics[p])
+		ovParent := overlap(m.Topics[id], m.Topics[p])
 		if ovParent < 0.1 {
 			t.Errorf("concept %s barely overlaps parent: %v", id, ovParent)
 		}
@@ -183,24 +219,8 @@ func TestGenerateMeshCorpus(t *testing.T) {
 	}
 }
 
-func TestGenerateTermContexts(t *testing.T) {
-	g := NewWordGen(9)
-	topics := []*Topic{NewTopic(g.Words(30), 1), NewTopic(g.Words(30), 1)}
-	opts := DefaultCorpusOptions()
-	c, labels := GenerateTermContexts("ambiterm", topics, 10, opts)
-	if c.NumDocs() != 20 || len(labels) != 20 {
-		t.Fatalf("docs=%d labels=%d", c.NumDocs(), len(labels))
-	}
-	if c.TF("ambiterm") != 20 {
-		t.Errorf("term TF = %d", c.TF("ambiterm"))
-	}
-}
-
 func TestTable1ScaleAndGenerate(t *testing.T) {
-	row, ok := Row("UMLS", textutil.English)
-	if !ok {
-		t.Fatal("missing UMLS EN row")
-	}
+	row := table1Row(t, "UMLS", textutil.English)
 	scaled := row.Scale(2000)
 	o := GenerateMetathesaurus(scaled, 1)
 	stats := o.PolysemyStats()
@@ -233,10 +253,7 @@ func TestScaleKeepsNonzero(t *testing.T) {
 }
 
 func TestMeSHSpanishRowAllZero(t *testing.T) {
-	row, ok := Row("MeSH", textutil.Spanish)
-	if !ok {
-		t.Fatal("missing MeSH ES row")
-	}
+	row := table1Row(t, "MeSH", textutil.Spanish)
 	o := GenerateMetathesaurus(row.Scale(1000), 1)
 	if len(o.PolysemicTerms()) != 0 {
 		t.Error("MeSH ES should have no polysemic terms")

@@ -48,15 +48,6 @@ func (t *Topic) Sample(r *rand.Rand) string {
 	return t.Words[lo]
 }
 
-// SampleN draws n words.
-func (t *Topic) SampleN(r *rand.Rand, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = t.Sample(r)
-	}
-	return out
-}
-
 // Mixed builds a topic whose vocabulary interleaves a shared prefix
 // (inherited from a parent topic) with fresh words — how related
 // ontology concepts end up with overlapping but distinct contexts.
@@ -71,22 +62,4 @@ func Mixed(parent *Topic, fresh []string, parentShare float64, s float64) *Topic
 	}
 	words = append(words, fresh...)
 	return NewTopic(words, s)
-}
-
-// Overlap returns the fraction of t's vocabulary shared with other.
-func (t *Topic) Overlap(other *Topic) float64 {
-	if len(t.Words) == 0 {
-		return 0
-	}
-	set := make(map[string]bool, len(other.Words))
-	for _, w := range other.Words {
-		set[w] = true
-	}
-	n := 0
-	for _, w := range t.Words {
-		if set[w] {
-			n++
-		}
-	}
-	return float64(n) / float64(len(t.Words))
 }

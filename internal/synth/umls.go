@@ -33,16 +33,6 @@ var PaperTable1 = []Table1Row{
 	{Vocabulary: "MeSH", Lang: textutil.Spanish, TotalTerms: 100000, K2: 0, K3: 0, K4: 0, FivePlus: 0},
 }
 
-// Row returns the Table 1 row for a vocabulary and language.
-func Row(vocabulary string, lang textutil.Lang) (Table1Row, bool) {
-	for _, r := range PaperTable1 {
-		if r.Vocabulary == vocabulary && r.Lang == lang {
-			return r, true
-		}
-	}
-	return Table1Row{}, false
-}
-
 // Scale divides every count by factor (rounding, keeping nonzero
 // counts alive), producing a laptop-sized metathesaurus with the same
 // marginal shape.

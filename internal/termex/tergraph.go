@@ -3,8 +3,6 @@ package termex
 import (
 	"math"
 	"sort"
-
-	"bioenrich/internal/graph"
 )
 
 // TeRGraph is the graph-based termhood measure of the authors'
@@ -50,17 +48,4 @@ func (e *Extractor) terGraphScores() map[string]float64 {
 		out[term] = base * spec / float64(len(nbrs))
 	}
 	return out
-}
-
-// CandidateGraph exposes the candidate co-occurrence graph TeRGraph
-// scores from (diagnostics; also useful for community analysis of the
-// extracted terminology).
-func (e *Extractor) CandidateGraph() *graph.Graph {
-	e.Scan()
-	candidates := make([]string, 0, len(e.freq))
-	for term := range e.freq {
-		candidates = append(candidates, term)
-	}
-	sort.Strings(candidates) // canonical vocabulary order, whatever map iteration did
-	return e.c.TermCooccurrenceGraph(candidates, terGraphWindow)
 }

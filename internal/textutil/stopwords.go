@@ -117,16 +117,6 @@ func IsStopword(w string, lang Lang) bool {
 	return stopSets[lang][w]
 }
 
-// Stopwords returns a copy of the stopword set for lang.
-func Stopwords(lang Lang) map[string]bool {
-	src := stopSets[lang]
-	out := make(map[string]bool, len(src))
-	for w := range src {
-		out[w] = true
-	}
-	return out
-}
-
 // ContentWords returns the normalized non-stopword, non-numeric tokens
 // of text in lang. This is the canonical "context token stream" used by
 // the polysemy, sense-induction and linkage steps.
