@@ -29,6 +29,8 @@ import (
 	"bioenrich/internal/senseind"
 	"bioenrich/internal/state"
 	"bioenrich/internal/synth"
+	"bioenrich/internal/termex"
+	"bioenrich/internal/textutil"
 )
 
 // reportDigest runs the pipeline at topN with one worker and returns
@@ -63,11 +65,9 @@ func benchMesh() (*synth.Mesh, *corpus.Corpus) {
 	return mesh, synth.GenerateMeshCorpus(mesh, copts)
 }
 
-// smallCorpus is the benchmark's enrich input: 3 branches, depth 3,
-// 4 documents per concept, ontology at seed 42 and text at 43, saved
-// and loaded back as the server loads it.
-func smallCorpus(t *testing.T) (*corpus.Corpus, *ontology.Ontology) {
-	t.Helper()
+// smallMesh is the benchmark's enrich shape in lang: 3 branches,
+// depth 3, 4 documents per concept, ontology at seed 42 and text at 43.
+func smallMesh(lang textutil.Lang) (*synth.Mesh, *corpus.Corpus) {
 	mopts := synth.DefaultMeshOptions()
 	mopts.Seed = 42
 	mopts.Branches, mopts.Depth = 3, 3
@@ -75,7 +75,15 @@ func smallCorpus(t *testing.T) (*corpus.Corpus, *ontology.Ontology) {
 	copts := synth.DefaultCorpusOptions()
 	copts.Seed = 43
 	copts.DocsPerConcept = 4
-	c := synth.GenerateMeshCorpus(mesh, copts)
+	copts.Lang = lang
+	return mesh, synth.GenerateMeshCorpus(mesh, copts)
+}
+
+// smallCorpus is the benchmark's enrich input: smallMesh in English,
+// saved and loaded back as the server loads it.
+func smallCorpus(t *testing.T) (*corpus.Corpus, *ontology.Ontology) {
+	t.Helper()
+	mesh, c := smallMesh(textutil.English)
 	dir := t.TempDir()
 	cp, op := filepath.Join(dir, "corpus.json"), filepath.Join(dir, "ontology.json")
 	if err := c.Save(cp); err != nil {
@@ -113,6 +121,59 @@ func TestGoldenReports(t *testing.T) {
 			t.Parallel()
 			if got := reportDigest(t, tc.c, tc.o, tc.topN); got != tc.digest {
 				t.Errorf("report sha256 = %s, want %s", got, tc.digest)
+			}
+		})
+	}
+}
+
+// TestGoldenExtraction pins step I's whole ranking on the benchmark's
+// small shape: the SHA-256 of Rank(m, 0) encoded as /v1/extract
+// encodes it (term, score, Freq, Docs, Words), for every measure in
+// English and for LIDF-value, the pipeline's measure, in French and
+// Spanish. The LIDF pattern model is learnt from the ontology, as
+// core.run learns it.
+func TestGoldenExtraction(t *testing.T) {
+	for _, tc := range []struct {
+		lang    textutil.Lang
+		digests map[termex.Measure]string
+	}{
+		{textutil.English, map[termex.Measure]string{
+			termex.CValue:   "c56102aa3bc3ee2633b135985cb69d8de837f42dee3c4826d23e5ad0306f5cfe",
+			termex.TFIDF:    "4ba819e697d08c183619c8218284b12cabbc3772256db796233bb45e1d3d3599",
+			termex.Okapi:    "33fe16846880c45e6fe1542118335ed63832acf41599a19b24f87af6df4c4467",
+			termex.FTFIDFC:  "011ae4efc502daba902bf396286de2b77dc6229d83398d404aa1c9fa6122e7fc",
+			termex.LIDF:     "4af4c09a035474801f3536c835599cc358e1ef92c036742ea89269637b218bb7",
+			termex.TeRGraph: "3cd30d1d1ad1382b6040bf05db0c689e271c67f6c17b1845b459d735671dc400",
+		}},
+		{textutil.French, map[termex.Measure]string{
+			termex.LIDF: "c4560f5cd8bd993b0b1c72ac60f9d11910e433d3586d5e2fffe5cde88e289f22",
+		}},
+		{textutil.Spanish, map[termex.Measure]string{
+			termex.LIDF: "5e4d3f9d11959929de482662159a52a26e11b03c2e58fd5c2e5a2f334d3d620e",
+		}},
+	} {
+		t.Run(tc.lang.String(), func(t *testing.T) {
+			t.Parallel()
+			mesh, c := smallMesh(tc.lang)
+			ext := termex.NewExtractor(c)
+			ext.LearnPatterns(mesh.Ontology.Terms())
+			for _, m := range termex.Measures {
+				want, ok := tc.digests[m]
+				if !ok {
+					continue
+				}
+				ranked, err := ext.Rank(m, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(ranked)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(b)
+				if got := hex.EncodeToString(sum[:]); got != want {
+					t.Errorf("%s: %d terms, sha256 = %s, want %s", m, len(ranked), got, want)
+				}
 			}
 		})
 	}
