@@ -226,16 +226,22 @@ func BenchmarkEnricherRunObsOverhead(b *testing.B) {
 
 // ---- component micro-benchmarks (the substrate the tables run on) ----
 
-// BenchmarkTermExtraction times step I over the synthetic corpus.
+// BenchmarkTermExtraction times step I over the synthetic corpus as
+// core.run does it: learn the LIDF pattern model from the ontology,
+// then scan and rank.
 func BenchmarkTermExtraction(b *testing.B) {
 	m := synth.GenerateMesh(synth.DefaultMeshOptions())
 	copts := synth.DefaultCorpusOptions()
 	copts.DocsPerConcept = 3
 	c := synth.GenerateMeshCorpus(m, copts)
+	terms := m.Ontology.Terms()
+	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ext := newExtractor(c)
-		if _, err := ext.Rank(lidfMeasure, 50); err != nil {
+		ext.LearnPatterns(terms)
+		if _, err := ext.Rank(ctx, lidfMeasure, 50); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -421,7 +427,7 @@ func BenchmarkTable4NoExpansion(b *testing.B) {
 func BenchmarkE3MeasureAblation(b *testing.B) {
 	var best float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.E3(1)
+		rows, err := experiments.E3(context.Background(), 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -26,13 +27,13 @@ func main() {
 	selftest := flag.Bool("selftest", false, "evaluate on the synthetic gold corpus")
 	flag.Parse()
 
-	if err := run(*corpusPath, *ontPath, *top, *selftest); err != nil {
+	if err := run(context.Background(), *corpusPath, *ontPath, *top, *selftest); err != nil {
 		fmt.Fprintln(os.Stderr, "relations:", err)
 		os.Exit(1)
 	}
 }
 
-func run(corpusPath, ontPath string, top int, selftest bool) error {
+func run(ctx context.Context, corpusPath, ontPath string, top int, selftest bool) error {
 	if selftest {
 		res, err := relext.Evaluate(relext.DefaultSynthOptions())
 		if err != nil {
@@ -60,11 +61,12 @@ func run(corpusPath, ontPath string, top int, selftest bool) error {
 	}
 	// Vocabulary: ontology terms + the top extracted candidates.
 	vocab := o.Terms()
-	te := termex.NewExtractor(c)
-	if ranked, err := te.Rank(termex.LIDF, 100); err == nil {
-		for _, st := range ranked {
-			vocab = append(vocab, st.Term)
-		}
+	ranked, err := termex.NewExtractor(c).Rank(ctx, termex.LIDF, 100)
+	if err != nil {
+		return err
+	}
+	for _, st := range ranked {
+		vocab = append(vocab, st.Term)
 	}
 	rels := relext.NewExtractor(vocab, c.Lang()).Extract(c)
 	if len(rels) == 0 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestRunSelftest(t *testing.T) {
-	if err := run("", "", 10, true); err != nil {
+	if err := run(context.Background(), "", "", 10, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -37,13 +38,13 @@ func TestRunOnCorpus(t *testing.T) {
 	if err := c.Save(corpPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(corpPath, ontPath, 10, false); err != nil {
+	if err := run(context.Background(), corpPath, ontPath, 10, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunMissingArgs(t *testing.T) {
-	if err := run("", "", 10, false); err == nil {
+	if err := run(context.Background(), "", "", 10, false); err == nil {
 		t.Error("missing args accepted")
 	}
 }

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -30,6 +31,7 @@ func main() {
 	scale := flag.Float64("scale", 1000, "Table 1 down-scale factor")
 	fast := flag.Bool("fast", false, "shrink workloads (quick smoke run)")
 	flag.Parse()
+	ctx := context.Background()
 
 	run := func(name string, f func() error) {
 		t0 := time.Now()
@@ -136,7 +138,7 @@ func main() {
 	}
 	if want("e3") {
 		run("experiment E3 (measure ablation)", func() error {
-			rows, err := experiments.E3(*seed + 5)
+			rows, err := experiments.E3(ctx, *seed+5)
 			if err != nil {
 				return err
 			}
@@ -146,7 +148,7 @@ func main() {
 	}
 	if want("e4") {
 		run("experiment E4 (multilingual)", func() error {
-			rows, err := experiments.E4(*seed + 6)
+			rows, err := experiments.E4(ctx, *seed+6)
 			if err != nil {
 				return err
 			}

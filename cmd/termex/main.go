@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -27,13 +28,13 @@ func main() {
 	top := flag.Int("top", 20, "how many candidates to print")
 	flag.Parse()
 
-	if err := run(*corpusPath, *ontPath, termex.Measure(*measure), *top); err != nil {
+	if err := run(context.Background(), *corpusPath, *ontPath, termex.Measure(*measure), *top); err != nil {
 		fmt.Fprintln(os.Stderr, "termex:", err)
 		os.Exit(1)
 	}
 }
 
-func run(corpusPath, ontPath string, measure termex.Measure, top int) error {
+func run(ctx context.Context, corpusPath, ontPath string, measure termex.Measure, top int) error {
 	if corpusPath == "" {
 		return fmt.Errorf("-corpus is required (generate one with gencorpus)")
 	}
@@ -49,7 +50,7 @@ func run(corpusPath, ontPath string, measure termex.Measure, top int) error {
 		}
 		ext.LearnPatterns(o.Terms())
 	}
-	ranked, err := ext.Rank(measure, top)
+	ranked, err := ext.Rank(ctx, measure, top)
 	if err != nil {
 		return err
 	}

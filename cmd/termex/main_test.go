@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -37,7 +38,7 @@ func writeFixtures(t *testing.T) (corpPath, ontPath string) {
 func TestRunAllMeasures(t *testing.T) {
 	corpPath, ontPath := writeFixtures(t)
 	for _, m := range termex.Measures {
-		if err := run(corpPath, ontPath, m, 5); err != nil {
+		if err := run(context.Background(), corpPath, ontPath, m, 5); err != nil {
 			t.Errorf("measure %s: %v", m, err)
 		}
 	}
@@ -45,20 +46,20 @@ func TestRunAllMeasures(t *testing.T) {
 
 func TestRunWithoutOntology(t *testing.T) {
 	corpPath, _ := writeFixtures(t)
-	if err := run(corpPath, "", termex.CValue, 5); err != nil {
+	if err := run(context.Background(), corpPath, "", termex.CValue, 5); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", "", termex.CValue, 5); err == nil {
+	if err := run(context.Background(), "", "", termex.CValue, 5); err == nil {
 		t.Error("missing corpus accepted")
 	}
-	if err := run("/no/such/file.json", "", termex.CValue, 5); err == nil {
+	if err := run(context.Background(), "/no/such/file.json", "", termex.CValue, 5); err == nil {
 		t.Error("missing file accepted")
 	}
 	corpPath, _ := writeFixtures(t)
-	if err := run(corpPath, "", "bogus", 5); err == nil {
+	if err := run(context.Background(), corpPath, "", "bogus", 5); err == nil {
 		t.Error("unknown measure accepted")
 	}
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	for _, demo := range []struct {
 		lang textutil.Lang
 		docs []string
@@ -38,7 +40,7 @@ func main() {
 		}
 		c.Build()
 		ext := termex.NewExtractor(c)
-		ranked, err := ext.Rank(termex.CValue, 5)
+		ranked, err := ext.Rank(ctx, termex.CValue, 5)
 		if err != nil {
 			log.Fatal(err)
 		}

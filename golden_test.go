@@ -162,7 +162,7 @@ func TestGoldenExtraction(t *testing.T) {
 				if !ok {
 					continue
 				}
-				ranked, err := ext.Rank(m, 0)
+				ranked, err := ext.Rank(context.Background(), m, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -342,7 +342,7 @@ func TestGoldenExperiments(t *testing.T) {
 	// "Measure ablation" values.
 	t.Run("E3", func(t *testing.T) {
 		t.Parallel()
-		rows, err := experiments.E3(6)
+		rows, err := experiments.E3(context.Background(), 6)
 		if err != nil {
 			t.Fatal(err)
 		}

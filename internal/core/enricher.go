@@ -250,7 +250,7 @@ func (e *Enricher) run(ctx context.Context) (*Report, error) {
 	_, sp1 := e.cfg.Obs.StartSpan(ctx, "step1.extract")
 	ext := termex.NewExtractor(e.c)
 	ext.LearnPatterns(e.o.Terms()) // LIDF pattern model from the ontology
-	ranked, err := ext.Rank(e.cfg.Measure, 0)
+	ranked, err := ext.Rank(ctx, e.cfg.Measure, 0)
 	if err != nil {
 		sp1.End()
 		return nil, fmt.Errorf("core: step I: %w", err)

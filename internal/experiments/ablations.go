@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -31,7 +32,7 @@ var E3Cutoffs = []int{50, 100, 200}
 // every measure: a top-ranked candidate counts as correct iff it is a
 // term of the ontology — the terminology the corpus was generated to
 // express.
-func E3(seed int64) ([]E3Row, error) {
+func E3(ctx context.Context, seed int64) ([]E3Row, error) {
 	mopts := synth.DefaultMeshOptions()
 	mopts.Seed = seed
 	mesh := synth.GenerateMesh(mopts)
@@ -44,7 +45,7 @@ func E3(seed int64) ([]E3Row, error) {
 	var rows []E3Row
 	maxK := E3Cutoffs[len(E3Cutoffs)-1]
 	for _, m := range termex.Measures {
-		all, err := ext.Rank(m, 0)
+		all, err := ext.Rank(ctx, m, 0)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: E3 %s: %w", m, err)
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -164,7 +165,7 @@ func TestTable4SmallRun(t *testing.T) {
 }
 
 func TestE4AllLanguages(t *testing.T) {
-	rows, err := E4(1)
+	rows, err := E4(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

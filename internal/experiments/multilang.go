@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -20,7 +21,7 @@ type E4Row struct {
 // E4 generates a mesh + corpus per language and scores LIDF-value
 // extraction against the ontology terminology, the E3 protocol
 // repeated cross-lingually.
-func E4(seed int64) ([]E4Row, error) {
+func E4(ctx context.Context, seed int64) ([]E4Row, error) {
 	var rows []E4Row
 	for _, lang := range []textutil.Lang{textutil.English, textutil.French, textutil.Spanish} {
 		mopts := synth.DefaultMeshOptions()
@@ -33,7 +34,7 @@ func E4(seed int64) ([]E4Row, error) {
 
 		ext := termex.NewExtractor(c)
 		ext.LearnPatterns(mesh.Ontology.Terms())
-		all, err := ext.Rank(termex.LIDF, 0)
+		all, err := ext.Rank(ctx, termex.LIDF, 0)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: E4 %s: %w", lang, err)
 		}

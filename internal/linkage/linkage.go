@@ -237,6 +237,8 @@ func (l *Linker) meshNeighbors(ctx context.Context, cand string) ([]string, erro
 	counts := make(map[string]int)
 	w := cooccurWindow
 	candWords := len(strings.Fields(cand))
+	seen := make(map[string]bool) // ontology terms of one occurrence's region
+	var gram []byte
 	for _, occ := range l.c.Occurrences(cand) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -251,16 +253,21 @@ func (l *Linker) meshNeighbors(ctx context.Context, cand string) ([]string, erro
 			hi = len(toks)
 		}
 		// Slide 1..4-gram windows over the region and keep ontology
-		// matches.
-		seen := make(map[string]bool)
+		// matches. Each start grows its grams word by word in one
+		// buffer; a gram becomes a string only when it enters seen.
+		clear(seen)
 		for i := lo; i < hi; i++ {
+			gram = gram[:0]
 			for n := 1; n <= 4 && i+n <= hi; n++ {
-				gram := strings.Join(toks[i:i+n], " ")
-				if gram == cand || seen[gram] {
+				if n > 1 {
+					gram = append(gram, ' ')
+				}
+				gram = append(gram, toks[i+n-1]...)
+				if string(gram) == cand || seen[string(gram)] {
 					continue
 				}
-				if l.o.HasTerm(gram) {
-					seen[gram] = true
+				if l.o.HasTermBytes(gram) {
+					seen[string(gram)] = true
 				}
 			}
 		}

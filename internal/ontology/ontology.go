@@ -266,6 +266,13 @@ func (o *Ontology) HasTerm(term string) bool {
 	return len(o.byTerm[term]) > 0
 }
 
+// HasTermBytes is HasTerm for a canonical key held in a byte slice.
+// The map index does not convert the key to a string, so a caller
+// that builds keys in a reused buffer probes without allocating.
+func (o *Ontology) HasTermBytes(term []byte) bool {
+	return len(o.byTerm[string(term)]) > 0
+}
+
 // Terms returns all distinct terms in sorted order.
 func (o *Ontology) Terms() []string {
 	terms := make([]string, 0, len(o.byTerm))

@@ -1,24 +1,17 @@
 package postag
 
-import (
-	"strings"
-
-	"bioenrich/internal/textutil"
-)
+import "bioenrich/internal/textutil"
 
 // MaxTermWords bounds candidate term length; BIOTEX extracts terms of
 // up to four content words.
 const MaxTermWords = 4
 
 // Candidate is one syntactically valid term candidate span within a
-// tagged sentence.
+// tagged sentence: the words tagged[Start : Start+Len].
 type Candidate struct {
-	Words []string // normalized words
-	Start int      // index of the first word in the sentence
+	Start int // index of the first word in the sentence
+	Len   int // number of words, 1..MaxTermWords
 }
-
-// Term returns the candidate's words joined by spaces.
-func (c Candidate) Term() string { return strings.Join(c.Words, " ") }
 
 // validSpan reports whether the tag sequence forms a term candidate in
 // the given language.
@@ -86,17 +79,18 @@ func stopEdge(w string, lang textutil.Lang) bool {
 	return textutil.IsStopword(w, lang) || textutil.IsNumeric(w)
 }
 
-// Candidates extracts every syntactically valid candidate span (all
-// lengths 1..MaxTermWords) from a tagged sentence. Spans whose first or
-// last word is a stopword are rejected; interior stopwords are allowed
-// only in the Romance prepositional pattern.
-func Candidates(tagged []TaggedWord, lang textutil.Lang) []Candidate {
-	var out []Candidate
+// Candidates appends to dst every syntactically valid candidate span
+// (all lengths 1..MaxTermWords) of a tagged sentence and returns the
+// extended slice, so a caller that reuses dst pays no allocation per
+// span. Spans whose first or last word is a stopword are rejected;
+// interior stopwords are allowed only in the Romance prepositional
+// pattern.
+func Candidates(dst []Candidate, tagged []TaggedWord, lang textutil.Lang) []Candidate {
+	var tags [MaxTermWords]Tag
 	n := len(tagged)
 	for start := 0; start < n; start++ {
 		for length := 1; length <= MaxTermWords && start+length <= n; length++ {
 			span := tagged[start : start+length]
-			tags := make([]Tag, length)
 			ok := true
 			for i, tw := range span {
 				tags[i] = tw.Tag
@@ -105,7 +99,7 @@ func Candidates(tagged []TaggedWord, lang textutil.Lang) []Candidate {
 					break
 				}
 			}
-			if !ok || !validSpan(tags, lang) {
+			if !ok || !validSpan(tags[:length], lang) {
 				continue
 			}
 			if stopEdge(span[0].Word, lang) || stopEdge(span[length-1].Word, lang) {
@@ -136,12 +130,8 @@ func Candidates(tagged []TaggedWord, lang textutil.Lang) []Candidate {
 			if !interiorOK {
 				continue
 			}
-			words := make([]string, length)
-			for i, tw := range span {
-				words[i] = tw.Word
-			}
-			out = append(out, Candidate{Words: words, Start: start})
+			dst = append(dst, Candidate{Start: start, Len: length})
 		}
 	}
-	return out
+	return dst
 }

@@ -143,8 +143,3 @@ func (t *Tagger) Tag(tokens []string) []TaggedWord {
 	}
 	return out
 }
-
-// TagSentence tokenizes and tags raw text.
-func (t *Tagger) TagSentence(text string) []TaggedWord {
-	return t.Tag(textutil.Words(text))
-}

@@ -1,6 +1,8 @@
 package postag
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"bioenrich/internal/textutil"
@@ -74,7 +76,7 @@ func TestTagWordSpanish(t *testing.T) {
 
 func TestTagSentence(t *testing.T) {
 	tg := NewTagger(textutil.English)
-	tagged := tg.TagSentence("The severe corneal injury")
+	tagged := tagSentence(tg, "The severe corneal injury")
 	if len(tagged) != 4 {
 		t.Fatalf("tagged = %v", tagged)
 	}
@@ -92,18 +94,28 @@ func TestTagString(t *testing.T) {
 	}
 }
 
-// extractCandidates tags raw sentence text and extracts its candidates.
-func extractCandidates(text string, tg *Tagger) []Candidate {
-	return Candidates(tg.TagSentence(text), tg.lang)
+// tagSentence tokenizes and tags raw sentence text.
+func tagSentence(tg *Tagger, text string) []TaggedWord {
+	return tg.Tag(textutil.Words(text))
 }
 
-func hasCandidate(cands []Candidate, term string) bool {
-	for _, c := range cands {
-		if c.Term() == term {
-			return true
+// extractCandidates tags raw sentence text and returns its candidate
+// spans' terms, each span's words joined by spaces.
+func extractCandidates(text string, tg *Tagger) []string {
+	tagged := tagSentence(tg, text)
+	var terms []string
+	for _, c := range Candidates(nil, tagged, tg.lang) {
+		var words []string
+		for _, tw := range tagged[c.Start : c.Start+c.Len] {
+			words = append(words, tw.Word)
 		}
+		terms = append(terms, strings.Join(words, " "))
 	}
-	return false
+	return terms
+}
+
+func hasCandidate(terms []string, term string) bool {
+	return slices.Contains(terms, term)
 }
 
 func TestCandidatesEnglish(t *testing.T) {
@@ -166,21 +178,41 @@ func TestCandidatesSpanish(t *testing.T) {
 
 func TestCandidateStartOffsets(t *testing.T) {
 	tg := NewTagger(textutil.English)
-	cands := extractCandidates("severe injury", tg)
+	cands := Candidates(nil, tagSentence(tg, "severe injury"), tg.lang)
+	if len(cands) == 0 {
+		t.Fatal("no candidates")
+	}
 	for _, c := range cands {
-		if c.Start < 0 || c.Start+len(c.Words) > 2 {
+		if c.Start < 0 || c.Len < 1 || c.Start+c.Len > 2 {
 			t.Errorf("bad span: %+v", c)
 		}
 	}
 }
 
+// TestCandidatesAppend: Candidates appends to the caller's slice and
+// keeps what was there.
+func TestCandidatesAppend(t *testing.T) {
+	tg := NewTagger(textutil.English)
+	tagged := tagSentence(tg, "severe corneal injury")
+	fresh := Candidates(nil, tagged, tg.lang)
+	prefix := []Candidate{{Start: 7, Len: 1}}
+	got := Candidates(prefix, tagged, tg.lang)
+	if !slices.Equal(got, append([]Candidate{{Start: 7, Len: 1}}, fresh...)) {
+		t.Errorf("Candidates(prefix) = %v, want %v after the prefix", got, fresh)
+	}
+}
+
 func TestCandidatesLengthBound(t *testing.T) {
 	tg := NewTagger(textutil.English)
-	cands := extractCandidates(
-		"acute severe chronic bilateral corneal epithelial stromal injury", tg)
+	tagged := tagSentence(tg,
+		"acute severe chronic bilateral corneal epithelial stromal injury")
+	cands := Candidates(nil, tagged, tg.lang)
+	if len(cands) == 0 {
+		t.Fatal("no candidates")
+	}
 	for _, c := range cands {
-		if len(c.Words) > MaxTermWords {
-			t.Errorf("candidate too long: %v", c.Words)
+		if c.Len > MaxTermWords {
+			t.Errorf("candidate too long: %+v", c)
 		}
 	}
 }

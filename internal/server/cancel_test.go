@@ -196,15 +196,16 @@ func TestCancelledEnrichReleasesLock(t *testing.T) {
 	}
 }
 
-// TestPreCancelledStepRequests: a step III or IV request whose client
-// has already gone answers 499 "cancelled" instead of running the
-// step.
+// TestPreCancelledStepRequests: a step I, III or IV request whose
+// client has already gone answers 499 "cancelled" instead of running
+// the step.
 func TestPreCancelledStepRequests(t *testing.T) {
 	c, o := fixtureData(t)
 	h := newServer(state.NewStore(c, o), Options{}).Handler()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct{ method, target, body string }{
+		{http.MethodGet, "/v1/extract?top=3", ""},
 		{http.MethodGet, "/v1/link?term=corneal+abrasion&top=3", ""},
 		{http.MethodGet, "/v1/senses?term=corneal+abrasion", ""},
 		{http.MethodPost, "/v1/disambiguate", `{"term":"corneal abrasion","context":["scarring"]}`},

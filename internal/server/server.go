@@ -590,8 +590,12 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	}
 	ext := termex.NewExtractor(snap.Corpus)
 	ext.LearnPatterns(snap.Ontology.Terms())
-	ranked, err := ext.Rank(measure, top)
+	ranked, err := ext.Rank(r.Context(), measure, top)
 	if err != nil {
+		if r.Context().Err() != nil {
+			writeError(w, runStatus(err), err)
+			return
+		}
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

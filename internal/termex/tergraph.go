@@ -23,29 +23,28 @@ const TeRGraph Measure = "tergraph"
 const terGraphWindow = 12
 
 // terGraphScores builds the candidate co-occurrence graph and scores
-// every candidate.
-func (e *Extractor) terGraphScores() map[string]float64 {
-	e.Scan()
-	candidates := make([]string, 0, len(e.freq))
-	for term := range e.freq {
-		candidates = append(candidates, term)
+// every candidate, aligned with the candidate table.
+func (e *Extractor) terGraphScores() []float64 {
+	candidates := make([]string, len(e.cands))
+	for i, c := range e.cands {
+		candidates[i] = c.term
 	}
-	sort.Strings(candidates) // canonical vocabulary order, whatever map iteration did
+	sort.Strings(candidates) // canonical vocabulary order, whatever first-seen order was
 	g := e.c.TermCooccurrenceGraph(candidates, terGraphWindow)
 	const isolatedEps = 1e-3
-	out := make(map[string]float64, len(e.freq))
-	for term, f := range e.freq {
-		base := math.Log2(1 + float64(f))
-		nbrs := g.Neighbors(term)
+	out := make([]float64, len(e.cands))
+	for i, c := range e.cands {
+		base := math.Log2(1 + float64(c.freq))
+		nbrs := g.Neighbors(c.term)
 		if len(nbrs) == 0 {
-			out[term] = base * isolatedEps
+			out[i] = base * isolatedEps
 			continue
 		}
 		var spec float64
 		for _, nb := range nbrs {
 			spec += 1 / (1 + float64(g.Degree(nb)))
 		}
-		out[term] = base * spec / float64(len(nbrs))
+		out[i] = base * spec / float64(len(nbrs))
 	}
 	return out
 }

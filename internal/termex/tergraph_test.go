@@ -1,6 +1,7 @@
 package termex
 
 import (
+	"context"
 	"testing"
 
 	"bioenrich/internal/corpus"
@@ -9,7 +10,7 @@ import (
 
 func TestTeRGraphScores(t *testing.T) {
 	e := NewExtractor(termCorpus())
-	ranked, err := e.Rank(TeRGraph, 0)
+	ranked, err := e.Rank(context.Background(), TeRGraph, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,10 @@
 package termex
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"bioenrich/internal/corpus"
@@ -45,54 +46,92 @@ type Extractor struct {
 	c      *corpus.Corpus
 	tagger *postag.Tagger
 
-	// candidate statistics, built once by Scan
-	freq     map[string]int          // candidate occurrences
-	docs     map[string]map[int]bool // candidate -> doc set
-	patterns map[string]string       // candidate -> tag pattern ("JJ NN")
-	scanned  bool
+	// The candidate table, built once by Scan: one row per distinct
+	// candidate in order of first occurrence, and its index by term
+	// (nil until a scan completes).
+	cands  []cand
+	byTerm map[string]int
 
 	// pattern model for LIDF-value; uniform when no reference is set
 	patternProb map[string]float64
 }
 
-// NewExtractor builds an extractor over a built corpus.
-func NewExtractor(c *corpus.Corpus) *Extractor {
-	return &Extractor{
-		c:      c,
-		tagger: postag.NewTagger(c.Lang()),
-		freq:   make(map[string]int),
-		docs:   make(map[string]map[int]bool),
-	}
+// cand is one row of the candidate table.
+type cand struct {
+	term    string  // normalized words joined by single spaces
+	freq    int     // occurrences
+	docs    []int32 // the documents it occurs in, ascending
+	pattern string  // tag pattern ("JJ NN")
+	words   int     // length in words
 }
 
-// Scan harvests candidates from every document. Called implicitly by
-// Rank; exposed for callers that want the raw candidate table.
-func (e *Extractor) Scan() {
-	if e.scanned {
-		return
+// NewExtractor builds an extractor over a built corpus.
+func NewExtractor(c *corpus.Corpus) *Extractor {
+	return &Extractor{c: c, tagger: postag.NewTagger(c.Lang())}
+}
+
+// Scan harvests candidates from every document into the candidate
+// table, once; Rank calls it. It checks ctx once per document, and a
+// cancelled scan returns ctx's error and keeps no partial table.
+//
+// A span's term is built in one reused buffer and looked up without
+// a conversion, so a candidate costs a string only the first time it
+// is seen; each distinct raw token is normalized and tagged once.
+func (e *Extractor) Scan(ctx context.Context) error {
+	if e.byTerm != nil {
+		return nil
 	}
-	e.patterns = make(map[string]string)
+	lang := e.c.Lang()
+	var cands []cand
+	byTerm := make(map[string]int)
+	memo := make(map[string]postag.TaggedWord) // raw token -> its tagged form
+	var (
+		tagged []postag.TaggedWord
+		spans  []postag.Candidate
+		key    []byte
+	)
 	for d := 0; d < e.c.NumDocs(); d++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("termex: scan: %w", err)
+		}
 		doc := e.c.Doc(d)
-		text := doc.Title + ". " + doc.Text
-		for _, sentence := range textutil.Sentences(text) {
-			tagged := e.tagger.TagSentence(sentence)
-			for _, cand := range postag.Candidates(tagged, e.c.Lang()) {
-				term := cand.Term()
-				e.freq[term]++
-				set := e.docs[term]
-				if set == nil {
-					set = make(map[int]bool)
-					e.docs[term] = set
+		for _, sentence := range textutil.Sentences(doc.Title + ". " + doc.Text) {
+			tagged = tagged[:0]
+			for _, tok := range textutil.Tokenize(sentence) {
+				tw, ok := memo[tok.Text]
+				if !ok {
+					w := textutil.Normalize(tok.Text)
+					tw = postag.TaggedWord{Word: w, Tag: e.tagger.TagWord(w)}
+					memo[tok.Text] = tw
 				}
-				set[d] = true
-				if _, ok := e.patterns[term]; !ok {
-					e.patterns[term] = patternOf(tagged[cand.Start : cand.Start+len(cand.Words)])
+				tagged = append(tagged, tw)
+			}
+			spans = postag.Candidates(spans[:0], tagged, lang)
+			for _, sp := range spans {
+				span := tagged[sp.Start : sp.Start+sp.Len]
+				key = key[:0]
+				for i, tw := range span {
+					if i > 0 {
+						key = append(key, ' ')
+					}
+					key = append(key, tw.Word...)
+				}
+				i, ok := byTerm[string(key)]
+				if !ok {
+					i = len(cands)
+					cands = append(cands, cand{term: string(key), pattern: patternOf(span), words: sp.Len})
+					byTerm[cands[i].term] = i
+				}
+				c := &cands[i]
+				c.freq++
+				if n := len(c.docs); n == 0 || c.docs[n-1] != int32(d) {
+					c.docs = append(c.docs, int32(d))
 				}
 			}
 		}
 	}
-	e.scanned = true
+	e.cands, e.byTerm = cands, byTerm
+	return nil
 }
 
 func patternOf(span []postag.TaggedWord) string {
@@ -103,16 +142,20 @@ func patternOf(span []postag.TaggedWord) string {
 	return strings.Join(parts, " ")
 }
 
-// NumCandidates returns the number of distinct candidates found.
+// NumCandidates returns the number of distinct candidates found by
+// Scan or Rank (0 before either has run).
 func (e *Extractor) NumCandidates() int {
-	e.Scan()
-	return len(e.freq)
+	return len(e.cands)
 }
 
-// Freq returns a candidate's occurrence count (0 if never harvested).
+// Freq returns a candidate's occurrence count (0 if never harvested,
+// or before Scan or Rank has run).
 func (e *Extractor) Freq(term string) int {
-	e.Scan()
-	return e.freq[textutil.NormalizeTerm(term)]
+	i, ok := e.byTerm[textutil.NormalizeTerm(term)]
+	if !ok {
+		return 0
+	}
+	return e.cands[i].freq
 }
 
 // LearnPatterns fits the LIDF-value pattern model from a reference
@@ -133,42 +176,43 @@ func (e *Extractor) LearnPatterns(referenceTerms []string) {
 	}
 }
 
-// patternProbability returns P(pattern) for a candidate, with a small
-// floor so unseen patterns rank low but non-zero.
-func (e *Extractor) patternProbability(term string) float64 {
+// patternProbability returns P(pattern), with a small floor so unseen
+// patterns rank low but non-zero.
+func (e *Extractor) patternProbability(pattern string) float64 {
 	if e.patternProb == nil {
 		return 1 // no model: LIDF degrades to idf × C-value
 	}
 	const floor = 1e-3
-	if p, ok := e.patternProb[e.patterns[term]]; ok && p > floor {
+	if p, ok := e.patternProb[pattern]; ok && p > floor {
 		return p
 	}
 	return floor
 }
 
-// Rank scores every candidate with the measure and returns the top n
-// (n ≤ 0 means all), ties broken lexically for determinism.
-func (e *Extractor) Rank(m Measure, n int) ([]ScoredTerm, error) {
-	e.Scan()
+// Rank scans the corpus if it has not been scanned, scores every
+// candidate with the measure and returns the top n (n ≤ 0 means all),
+// ties broken lexically for determinism. A cancelled ctx stops the
+// scan and returns its error.
+func (e *Extractor) Rank(ctx context.Context, m Measure, n int) ([]ScoredTerm, error) {
+	if err := e.Scan(ctx); err != nil {
+		return nil, err
+	}
 	scores, err := e.scoreAll(m)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ScoredTerm, 0, len(scores))
-	for term, s := range scores {
-		out = append(out, ScoredTerm{
-			Term:  term,
-			Score: s,
-			Freq:  e.freq[term],
-			Docs:  len(e.docs[term]),
-			Words: textutil.WordCount(term),
-		})
+	out := make([]ScoredTerm, len(e.cands))
+	for i, c := range e.cands {
+		out[i] = ScoredTerm{Term: c.term, Score: scores[i], Freq: c.freq, Docs: len(c.docs), Words: c.words}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b ScoredTerm) int {
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
 		}
-		return out[i].Term < out[j].Term
+		return strings.Compare(a.Term, b.Term)
 	})
 	if n > 0 && n < len(out) {
 		out = out[:n]
@@ -176,8 +220,9 @@ func (e *Extractor) Rank(m Measure, n int) ([]ScoredTerm, error) {
 	return out, nil
 }
 
-// scoreAll computes the chosen measure for every candidate.
-func (e *Extractor) scoreAll(m Measure) (map[string]float64, error) {
+// scoreAll computes the chosen measure for every candidate, aligned
+// with the candidate table.
+func (e *Extractor) scoreAll(m Measure) ([]float64, error) {
 	switch m {
 	case CValue:
 		return e.cValues(), nil
@@ -188,12 +233,11 @@ func (e *Extractor) scoreAll(m Measure) (map[string]float64, error) {
 	case FTFIDFC:
 		return harmonic(e.tfidfScores(), e.cValues()), nil
 	case LIDF:
-		cv := e.cValues()
-		out := make(map[string]float64, len(cv))
+		out := e.cValues()
 		n := float64(e.c.NumDocs())
-		for term, c := range cv {
-			idf := math.Log(n / float64(len(e.docs[term])))
-			out[term] = e.patternProbability(term) * idf * c
+		for i, c := range e.cands {
+			idf := math.Log(n / float64(len(c.docs)))
+			out[i] = e.patternProbability(c.pattern) * idf * out[i]
 		}
 		return out, nil
 	case TeRGraph:
@@ -206,104 +250,123 @@ func (e *Extractor) scoreAll(m Measure) (map[string]float64, error) {
 //
 //	C-value(a) = log2(|a|+1) · f(a)                      if a is not nested
 //	C-value(a) = log2(|a|+1) · (f(a) − mean_{b⊃a} f(b))  otherwise
-func (e *Extractor) cValues() map[string]float64 {
-	nestedFreq := make(map[string]int)
-	nestedIn := make(map[string]int)
-	for longer, f := range e.freq {
-		for _, sub := range textutil.SubTerms(longer) {
-			if _, isCand := e.freq[sub]; isCand {
-				nestedFreq[sub] += f
-				nestedIn[sub]++
+//
+// A term nested twice in b counts b twice.
+func (e *Extractor) cValues() []float64 {
+	nestedFreq := make([]int, len(e.cands))
+	nestedIn := make([]int, len(e.cands))
+	var subs []string
+	for _, longer := range e.cands {
+		subs = appendSubTerms(subs[:0], longer.term)
+		for _, sub := range subs {
+			if j, isCand := e.byTerm[sub]; isCand {
+				nestedFreq[j] += longer.freq
+				nestedIn[j]++
 			}
 		}
 	}
-	out := make(map[string]float64, len(e.freq))
-	for term, f := range e.freq {
-		l := math.Log2(float64(textutil.WordCount(term)) + 1)
-		score := float64(f)
-		if n := nestedIn[term]; n > 0 {
-			score -= float64(nestedFreq[term]) / float64(n)
+	out := make([]float64, len(e.cands))
+	for i, c := range e.cands {
+		l := math.Log2(float64(c.words) + 1)
+		score := float64(c.freq)
+		if n := nestedIn[i]; n > 0 {
+			score -= float64(nestedFreq[i]) / float64(n)
 		}
-		out[term] = l * score
+		out[i] = l * score
 	}
 	return out
 }
 
+// appendSubTerms appends to dst every proper contiguous sub-phrase of
+// a term whose words are joined by single spaces, shortest first, as
+// substrings of the term: "a b c" gives a, b, c, "a b", "b c".
+func appendSubTerms(dst []string, term string) []string {
+	// starts[w] is where word w begins; a virtual word begins one past
+	// the end, so word w ends at starts[w+1]-1.
+	starts := make([]int, 1, postag.MaxTermWords+1)
+	for i := 0; i < len(term); i++ {
+		if term[i] == ' ' {
+			starts = append(starts, i+1)
+		}
+	}
+	starts = append(starts, len(term)+1)
+	words := len(starts) - 1
+	for n := 1; n < words; n++ {
+		for w := 0; w+n <= words; w++ {
+			dst = append(dst, term[starts[w]:starts[w+n]-1])
+		}
+	}
+	return dst
+}
+
 // tfidfScores is candidate tf × log(N/df).
-func (e *Extractor) tfidfScores() map[string]float64 {
-	out := make(map[string]float64, len(e.freq))
+func (e *Extractor) tfidfScores() []float64 {
+	out := make([]float64, len(e.cands))
 	n := float64(e.c.NumDocs())
-	for term, f := range e.freq {
-		idf := math.Log(n / float64(len(e.docs[term])))
-		out[term] = float64(f) * idf
+	for i, c := range e.cands {
+		idf := math.Log(n / float64(len(c.docs)))
+		out[i] = float64(c.freq) * idf
 	}
 	return out
 }
 
 // okapiScores is summed BM25 over the documents containing the term,
 // with k1 = 1.2, b = 0.75. The sum runs in ascending document order,
-// so a term's low bits, and with them ranking ties, do not depend on
-// map iteration order.
-func (e *Extractor) okapiScores() map[string]float64 {
+// so a term's low bits, and with them ranking ties, are fixed.
+func (e *Extractor) okapiScores() []float64 {
 	const k1, b = 1.2, 0.75
 	n := float64(e.c.NumDocs())
 	avg := e.c.AvgDocLen()
-	out := make(map[string]float64, len(e.freq))
-	var docs []int
-	for term, docSet := range e.docs {
-		df := float64(len(docSet))
+	out := make([]float64, len(e.cands))
+	for i, c := range e.cands {
+		df := float64(len(c.docs))
 		idf := math.Log((n-df+0.5)/(df+0.5) + 1)
 		var score float64
-		perDocTF := float64(e.freq[term]) / df // mean tf per containing doc
-		docs = docs[:0]
-		for d := range docSet {
-			docs = append(docs, d)
-		}
-		sort.Ints(docs)
-		for _, d := range docs {
-			dl := float64(len(e.c.Tokens(d)))
+		perDocTF := float64(c.freq) / df // mean tf per containing doc
+		for _, d := range c.docs {
+			dl := float64(len(e.c.Tokens(int(d))))
 			score += idf * (perDocTF * (k1 + 1)) / (perDocTF + k1*(1-b+b*dl/avg))
 		}
-		out[term] = score
+		out[i] = score
 	}
 	return out
 }
 
-// harmonic combines two score maps with the harmonic mean after
+// harmonic combines two score lists with the harmonic mean after
 // min-max normalization — the F-TFIDF-C combination.
-func harmonic(a, b map[string]float64) map[string]float64 {
+func harmonic(a, b []float64) []float64 {
 	na, nb := minMaxNormalize(a), minMaxNormalize(b)
-	out := make(map[string]float64, len(a))
-	for term := range a {
-		x, y := na[term], nb[term]
+	out := make([]float64, len(a))
+	for i := range a {
+		x, y := na[i], nb[i]
 		if x+y == 0 {
-			out[term] = 0
+			out[i] = 0
 			continue
 		}
-		out[term] = 2 * x * y / (x + y)
+		out[i] = 2 * x * y / (x + y)
 	}
 	return out
 }
 
-func minMaxNormalize(m map[string]float64) map[string]float64 {
+func minMaxNormalize(v []float64) []float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range m {
-		if v < lo {
-			lo = v
+	for _, x := range v {
+		if x < lo {
+			lo = x
 		}
-		if v > hi {
-			hi = v
+		if x > hi {
+			hi = x
 		}
 	}
-	out := make(map[string]float64, len(m))
+	out := make([]float64, len(v))
 	if hi == lo {
-		for k := range m {
-			out[k] = 1
+		for i := range out {
+			out[i] = 1
 		}
 		return out
 	}
-	for k, v := range m {
-		out[k] = (v - lo) / (hi - lo)
+	for i, x := range v {
+		out[i] = (x - lo) / (hi - lo)
 	}
 	return out
 }

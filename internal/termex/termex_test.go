@@ -1,6 +1,11 @@
 package termex
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"bioenrich/internal/corpus"
@@ -21,7 +26,7 @@ func termCorpus() *corpus.Corpus {
 
 func scoresOf(t *testing.T, e *Extractor, m Measure) map[string]float64 {
 	t.Helper()
-	ranked, err := e.Rank(m, 0)
+	ranked, err := e.Rank(context.Background(), m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +39,9 @@ func scoresOf(t *testing.T, e *Extractor, m Measure) map[string]float64 {
 
 func TestScanFindsCandidates(t *testing.T) {
 	e := NewExtractor(termCorpus())
-	e.Scan()
+	if err := e.Scan(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if e.NumCandidates() == 0 {
 		t.Fatal("no candidates")
 	}
@@ -49,7 +56,7 @@ func TestScanFindsCandidates(t *testing.T) {
 func TestAllMeasuresProduceFiniteScores(t *testing.T) {
 	e := NewExtractor(termCorpus())
 	for _, m := range Measures {
-		ranked, err := e.Rank(m, 10)
+		ranked, err := e.Rank(context.Background(), m, 10)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -66,7 +73,7 @@ func TestAllMeasuresProduceFiniteScores(t *testing.T) {
 
 func TestUnknownMeasure(t *testing.T) {
 	e := NewExtractor(termCorpus())
-	if _, err := e.Rank("bogus", 5); err == nil {
+	if _, err := e.Rank(context.Background(), "bogus", 5); err == nil {
 		t.Error("unknown measure accepted")
 	}
 }
@@ -87,25 +94,28 @@ func TestCValueNestedPenalty(t *testing.T) {
 
 func TestCValueLengthFactor(t *testing.T) {
 	e := NewExtractor(termCorpus())
-	e.Scan()
+	if err := e.Scan(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	cv := e.cValues()
 	// A never-nested term of length 2 with freq f scores log2(3)*f.
-	f := float64(e.freq["amniotic membrane"])
-	if f == 0 {
+	i, ok := e.byTerm["amniotic membrane"]
+	if !ok {
 		t.Skip("candidate pattern changed")
 	}
+	f := float64(e.cands[i].freq)
 	want := 1.5849625007211562 * (f - avgNested(e, "amniotic membrane"))
-	if diff := cv["amniotic membrane"] - want; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("C-value = %v, want %v", cv["amniotic membrane"], want)
+	if diff := cv[i] - want; diff > 1e-9 || diff < -1e-9 {
+		t.Errorf("C-value = %v, want %v", cv[i], want)
 	}
 }
 
 func avgNested(e *Extractor, term string) float64 {
 	total, n := 0, 0
-	for longer, f := range e.freq {
-		for _, sub := range subTermsOf(longer) {
+	for _, longer := range e.cands {
+		for _, sub := range subTermsOf(longer.term) {
 			if sub == term {
-				total += f
+				total += longer.freq
 				n++
 			}
 		}
@@ -116,8 +126,39 @@ func avgNested(e *Extractor, term string) float64 {
 	return float64(total) / float64(n)
 }
 
+// subTermsOf is appendSubTerms' reference: every proper contiguous
+// sub-phrase of the term, split into words and joined again.
 func subTermsOf(term string) []string {
-	return textutil.SubTerms(term)
+	words := strings.Fields(term)
+	var out []string
+	for n := 1; n < len(words); n++ {
+		for i := 0; i+n <= len(words); i++ {
+			out = append(out, strings.Join(words[i:i+n], " "))
+		}
+	}
+	return out
+}
+
+// TestSubTerms: appendSubTerms gives every proper sub-phrase, shortest
+// first, a repeated word once per position, after what dst holds.
+func TestSubTerms(t *testing.T) {
+	got := appendSubTerms(nil, "corneal injury severity")
+	want := []string{
+		"corneal", "injury", "severity",
+		"corneal injury", "injury severity",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("appendSubTerms = %v, want %v", got, want)
+	}
+	if got := appendSubTerms(nil, "single"); got != nil {
+		t.Errorf("appendSubTerms(single) = %v, want nil", got)
+	}
+	for _, term := range []string{"a b a", "infection de la infection", "x y z w"} {
+		got := appendSubTerms([]string{"kept"}, term)
+		if want := append([]string{"kept"}, subTermsOf(term)...); !slices.Equal(got, want) {
+			t.Errorf("appendSubTerms(%q) = %q, want %q", term, got, want)
+		}
+	}
 }
 
 func TestTFIDFZeroForUbiquitous(t *testing.T) {
@@ -146,7 +187,9 @@ func TestFTFIDFCBetweenComponents(t *testing.T) {
 
 func TestLIDFWithPatternModel(t *testing.T) {
 	e := NewExtractor(termCorpus())
-	e.Scan()
+	if err := e.Scan(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	// Reference terminology of JJ NN / NN NN shapes.
 	e.LearnPatterns([]string{
 		"corneal diseases", "eye injuries", "bacterial infection",
@@ -166,14 +209,14 @@ func TestLIDFWithPatternModel(t *testing.T) {
 
 func TestRankTopN(t *testing.T) {
 	e := NewExtractor(termCorpus())
-	top3, err := e.Rank(CValue, 3)
+	top3, err := e.Rank(context.Background(), CValue, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(top3) != 3 {
 		t.Errorf("top3 = %d entries", len(top3))
 	}
-	all, _ := e.Rank(CValue, 0)
+	all, _ := e.Rank(context.Background(), CValue, 0)
 	if len(all) <= 3 {
 		t.Errorf("Rank(0) returned %d", len(all))
 	}
@@ -199,8 +242,69 @@ func TestFrenchExtraction(t *testing.T) {
 	})
 	c.Build()
 	e := NewExtractor(c)
-	e.Scan()
+	if err := e.Scan(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if e.Freq("maladie de crohn") != 2 {
 		t.Errorf("freq(maladie de crohn) = %d", e.Freq("maladie de crohn"))
+	}
+}
+
+// TestRankCancelled: a cancelled context stops the scan with its
+// error and leaves no partial table, so a later Rank scans afresh.
+func TestRankCancelled(t *testing.T) {
+	e := NewExtractor(termCorpus())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.Rank(ctx, LIDF, 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Rank(cancelled) error = %v, want context.Canceled", err)
+	}
+	if n := e.NumCandidates(); n != 0 {
+		t.Errorf("cancelled scan kept %d candidates", n)
+	}
+	got, err := e.Rank(context.Background(), LIDF, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewExtractor(termCorpus()).Rank(context.Background(), LIDF, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Rank after a cancelled scan = %v, want %v", got, want)
+	}
+}
+
+// TestScanAllocsPerDocument: the scan's allocations grow with the
+// documents and sentences it reads, not with candidate occurrences.
+// Doubling a corpus of one repeated document adds only per-document
+// and per-sentence work (the sentence and token slices); every
+// candidate and token is already in the table and the tag memo.
+func TestScanAllocsPerDocument(t *testing.T) {
+	const (
+		n         = 40
+		sentences = 3
+		budget    = 10 // allocations per added sentence
+	)
+	text := "The severe corneal injury was treated with amniotic membrane transplantation. " +
+		"Chronic corneal injury of the damaged eye impairs vision. " +
+		"Bacterial infection of the corneal ulcer delays epithelial healing"
+	scanAllocs := func(docs int) float64 {
+		c := corpus.New(textutil.English)
+		for i := 0; i < docs; i++ {
+			c.Add(corpus.Document{ID: fmt.Sprint(i), Text: text})
+		}
+		c.Build()
+		return testing.AllocsPerRun(5, func() {
+			if err := NewExtractor(c).Scan(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	perDoc := (scanAllocs(2*n) - scanAllocs(n)) / n
+	t.Logf("%.1f allocations per added document", perDoc)
+	if perDoc > budget*sentences {
+		t.Errorf("%.1f allocations per added %d-sentence document, want at most %d",
+			perDoc, sentences, budget*sentences)
 	}
 }

@@ -1,6 +1,7 @@
 package textutil
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -8,7 +9,8 @@ import (
 
 // Native fuzz targets: `go test` exercises the seed corpus; `go test
 // -fuzz` explores further. The invariants are crash-freedom plus the
-// offset/ordering guarantees the indexer depends on.
+// offset/ordering guarantees the indexer depends on; FuzzTokenize also
+// holds Tokenize to referenceTokenize on every input.
 
 func FuzzTokenize(f *testing.F) {
 	for _, seed := range []string{
@@ -18,8 +20,12 @@ func FuzzTokenize(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		toks := Tokenize(s)
+		if want := referenceTokenize(s); !slices.Equal(toks, want) {
+			t.Fatalf("Tokenize(%q) = %v, reference %v", s, toks, want)
+		}
 		prev := -1
-		for _, tok := range Tokenize(s) {
+		for _, tok := range toks {
 			if tok.Start < 0 || tok.End > len(s) || tok.Start >= tok.End {
 				t.Fatalf("bad span %+v for %q", tok, s)
 			}
@@ -32,6 +38,48 @@ func FuzzTokenize(f *testing.F) {
 			}
 		}
 	})
+}
+
+// referenceTokenize is the rune-slice tokenizer Tokenize replaced:
+// it copies the text into a []rune with a parallel byte-offset slice
+// (ranging over the string gives the true offsets in invalid UTF-8,
+// where one bad byte decodes to the 3-byte U+FFFD) and copies every
+// token out of the runes. FuzzTokenize holds Tokenize to it.
+func referenceTokenize(text string) []Token {
+	var tokens []Token
+	runes := make([]rune, 0, len(text))
+	offs := make([]int, 0, len(text)+1)
+	for i, r := range text {
+		runes = append(runes, r)
+		offs = append(offs, i)
+	}
+	offs = append(offs, len(text))
+	i := 0
+	for i < len(runes) {
+		if !isWordRune(runes[i]) {
+			i++
+			continue
+		}
+		start := i
+		for i < len(runes) {
+			if isWordRune(runes[i]) {
+				i++
+				continue
+			}
+			if (runes[i] == '-' || runes[i] == '\'' || runes[i] == '’') &&
+				i+1 < len(runes) && isWordRune(runes[i+1]) && i > start {
+				i++
+				continue
+			}
+			break
+		}
+		tokens = append(tokens, Token{
+			Text:  string(runes[start:i]),
+			Start: offs[start],
+			End:   offs[i],
+		})
+	}
+	return tokens
 }
 
 func FuzzSentences(f *testing.F) {

@@ -3,6 +3,7 @@ package textutil
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single lexical unit located in its source text.
@@ -22,45 +23,37 @@ func isWordRune(r rune) bool {
 // Tokenize splits text into word tokens. A token is a maximal run of
 // letters and digits, possibly containing internal hyphens or
 // apostrophes when both neighbours are word runes. Punctuation is
-// dropped. Offsets refer to byte positions in the input.
+// dropped. Offsets refer to byte positions in the input, and each
+// token's Text is the substring text[Start:End], not a copy. Runes are
+// decoded in place: an invalid byte decodes to U+FFFD, which is not a
+// word rune, and advances one byte, as ranging over the string does.
 func Tokenize(text string) []Token {
 	var tokens []Token
-	// Collect runes with their true byte offsets by ranging over the
-	// string: this is the only correct way in the presence of invalid
-	// UTF-8, where a single bad byte decodes to U+FFFD (3 bytes) but
-	// occupies 1 source byte.
-	runes := make([]rune, 0, len(text))
-	offs := make([]int, 0, len(text)+1)
-	for i, r := range text {
-		runes = append(runes, r)
-		offs = append(offs, i)
-	}
-	offs = append(offs, len(text))
 	i := 0
-	for i < len(runes) {
-		if !isWordRune(runes[i]) {
-			i++
+	for i < len(text) {
+		r, w := utf8.DecodeRuneInString(text[i:])
+		if !isWordRune(r) {
+			i += w
 			continue
 		}
 		start := i
-		for i < len(runes) {
-			if isWordRune(runes[i]) {
-				i++
+		i += w
+		for i < len(text) {
+			r, w := utf8.DecodeRuneInString(text[i:])
+			if isWordRune(r) {
+				i += w
 				continue
 			}
 			// Internal joiner: hyphen or apostrophe between word runes.
-			if (runes[i] == '-' || runes[i] == '\'' || runes[i] == '’') &&
-				i+1 < len(runes) && isWordRune(runes[i+1]) && i > start {
-				i++
-				continue
+			if r == '-' || r == '\'' || r == '’' {
+				if next, _ := utf8.DecodeRuneInString(text[i+w:]); isWordRune(next) {
+					i += w
+					continue
+				}
 			}
 			break
 		}
-		tokens = append(tokens, Token{
-			Text:  string(runes[start:i]),
-			Start: offs[start],
-			End:   offs[i],
-		})
+		tokens = append(tokens, Token{Text: text[start:i], Start: start, End: i})
 	}
 	return tokens
 }
