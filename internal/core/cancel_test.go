@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -51,23 +52,34 @@ func (c *errAfter) Err() error {
 }
 
 // TestRunContextMidRunCancel cancels deterministically after a few
-// cooperative checks: the run must stop, return context.Canceled and
-// no report, and the worker pool must drain cleanly (this test is part
+// cooperative checks, once inside step I's scan and once inside the
+// fan-out: the run must stop there, return context.Canceled and no
+// report, and the worker pool must drain cleanly (this test is part
 // of the -race gate — a leaked worker goroutine would trip it).
 func TestRunContextMidRunCancel(t *testing.T) {
 	c, o := meshFixture()
-	for _, workers := range []int{1, 4} {
-		cfg := DefaultConfig()
-		cfg.TopCandidates = 8
-		cfg.Workers = workers
-		ctx := &errAfter{Context: context.Background()}
-		ctx.budget.Store(6) // past run entry + step I, inside the fan-out
-		report, err := NewEnricher(c, o, cfg).RunContext(ctx)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if report != nil {
-			t.Errorf("workers=%d: cancelled run returned a report", workers)
+	for _, tc := range []struct {
+		budget int64
+		stage  string // the error's name for where the run stopped
+	}{
+		{3, "step I"}, // run entry, then two documents of the scan
+		// Past run entry and step I's per-document checks.
+		{int64(c.NumDocs()) + 6, "run cancelled"},
+	} {
+		for _, workers := range []int{1, 4} {
+			cfg := DefaultConfig()
+			cfg.TopCandidates = 8
+			cfg.Workers = workers
+			ctx := &errAfter{Context: context.Background()}
+			ctx.budget.Store(tc.budget)
+			report, err := NewEnricher(c, o, cfg).RunContext(ctx)
+			if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), tc.stage) {
+				t.Fatalf("budget %d, workers=%d: err = %v, want context.Canceled in %s",
+					tc.budget, workers, err, tc.stage)
+			}
+			if report != nil {
+				t.Errorf("budget %d, workers=%d: cancelled run returned a report", tc.budget, workers)
+			}
 		}
 	}
 }

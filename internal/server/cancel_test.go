@@ -17,14 +17,14 @@ import (
 )
 
 // slowServer builds a server over a synthetic mesh big enough that a
-// full /enrich run takes on the order of a second — long enough for a
-// concurrent request or a mid-run cancellation to land while the
-// pipeline is demonstrably still working.
+// full /enrich run outlasts the tests' 150 ms wait twice over — long
+// enough for a concurrent request or a mid-run cancellation to land
+// while the pipeline is demonstrably still working.
 func slowServer(t *testing.T, opts Options) (*httptest.Server, *ontology.Ontology) {
 	t.Helper()
 	mopts := synth.DefaultMeshOptions()
 	mopts.Branches = 3
-	mopts.Depth = 2
+	mopts.Depth = 3
 	copts := synth.DefaultCorpusOptions()
 	copts.DocsPerConcept = 4
 	mesh := synth.GenerateMesh(mopts)
