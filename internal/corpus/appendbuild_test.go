@@ -4,34 +4,46 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bioenrich/internal/textutil"
 )
 
-// equalIndexed fails the test unless a and b hold byte-identical index
-// state: documents, token streams, postings, document frequencies and
-// totals. This is the invariant AppendBuild promises relative to a
-// from-scratch Build.
-func equalIndexed(t *testing.T, a, b *Corpus) {
+// equalIndexed fails the test unless a and b answer every query
+// alike: documents, token count, vocabulary size, every token stream
+// and the postings of every distinct token. This is the invariant
+// AppendBuild promises relative to a from-scratch Build. It compares
+// through the public queries, not the index's fields, so it holds
+// whatever layout the index has.
+func equalIndexed(t testing.TB, a, b *Corpus) {
 	t.Helper()
-	if !reflect.DeepEqual(a.docs, b.docs) {
-		t.Fatalf("docs differ: %d vs %d", len(a.docs), len(b.docs))
-	}
-	if !reflect.DeepEqual(a.tokens, b.tokens) {
-		t.Fatal("token streams differ")
-	}
-	if !reflect.DeepEqual(a.index, b.index) {
-		t.Fatal("postings differ")
-	}
-	if !reflect.DeepEqual(a.df, b.df) {
-		t.Fatal("document frequencies differ")
-	}
-	if a.total != b.total {
-		t.Fatalf("total tokens: %d vs %d", a.total, b.total)
-	}
 	if a.built != b.built {
 		t.Fatalf("built flags: %v vs %v", a.built, b.built)
+	}
+	if !reflect.DeepEqual(a.Documents(), b.Documents()) {
+		t.Fatalf("docs differ: %d vs %d", a.NumDocs(), b.NumDocs())
+	}
+	if a.NumTokens() != b.NumTokens() {
+		t.Fatalf("total tokens: %d vs %d", a.NumTokens(), b.NumTokens())
+	}
+	if a.Vocabulary() != b.Vocabulary() {
+		t.Fatalf("vocabulary: %d vs %d", a.Vocabulary(), b.Vocabulary())
+	}
+	seen := make(map[string]bool)
+	for i := 0; i < a.NumDocs(); i++ {
+		if !slices.Equal(a.Tokens(i), b.Tokens(i)) {
+			t.Fatalf("token streams of document %d differ", i)
+		}
+		for _, tok := range a.Tokens(i) {
+			if seen[tok] {
+				continue
+			}
+			seen[tok] = true
+			if !slices.Equal(a.Occurrences(tok), b.Occurrences(tok)) {
+				t.Fatalf("postings of %q differ", tok)
+			}
+		}
 	}
 }
 
