@@ -179,3 +179,45 @@ func TestCloneAppendBuildIndependence(t *testing.T) {
 		t.Errorf("parent clone mutated by its siblings: docs %d, tf(retinal) %d", cl.NumDocs(), cl.TF("retinal"))
 	}
 }
+
+// TestAppendBuildAssignsFullBuildIDs: new tokens get IDs in order of
+// first occurrence, so a corpus grown batch by batch through clones
+// and AppendBuild, folds included, gives every token the ID a full
+// build gives it, and no AppendBuild writes the ids map it shares.
+func TestAppendBuildAssignsFullBuildIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	next := 0
+	all := []Document{lineageDoc(rng, "seed", 12, 0, &next)}
+	inc := New(textutil.English)
+	inc.AddAll(all)
+	inc.Build()
+	folds := 0
+	for i := 0; i < 30; i++ {
+		batch := []Document{lineageDoc(rng, fmt.Sprint(i), 8, 2, &next)}
+		all = append(all, batch...)
+		parent := inc
+		shared := len(parent.ids)
+		inc = parent.Clone()
+		inc.AppendBuild(batch)
+		if len(parent.ids) != shared {
+			t.Fatalf("batch %d: the shared ids map grew from %d to %d", i, shared, len(parent.ids))
+		}
+		if len(inc.newIDs) == 0 {
+			folds++
+		}
+	}
+	if folds < 2 {
+		t.Fatalf("%d folds in 30 batches, want at least 2", folds)
+	}
+	full := New(textutil.English)
+	full.AddAll(all)
+	full.Build()
+	if len(full.newIDs) != 0 || len(inc.ids)+len(inc.newIDs) != len(full.ids) {
+		t.Fatalf("ids %d + new %d, full build %d + %d", len(inc.ids), len(inc.newIDs), len(full.ids), len(full.newIDs))
+	}
+	for tok, want := range full.ids {
+		if got, ok := inc.id(tok); !ok || got != want {
+			t.Errorf("ID of %q = %d (%v), full build %d", tok, got, ok, want)
+		}
+	}
+}

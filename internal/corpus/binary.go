@@ -58,10 +58,7 @@ func ReadBinary(r io.Reader) (*Corpus, error) {
 	c := New(textutil.ParseLang(env.Lang))
 	c.docs = env.Docs
 	c.tokens = env.Tokens
-	for i, toks := range c.tokens {
-		c.mergeDocTokens(i, toks)
-	}
-	c.built = true
+	c.index()
 	return c, nil
 }
 

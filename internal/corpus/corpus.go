@@ -7,6 +7,7 @@ package corpus
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"strings"
 	"sync"
@@ -31,24 +32,33 @@ type Posting struct {
 // Corpus is an indexed document collection for one language. Build the
 // index with Add/AddAll followed by Build; all query methods require a
 // built index.
+//
+// The unigram positional index is keyed by dense token IDs, assigned in
+// order of first occurrence. A token's ID is in ids or in newIDs, never
+// both. ids is made whole by Build, ReadBinary and a fold, and never
+// written after, so every clone shares it; newIDs holds the tokens
+// added since, and a clone copies it. Clones also share the documents,
+// the token streams and the posting arrays (see Clone).
 type Corpus struct {
 	lang  textutil.Lang
 	docs  []Document
 	built bool
 
-	tokens [][]string           // normalized token stream per document
-	index  map[string][]Posting // unigram positional index
-	df     map[string]int       // document frequency per unigram
-	total  int                  // total token count
+	tokens [][]string     // normalized token stream per document
+	ids    map[string]int // token IDs as of the last fold; shared, never written
+	newIDs map[string]int // token IDs added since the last fold
+	post   [][]Posting    // positional postings by token ID, in document order
+	total  int            // total token count
 }
+
+// foldFraction sets when AppendBuild folds newIDs into a fresh ids
+// map: once newIDs holds len(ids)/foldFraction tokens. Until then each
+// clone copies newIDs, which stays small next to ids.
+const foldFraction = 8
 
 // New returns an empty corpus for lang.
 func New(lang textutil.Lang) *Corpus {
-	return &Corpus{
-		lang:  lang,
-		index: make(map[string][]Posting),
-		df:    make(map[string]int),
-	}
+	return &Corpus{lang: lang}
 }
 
 // Lang returns the corpus language.
@@ -121,19 +131,66 @@ func tokenizeDocs(docs []Document) [][]string {
 	return out
 }
 
+// id returns tok's token ID, if tok is indexed.
+func (c *Corpus) id(tok string) (int, bool) {
+	if id, ok := c.ids[tok]; ok {
+		return id, true
+	}
+	id, ok := c.newIDs[tok]
+	return id, ok
+}
+
+// postings returns tok's positional postings (nil when tok is not
+// indexed).
+func (c *Corpus) postings(tok string) []Posting {
+	if id, ok := c.id(tok); ok {
+		return c.post[id]
+	}
+	return nil
+}
+
 // mergeDocTokens folds one document's token stream into the index:
-// postings in position order, one df increment per distinct token, the
-// total bumped by the stream length.
+// postings in position order, a new ID for each token seen for the
+// first time, the total bumped by the stream length.
 func (c *Corpus) mergeDocTokens(doc int, toks []string) {
-	seen := make(map[string]bool, len(toks))
 	for p, tok := range toks {
-		c.index[tok] = append(c.index[tok], Posting{Doc: int32(doc), Pos: int32(p)})
-		if !seen[tok] {
-			seen[tok] = true
-			c.df[tok]++
+		id, ok := c.id(tok)
+		if !ok {
+			if c.newIDs == nil {
+				c.newIDs = make(map[string]int)
+			}
+			id = len(c.post)
+			c.newIDs[tok] = id
+			c.post = append(c.post, nil)
 		}
+		c.post[id] = append(c.post[id], Posting{Doc: int32(doc), Pos: int32(p)})
 	}
 	c.total += len(toks)
+}
+
+// foldIDs moves newIDs into a fresh ids map once newIDs holds
+// len(ids)/foldFraction tokens. The old ids map is left as it was, for
+// the clones that share it.
+func (c *Corpus) foldIDs() {
+	if len(c.newIDs) == 0 || len(c.newIDs) < len(c.ids)/foldFraction {
+		return
+	}
+	ids := make(map[string]int, len(c.ids)+len(c.newIDs))
+	maps.Copy(ids, c.ids)
+	maps.Copy(ids, c.newIDs)
+	c.ids, c.newIDs = ids, nil
+}
+
+// index builds the positional index from scratch over the token
+// streams. Postings are merged sequentially: they must stay in
+// document order for the phrase scan.
+func (c *Corpus) index() {
+	c.ids, c.newIDs, c.post, c.total = nil, nil, nil, 0
+	for i, toks := range c.tokens {
+		c.mergeDocTokens(i, toks)
+	}
+	c.foldIDs()
+	c.built = true
 }
 
 // Build tokenizes every document (concurrently) and constructs the
@@ -141,28 +198,20 @@ func (c *Corpus) mergeDocTokens(doc int, toks []string) {
 // scratch.
 func (c *Corpus) Build() {
 	c.tokens = tokenizeDocs(c.docs)
-
-	// Merge into the index sequentially (postings must stay in
-	// document order for the phrase scan).
-	c.index = make(map[string][]Posting)
-	c.df = make(map[string]int)
-	c.total = 0
-	for i, toks := range c.tokens {
-		c.mergeDocTokens(i, toks)
-	}
-	c.built = true
+	c.index()
 }
 
 // AppendBuild appends docs and extends the built index incrementally:
-// only the appended documents are tokenized, and their postings,
-// document frequencies and token counts merge into the existing
-// structures. Appended documents always receive higher indices than
-// every indexed one, so the merged postings extend each token's list
-// in document order and the result is indistinguishable from
-// AddAll + Build — at O(batch) instead of O(corpus) cost. This is what
-// makes a copy-on-write ingest cheap: Clone() already copied the
-// index, and AppendBuild grows that copy instead of discarding it. On
-// an unbuilt corpus it degrades to a full Build.
+// only the appended documents are tokenized, and their postings and
+// token counts merge into the existing structures. Appended documents
+// always receive higher indices than every indexed one, so the merged
+// postings extend each token's list in document order, and new tokens
+// get IDs in order of first occurrence: the result is
+// indistinguishable from AddAll + Build, at O(batch) instead of
+// O(corpus) cost. After a Clone, every list AppendBuild extends is
+// copied first (the clone's slices are capped at their length), so an
+// ingest costs the postings of the tokens its batch touches. On an
+// unbuilt corpus it degrades to a full Build.
 func (c *Corpus) AppendBuild(docs []Document) {
 	if !c.built {
 		c.AddAll(docs)
@@ -176,6 +225,7 @@ func (c *Corpus) AppendBuild(docs []Document) {
 		c.mergeDocTokens(base+i, t)
 	}
 	c.tokens = append(c.tokens, toks...)
+	c.foldIDs()
 }
 
 // ensureBuilt panics with a clear message when a query method is used
@@ -202,17 +252,17 @@ func (c *Corpus) occurrences(words []string) []Posting {
 		return nil
 	}
 	if len(words) == 1 {
-		return c.index[words[0]]
+		return c.postings(words[0])
 	}
 	// Anchor on the rarest word to minimize verification work.
-	anchor := 0
-	for i, w := range words {
-		if len(c.index[w]) < len(c.index[words[anchor]]) {
-			anchor = i
+	anchor, anchorPost := 0, c.postings(words[0])
+	for i, w := range words[1:] {
+		if p := c.postings(w); len(p) < len(anchorPost) {
+			anchor, anchorPost = i+1, p
 		}
 	}
 	var out []Posting
-	for _, p := range c.index[words[anchor]] {
+	for _, p := range anchorPost {
 		start := int(p.Pos) - anchor
 		if start < 0 {
 			continue
@@ -259,7 +309,7 @@ func (c *Corpus) Tokens(i int) []string {
 // Vocabulary returns the number of distinct unigrams.
 func (c *Corpus) Vocabulary() int {
 	c.ensureBuilt()
-	return len(c.index)
+	return len(c.post)
 }
 
 // AvgDocLen returns the mean token count per document.

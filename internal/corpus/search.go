@@ -29,7 +29,7 @@ func (c *Corpus) Search(query string, n int) []SearchHit {
 	avg := c.AvgDocLen()
 	scores := make(map[int32]float64)
 	for _, term := range terms {
-		postings := c.index[term]
+		postings := c.postings(term)
 		if len(postings) == 0 {
 			continue
 		}
