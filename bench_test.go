@@ -441,7 +441,7 @@ func BenchmarkE3MeasureAblation(b *testing.B) {
 func BenchmarkRelationExtraction(b *testing.B) {
 	var f1 float64
 	for i := 0; i < b.N; i++ {
-		res, err := relext.Evaluate(relext.DefaultSynthOptions())
+		res, err := relext.Evaluate(context.Background(), relext.DefaultSynthOptions())
 		if err != nil {
 			b.Fatal(err)
 		}

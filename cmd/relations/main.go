@@ -35,7 +35,7 @@ func main() {
 
 func run(ctx context.Context, corpusPath, ontPath string, top int, selftest bool) error {
 	if selftest {
-		res, err := relext.Evaluate(relext.DefaultSynthOptions())
+		res, err := relext.Evaluate(ctx, relext.DefaultSynthOptions())
 		if err != nil {
 			return err
 		}
@@ -68,7 +68,10 @@ func run(ctx context.Context, corpusPath, ontPath string, top int, selftest bool
 	for _, st := range ranked {
 		vocab = append(vocab, st.Term)
 	}
-	rels := relext.NewExtractor(vocab, c.Lang()).Extract(c)
+	rels, err := relext.NewExtractor(vocab, c.Lang()).Extract(ctx, c)
+	if err != nil {
+		return err
+	}
 	if len(rels) == 0 {
 		fmt.Println("no typed relations found")
 		return nil

@@ -7,7 +7,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/relext"
@@ -36,7 +38,10 @@ func main() {
 		"irrigation", "keratitis", "corneal disease", "bandage lenses",
 		"abrasion",
 	}
-	rels := relext.NewExtractor(vocab, textutil.English).Extract(c)
+	rels, err := relext.NewExtractor(vocab, textutil.English).Extract(context.Background(), c)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("typed relations extracted from the corpus:")
 	for _, r := range rels {

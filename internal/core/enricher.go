@@ -431,7 +431,11 @@ func (e *Enricher) enrichCandidate(ctx context.Context, cand *Candidate, linker 
 		for _, p := range cand.Positions {
 			vocab = append(vocab, p.Where)
 		}
-		for _, rel := range relext.NewExtractor(vocab, e.c.Lang()).Extract(e.c) {
+		rels, err := relext.NewExtractor(vocab, e.c.Lang()).Extract(ctx, e.c)
+		if err != nil {
+			return
+		}
+		for _, rel := range rels {
 			if rel.A == cand.Term || rel.B == cand.Term {
 				cand.Relations = append(cand.Relations, rel)
 			}

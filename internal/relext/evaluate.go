@@ -1,6 +1,7 @@
 package relext
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -162,10 +163,14 @@ type EvalResult struct {
 // Evaluate runs the extractor against the generated gold: an extracted
 // relation is a true positive when an identical (A, B, Type) triple is
 // in the gold set; gold triples never extracted are false negatives.
-func Evaluate(opts SynthOptions) (*EvalResult, error) {
+// A cancelled ctx stops the extraction and returns its error.
+func Evaluate(ctx context.Context, opts SynthOptions) (*EvalResult, error) {
 	c, vocab, gold := GenerateRelationCorpus(opts)
 	ext := NewExtractor(vocab, textutil.English)
-	extracted := ext.Extract(c)
+	extracted, err := ext.Extract(ctx, c)
+	if err != nil {
+		return nil, err
+	}
 
 	goldSet := map[string]RelationType{}
 	for _, g := range gold {

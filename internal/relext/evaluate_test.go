@@ -1,6 +1,9 @@
 package relext
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestGenerateRelationCorpus(t *testing.T) {
 	opts := DefaultSynthOptions()
@@ -32,7 +35,7 @@ func TestGenerateRelationCorpus(t *testing.T) {
 func TestEvaluateHighRecall(t *testing.T) {
 	opts := DefaultSynthOptions()
 	opts.RelationsPerType = 6
-	res, err := Evaluate(opts)
+	res, err := Evaluate(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +53,11 @@ func TestEvaluateHighRecall(t *testing.T) {
 }
 
 func TestEvaluateDeterministic(t *testing.T) {
-	a, err := Evaluate(DefaultSynthOptions())
+	a, err := Evaluate(context.Background(), DefaultSynthOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Evaluate(DefaultSynthOptions())
+	b, err := Evaluate(context.Background(), DefaultSynthOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

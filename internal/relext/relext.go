@@ -8,6 +8,7 @@
 package relext
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -132,16 +133,20 @@ func (e *Extractor) sentenceEvidence(sentence string) []evidence {
 }
 
 // Extract scans every document of the corpus and returns the
-// aggregated relations sorted by evidence (descending).
-func (e *Extractor) Extract(c *corpus.Corpus) []Relation {
+// aggregated relations sorted by evidence (descending). It checks ctx
+// once per document and returns its error when cancelled.
+func (e *Extractor) Extract(ctx context.Context, c *corpus.Corpus) ([]Relation, error) {
 	var evs []evidence
 	for d := 0; d < c.NumDocs(); d++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("relext: extract: %w", err)
+		}
 		doc := c.Doc(d)
 		for _, s := range textutil.Sentences(doc.Title + ". " + doc.Text) {
 			evs = append(evs, e.sentenceEvidence(s)...)
 		}
 	}
-	return aggregate(evs)
+	return aggregate(evs), nil
 }
 
 // aggregate groups evidence by (A, B, Type).

@@ -1,6 +1,8 @@
 package relext
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"bioenrich/internal/corpus"
@@ -125,7 +127,10 @@ func TestExtractCorpusAggregates(t *testing.T) {
 		{ID: "3", Text: "Chemical burns caused corneal injury after the accident."},
 	})
 	c.Build()
-	rels := vocabExtractor().Extract(c)
+	rels, err := vocabExtractor().Extract(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rels) < 2 {
 		t.Fatalf("relations = %v", rels)
 	}
@@ -146,5 +151,19 @@ func TestExtractorEmptyVocab(t *testing.T) {
 	e := NewExtractor(nil, textutil.English)
 	if rels := extractSentence(e, "Anything causes something."); len(rels) != 0 {
 		t.Errorf("empty vocab extracted %v", rels)
+	}
+}
+
+// TestExtractCancelled: a cancelled context stops the extraction
+// before its first document and returns the context's error.
+func TestExtractCancelled(t *testing.T) {
+	c := corpus.New(textutil.English)
+	c.Add(corpus.Document{ID: "1", Text: "Chemical burns cause corneal injury."})
+	c.Build()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rels, err := vocabExtractor().Extract(ctx, c)
+	if !errors.Is(err, context.Canceled) || rels != nil {
+		t.Fatalf("Extract(cancelled) = %v, %v; want nil, context.Canceled", rels, err)
 	}
 }

@@ -196,9 +196,9 @@ func TestCancelledEnrichReleasesLock(t *testing.T) {
 	}
 }
 
-// TestPreCancelledStepRequests: a step I, III or IV request whose
-// client has already gone answers 499 "cancelled" instead of running
-// the step.
+// TestPreCancelledStepRequests: a step I, III or IV request, or a
+// relation extraction, whose client has already gone answers 499
+// "cancelled" instead of running the step.
 func TestPreCancelledStepRequests(t *testing.T) {
 	c, o := fixtureData(t)
 	h := newServer(state.NewStore(c, o), Options{}).Handler()
@@ -206,6 +206,7 @@ func TestPreCancelledStepRequests(t *testing.T) {
 	cancel()
 	for _, tc := range []struct{ method, target, body string }{
 		{http.MethodGet, "/v1/extract?top=3", ""},
+		{http.MethodGet, "/v1/relations?top=3", ""},
 		{http.MethodGet, "/v1/link?term=corneal+abrasion&top=3", ""},
 		{http.MethodGet, "/v1/senses?term=corneal+abrasion", ""},
 		{http.MethodPost, "/v1/disambiguate", `{"term":"corneal abrasion","context":["scarring"]}`},

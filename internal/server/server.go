@@ -738,7 +738,11 @@ func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rels := relext.NewExtractor(snap.Ontology.Terms(), snap.Corpus.Lang()).Extract(snap.Corpus)
+	rels, err := relext.NewExtractor(snap.Ontology.Terms(), snap.Corpus.Lang()).Extract(r.Context(), snap.Corpus)
+	if err != nil {
+		writeError(w, runStatus(err), err)
+		return
+	}
 	if top > 0 && top < len(rels) {
 		rels = rels[:top]
 	}
