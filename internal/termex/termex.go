@@ -191,16 +191,17 @@ func (e *Extractor) patternProbability(pattern string) float64 {
 
 // Rank scans the corpus if it has not been scanned, scores every
 // candidate with the measure and returns the top n (n ≤ 0 means all),
-// ties broken lexically for determinism. A cancelled ctx stops the
-// scan and returns its error.
+// ties broken lexically for determinism. A measure not in Measures is
+// an error before any scan. A cancelled ctx stops the scan and returns
+// its error.
 func (e *Extractor) Rank(ctx context.Context, m Measure, n int) ([]ScoredTerm, error) {
+	if !slices.Contains(Measures, m) {
+		return nil, fmt.Errorf("termex: unknown measure %q", m)
+	}
 	if err := e.Scan(ctx); err != nil {
 		return nil, err
 	}
-	scores, err := e.scoreAll(m)
-	if err != nil {
-		return nil, err
-	}
+	scores := e.scoreAll(m)
 	out := make([]ScoredTerm, len(e.cands))
 	for i, c := range e.cands {
 		out[i] = ScoredTerm{Term: c.term, Score: scores[i], Freq: c.freq, Docs: len(c.docs), Words: c.words}
@@ -220,18 +221,18 @@ func (e *Extractor) Rank(ctx context.Context, m Measure, n int) ([]ScoredTerm, e
 	return out, nil
 }
 
-// scoreAll computes the chosen measure for every candidate, aligned
-// with the candidate table.
-func (e *Extractor) scoreAll(m Measure) ([]float64, error) {
+// scoreAll computes the chosen measure, one of Measures, for every
+// candidate, aligned with the candidate table.
+func (e *Extractor) scoreAll(m Measure) []float64 {
 	switch m {
 	case CValue:
-		return e.cValues(), nil
+		return e.cValues()
 	case TFIDF:
-		return e.tfidfScores(), nil
+		return e.tfidfScores()
 	case Okapi:
-		return e.okapiScores(), nil
+		return e.okapiScores()
 	case FTFIDFC:
-		return harmonic(e.tfidfScores(), e.cValues()), nil
+		return harmonic(e.tfidfScores(), e.cValues())
 	case LIDF:
 		out := e.cValues()
 		n := float64(e.c.NumDocs())
@@ -239,11 +240,10 @@ func (e *Extractor) scoreAll(m Measure) ([]float64, error) {
 			idf := math.Log(n / float64(len(c.docs)))
 			out[i] = e.patternProbability(c.pattern) * idf * out[i]
 		}
-		return out, nil
-	case TeRGraph:
-		return e.terGraphScores(), nil
+		return out
+	default: // TeRGraph
+		return e.terGraphScores()
 	}
-	return nil, fmt.Errorf("termex: unknown measure %q", m)
 }
 
 // cValues implements Frantzi's C-value over the harvested candidates:

@@ -275,6 +275,18 @@ func TestRankCancelled(t *testing.T) {
 	}
 }
 
+// TestRankUnknownMeasure: an unknown measure is rejected before the
+// corpus is scanned.
+func TestRankUnknownMeasure(t *testing.T) {
+	e := NewExtractor(termCorpus())
+	if _, err := e.Rank(context.Background(), "bogus", 3); err == nil {
+		t.Fatal("Rank(bogus) returned no error")
+	}
+	if n := e.NumCandidates(); n != 0 {
+		t.Errorf("Rank(bogus) scanned the corpus: %d candidates", n)
+	}
+}
+
 // TestScanAllocsPerDocument: the scan's allocations grow with the
 // documents and sentences it reads, not with candidate occurrences.
 // Doubling a corpus of one repeated document adds only per-document
