@@ -492,6 +492,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	}
 
 	b.Run("unbatched", func(b *testing.B) {
+		b.ReportAllocs()
 		st := state.NewStore(base.Clone(), o)
 		b.SetParallelism(parallelism)
 		b.ResetTimer()
@@ -513,6 +514,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	})
 
 	b.Run("batched", func(b *testing.B) {
+		b.ReportAllocs()
 		st := state.NewStore(base.Clone(), o)
 		bt := batch.New(st, nil)
 		defer bt.Close()

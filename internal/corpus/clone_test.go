@@ -1,9 +1,14 @@
 package corpus
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
+	"bioenrich/internal/sparse"
 	"bioenrich/internal/textutil"
 )
 
@@ -60,4 +65,116 @@ func TestCloneUnbuilt(t *testing.T) {
 		}
 	}()
 	cl.TF("abrasion")
+}
+
+// distinctCorpus builds a corpus of docs documents of ten words each,
+// every word distinct, plus a shared stopword per document.
+func distinctCorpus(docs int) *Corpus {
+	c := New(textutil.English)
+	for d := 0; d < docs; d++ {
+		words := []string{"the"}
+		for w := 0; w < 10; w++ {
+			words = append(words, fmt.Sprintf("t%dx%d", d, w))
+		}
+		c.Add(Document{ID: fmt.Sprint(d), Text: strings.Join(words, " ")})
+	}
+	c.Build()
+	return c
+}
+
+// TestCloneAllocsFlatInVocabulary: a clone allocates the same number
+// of objects whatever the vocabulary, because it shares the posting
+// arrays and the token-ID map instead of copying them.
+func TestCloneAllocsFlatInVocabulary(t *testing.T) {
+	small, large := distinctCorpus(200), distinctCorpus(400)
+	if v, w := small.Vocabulary(), large.Vocabulary(); w < 2*v-1 {
+		t.Fatalf("fixture: vocabularies %d and %d", v, w)
+	}
+	a := testing.AllocsPerRun(20, func() { small.Clone() })
+	b := testing.AllocsPerRun(20, func() { large.Clone() })
+	if a != b {
+		t.Errorf("Clone allocates %v objects at vocabulary %d, %v at %d", a, small.Vocabulary(), b, large.Vocabulary())
+	}
+}
+
+// TestCloneConcurrentReaders: readers querying a corpus see the same
+// answers while other goroutines' clones of it grow, take on new
+// words and fold, and clones of those clones grow too. Run it with
+// -race: a clone that appended into an array the original still reads
+// is a race.
+func TestCloneConcurrentReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	next := 0
+	orig := New(textutil.English)
+	for i := 0; i < 12; i++ {
+		orig.Add(lineageDoc(rng, fmt.Sprintf("seed-%d", i), 12, 4, &next))
+	}
+	orig.Build()
+	// One new word, too few to fold: the clones start from a
+	// non-empty newIDs.
+	orig.AppendBuild([]Document{{ID: "grown", Text: "a corneal lesion, newly seen"}})
+	if len(orig.newIDs) == 0 {
+		t.Fatal("fixture: the original's newIDs is empty")
+	}
+
+	type answers struct {
+		occ    [][]Posting
+		hits   []SearchHit
+		vector sparse.Vector
+		tokens [][]string
+	}
+	// The last three terms are words only the clones will add.
+	terms := []string{"corneal", "the", "corneal abrasion", "w3", "graft of",
+		fmt.Sprint("w", next+1), fmt.Sprint("w", next+2), fmt.Sprint("w", next+3)}
+	ask := func() answers {
+		var a answers
+		for _, term := range terms {
+			a.occ = append(a.occ, orig.Occurrences(term))
+		}
+		a.hits = orig.Search("corneal lesion graft w5", 5)
+		a.vector = orig.ContextVector("corneal", 4)
+		for i := 0; i < orig.NumDocs(); i++ {
+			a.tokens = append(a.tokens, orig.Tokens(i))
+		}
+		return a
+	}
+	want := ask()
+
+	done := make(chan struct{})
+	var wg, ready sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		ready.Add(1)
+		go func() {
+			defer wg.Done()
+			ready.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if got := ask(); !reflect.DeepEqual(got, want) {
+					t.Error("a reader's answers changed while clones grew")
+					return
+				}
+			}
+		}()
+	}
+
+	ready.Wait()
+	for round := 0; round < 10; round++ {
+		a, b := orig.Clone(), orig.Clone()
+		for step := 0; step < 6; step++ {
+			fresh := 1
+			if step%3 == 2 {
+				fresh = 10 // enough new words to fold
+			}
+			a.AppendBuild([]Document{lineageDoc(rng, fmt.Sprint("a", step), 8, fresh, &next)})
+			b.AppendBuild([]Document{lineageDoc(rng, fmt.Sprint("b", step), 8, fresh, &next)})
+			a = a.Clone()
+		}
+	}
+	close(done)
+	wg.Wait()
 }
