@@ -24,13 +24,11 @@ func (c *Corpus) Clone() *Corpus {
 		tokens: slices.Clip(c.tokens),
 		ids:    c.ids,
 		newIDs: maps.Clone(c.newIDs),
+		post:   make([][]Posting, len(c.post)),
 		total:  c.total,
 	}
-	if c.post != nil {
-		out.post = make([][]Posting, len(c.post))
-		for id, p := range c.post {
-			out.post[id] = slices.Clip(p)
-		}
+	for id, p := range c.post {
+		out.post[id] = slices.Clip(p)
 	}
 	return out
 }

@@ -255,14 +255,14 @@ func (c *Corpus) occurrences(words []string) []Posting {
 		return c.postings(words[0])
 	}
 	// Anchor on the rarest word to minimize verification work.
-	anchor, anchorPost := 0, c.postings(words[0])
-	for i, w := range words[1:] {
-		if p := c.postings(w); len(p) < len(anchorPost) {
-			anchor, anchorPost = i+1, p
+	anchor := 0
+	for i, w := range words {
+		if len(c.postings(w)) < len(c.postings(words[anchor])) {
+			anchor = i
 		}
 	}
 	var out []Posting
-	for _, p := range anchorPost {
+	for _, p := range c.postings(words[anchor]) {
 		start := int(p.Pos) - anchor
 		if start < 0 {
 			continue
