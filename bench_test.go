@@ -21,6 +21,7 @@ import (
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/experiments"
 	"bioenrich/internal/linkage"
+	"bioenrich/internal/loadtest"
 	"bioenrich/internal/obs"
 	"bioenrich/internal/ontology"
 	"bioenrich/internal/polysemy"
@@ -296,12 +297,15 @@ func BenchmarkCorpusIndexing(b *testing.B) {
 // full O(corpus) profile build every iteration (a fresh Classifier per
 // op — the cost every request would pay without the cache). cached
 // must beat uncached by a wide margin: that gap is the reason the
-// serving path is O(document), not O(corpus). Both report allocations:
-// uncached's bytes/op is what every profile rebuild hands the
-// collector, and on a write-heavy server the collector's assists land
-// on the ingest path.
+// serving path is O(document), not O(corpus). "loadtest" is cached on
+// the benchmark's classify shape: 30-word loadtest texts over the
+// mesh's vocabulary, a different one each call. All report
+// allocations: uncached's bytes/op is what every profile rebuild hands
+// the collector, and on a write-heavy server the collector's assists
+// land on the ingest path.
 func BenchmarkClassify(b *testing.B) {
-	mesh := synth.GenerateMesh(synth.DefaultMeshOptions())
+	mopts := synth.DefaultMeshOptions()
+	mesh := synth.GenerateMesh(mopts)
 	copts := synth.DefaultCorpusOptions()
 	copts.DocsPerConcept = 3
 	c := synth.GenerateMeshCorpus(mesh, copts)
@@ -327,6 +331,24 @@ func BenchmarkClassify(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cl := classify.New(classify.Options{})
 			if _, err := cl.Classify(ctx, "bench", snap, text, 5); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("loadtest", func(b *testing.B) {
+		b.ReportAllocs()
+		gen := loadtest.NewGen(mopts.Seed, 400, 0)
+		texts := make([]string, 64)
+		for i := range texts {
+			texts[i] = gen.Text(30)
+		}
+		cl := classify.New(classify.Options{})
+		if _, err := cl.Classify(ctx, "bench", snap, texts[0], 5); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cl.Classify(ctx, "bench", snap, texts[i%len(texts)], 5); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -9,12 +9,13 @@
 // Building the per-concept profiles is O(corpus) — one context scan
 // per ontology term — so the Classifier caches them per (key, epoch):
 // the first classification after a snapshot publish rebuilds the
-// profile index, every later one is O(document): tokenize, then one
-// sequential sparse.Cosines pass against the cached unit vectors and
-// the norms stored beside them. The cache is keyed by the registry
-// entry name and invalidated by epoch comparison, riding the snapshot
-// design: an index is immutable once built, readers grab it with one
-// atomic load.
+// profile index, every later one is O(document): tokenize, then walk
+// the postings of the document's own words in the index, which stores
+// the profiles inverted (word → concepts holding it, with their unit
+// weights), and rank the concepts it scored. The cache is keyed by the
+// registry entry name and invalidated by epoch comparison, riding the
+// snapshot design: an index is immutable once built, readers grab it
+// with one atomic load, and a slot only ever moves to a newer epoch.
 //
 // Classification is deterministic byte-for-byte: every score is
 // bit-identical to sparse.Vector.Cosine of (document, profile), and
@@ -22,8 +23,10 @@
 package classify
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,14 +86,29 @@ type Result struct {
 	Concepts []ConceptScore `json:"concepts"`
 }
 
-// index is the immutable per-epoch concept-profile index: ids sorted,
-// vecs unit-normalized, norms[i] == vecs[i].Norm(), parallel slices.
+// index is the immutable per-epoch concept-profile index. ids are
+// sorted; prefs and norms are parallel to them, and norms[i] is
+// concept i's profile Norm. The profiles are stored inverted: a
+// profile word's slot s names its postings,
+// postings[start[s]:start[s+1]], the concepts whose profile holds the
+// word, ascending, each with its unit weight there.
 type index struct {
-	epoch uint64
-	ids   []ontology.ConceptID
-	prefs []string
-	vecs  []sparse.Vector
-	norms []float64
+	epoch    uint64
+	ids      []ontology.ConceptID
+	prefs    []string
+	norms    []float64
+	slots    map[string]int32
+	start    []int
+	postings []sparse.Posting
+}
+
+// lookup returns the postings of word: none when no profile holds it.
+func (idx *index) lookup(word string) []sparse.Posting {
+	s, ok := idx.slots[word]
+	if !ok {
+		return nil
+	}
+	return idx.postings[idx.start[s]:idx.start[s+1]]
 }
 
 // Classifier classifies documents against snapshot-backed ontologies,
@@ -138,16 +156,11 @@ func (cl *Classifier) Classify(ctx context.Context, key string, snap *state.Snap
 		return nil, err
 	}
 
-	scores := docVec.Cosines(idx.vecs, idx.norms)
-	out := make([]ConceptScore, 0, len(idx.ids))
-	for i, s := range scores {
-		if s > 0 {
-			out = append(out, ConceptScore{ID: idx.ids[i], Preferred: idx.prefs[i], Score: s})
-		}
-	}
-	sortScores(out)
-	if topN > 0 && topN < len(out) {
-		out = out[:topN]
+	scores := docVec.InvertedCosines(idx.lookup, idx.norms)
+	top := rank(scores, topN)
+	out := make([]ConceptScore, len(top))
+	for j, i := range top {
+		out[j] = ConceptScore{ID: idx.ids[i], Preferred: idx.prefs[i], Score: scores[i]}
 	}
 	return &Result{
 		Epoch:     snap.Epoch,
@@ -179,17 +192,27 @@ func (cl *Classifier) index(ctx context.Context, key string, snap *state.Snapsho
 	if err != nil {
 		return nil, err
 	}
-	slot.Store(idx)
+	// A request still on an older snapshot builds that epoch's index
+	// for itself but leaves a newer one in the slot, or the next
+	// request on the current epoch would rebuild it.
+	if cur := slot.Load(); cur == nil || idx.epoch > cur.epoch {
+		slot.Store(idx)
+	}
 	return idx, nil
 }
 
-// build computes the per-concept profile vectors: for each concept
-// (in sorted id order), the sum of the corpus context vectors of its
+// build computes the profile index. A concept's profile (concepts in
+// sorted id order) is the sum of the corpus context vectors of its
 // terms, counted over step IV's linkage.ContextWindow and
-// unit-normalized. Each term's contexts are counted straight into the
-// concept's one vector (AddContextVector), with no per-term vector in
-// between. Concepts absent from the corpus keep an empty vector and
-// score 0 against everything. The context is checked per concept.
+// unit-normalized as sparse.Vector.Normalize does. Concepts absent
+// from the corpus keep an empty profile and norm 0, and score 0
+// against everything. No profile is built as a map: each concept's
+// words are counted straight into one dense per-slot buffer reused
+// across concepts, and its postings go into fixed-size chunks. Once
+// every concept is done, a counting sort moves them into the flat
+// array grouped by slot, which is allocated once at its final size,
+// and keeps each word's concepts ascending. The context is checked per
+// concept.
 func (cl *Classifier) build(ctx context.Context, snap *state.Snapshot) (*index, error) {
 	o, c := snap.Ontology, snap.Corpus
 	ids := o.ConceptIDs()
@@ -197,8 +220,29 @@ func (cl *Classifier) build(ctx context.Context, snap *state.Snapshot) (*index, 
 		epoch: snap.Epoch,
 		ids:   ids,
 		prefs: make([]string, len(ids)),
-		vecs:  make([]sparse.Vector, len(ids)),
 		norms: make([]float64, len(ids)),
+		slots: make(map[string]int32),
+	}
+	// counts[s] is the current concept's count of slot s's word, and 0
+	// for every word it does not hold; words lists the concept's slots
+	// in the order first counted.
+	var (
+		counts           []int32
+		words            []int32
+		weights, scratch []float64
+		chunks           [][]chunkEntry
+	)
+	count := func(w string) {
+		s, ok := idx.slots[w]
+		if !ok {
+			s = int32(len(counts))
+			idx.slots[w] = s
+			counts = append(counts, 0)
+		}
+		if counts[s] == 0 {
+			words = append(words, s)
+		}
+		counts[s]++
 	}
 	for i, id := range ids {
 		if err := ctx.Err(); err != nil {
@@ -206,26 +250,92 @@ func (cl *Classifier) build(ctx context.Context, snap *state.Snapshot) (*index, 
 		}
 		concept := o.Concept(id)
 		idx.prefs[i] = concept.Preferred
-		v := sparse.New(64)
+		words = words[:0]
 		for _, t := range concept.Terms() {
-			c.AddContextVector(v, t, linkage.ContextWindow)
+			c.EachContextWord(t, linkage.ContextWindow, count)
 		}
-		v.Normalize()
-		idx.vecs[i] = v
-		// Taken after Normalize: 1 up to rounding (0 for an empty
-		// profile), and exactly the norm Cosine would compute.
-		idx.norms[i] = v.Norm()
+		weights = weights[:0]
+		for _, s := range words {
+			weights = append(weights, float64(counts[s]))
+			counts[s] = 0
+		}
+		scratch = slices.Grow(scratch[:0], len(weights))
+		idx.norms[i] = sparse.UnitNorm(weights, scratch)
+		for j, s := range words {
+			if len(chunks) == 0 || len(chunks[len(chunks)-1]) == chunkLen {
+				chunks = append(chunks, make([]chunkEntry, 0, chunkLen))
+			}
+			last := &chunks[len(chunks)-1]
+			*last = append(*last, chunkEntry{slot: s, row: int32(i), weight: weights[j]})
+		}
+	}
+	// Counting sort: count each slot's postings, sum the counts into
+	// start offsets, then place the postings in emission order, using
+	// counts (all 0 again) as each slot's fill cursor.
+	idx.start = make([]int, len(counts)+1)
+	for _, chunk := range chunks {
+		for _, e := range chunk {
+			idx.start[e.slot+1]++
+		}
+	}
+	for s := range counts {
+		idx.start[s+1] += idx.start[s]
+	}
+	idx.postings = make([]sparse.Posting, idx.start[len(counts)])
+	for _, chunk := range chunks {
+		for _, e := range chunk {
+			idx.postings[idx.start[e.slot]+int(counts[e.slot])] = sparse.Posting{Row: e.row, Weight: e.weight}
+			counts[e.slot]++
+		}
 	}
 	return idx, nil
 }
 
-// sortScores orders scores descending, ties broken by ascending
-// concept id — the deterministic ranking contract.
-func sortScores(out []ConceptScore) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+// chunkLen is the number of postings one build chunk holds (16 KiB).
+// Chunks never regrow, so a build allocates its postings about twice,
+// once chunked and once flat, whatever their number.
+const chunkLen = 1024
+
+// chunkEntry is one posting as a build emits it, before the counting
+// sort groups postings by slot.
+type chunkEntry struct {
+	slot, row int32
+	weight    float64
+}
+
+// rank returns the indices of the positive scores in ranking order —
+// score descending, then index ascending, which is concept id order —
+// cut to the topN best when topN > 0, so that only those become
+// ConceptScores.
+func rank(scores []float64, topN int) []int {
+	if topN <= 0 || topN >= len(scores) {
+		all := make([]int, 0, len(scores))
+		for i, s := range scores {
+			if s > 0 {
+				all = append(all, i)
+			}
 		}
-		return out[i].ID < out[j].ID
-	})
+		slices.SortFunc(all, func(a, b int) int {
+			if c := cmp.Compare(scores[b], scores[a]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		return all
+	}
+	top := make([]int, 0, topN)
+	for i, s := range scores {
+		if s <= 0 || (len(top) == topN && s <= scores[top[topN-1]]) {
+			continue
+		}
+		// Behind every kept score at least as high: indices ascend, so
+		// those came first, and ties stay in index order.
+		j := sort.Search(len(top), func(p int) bool { return scores[top[p]] < s })
+		if len(top) < topN {
+			top = append(top, 0)
+		}
+		copy(top[j+1:], top[j:])
+		top[j] = i
+	}
+	return top
 }

@@ -171,6 +171,19 @@ func TestClassifyCacheHitMissAndEpochInvalidation(t *testing.T) {
 	}
 
 	// Publishing a new epoch invalidates the cached index for that key.
+	next := publishNext(t, snap)
+	if _, err := cl.Classify(context.TODO(), "default", next, "corneal injury", 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter(CacheMissesMetric); got != 3 {
+		t.Fatalf("misses after epoch bump = %v, want 3", got)
+	}
+}
+
+// publishNext publishes one more document over snap and returns the
+// next epoch's snapshot.
+func publishNext(t *testing.T, snap *state.Snapshot) *state.Snapshot {
+	t.Helper()
 	store := state.NewStoreAt(snap.Corpus, snap.Ontology, snap.Epoch)
 	if _, err := store.UpdateDelta(func(cur *state.Snapshot) (*corpus.Corpus, *ontology.Ontology, *state.Delta, error) {
 		next := cur.Corpus.Clone()
@@ -184,11 +197,30 @@ func TestClassifyCacheHitMissAndEpochInvalidation(t *testing.T) {
 	if next.Epoch == snap.Epoch {
 		t.Fatal("epoch did not advance")
 	}
-	if _, err := cl.Classify(context.TODO(), "default", next, "corneal injury", 0); err != nil {
-		t.Fatal(err)
+	return next
+}
+
+// TestClassifyOlderSnapshotKeepsCurrentIndex: a request still on an
+// older snapshot gets that epoch's scores from an index built for it,
+// but the current epoch's index stays cached, so the requests on the
+// current epoch after it hit.
+func TestClassifyOlderSnapshotKeepsCurrentIndex(t *testing.T) {
+	reg := obs.New()
+	cl := New(Options{Obs: reg})
+	old := fixtureSnapshot(t)
+	cur := publishNext(t, old)
+	for _, snap := range []*state.Snapshot{cur, old, cur, cur} {
+		res, err := cl.Classify(context.TODO(), "default", snap, "corneal injury", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Epoch != snap.Epoch {
+			t.Fatalf("classified at epoch %d, want %d", res.Epoch, snap.Epoch)
+		}
 	}
-	if got := counter(CacheMissesMetric); got != 3 {
-		t.Fatalf("misses after epoch bump = %v, want 3", got)
+	misses, hits := reg.Counter(CacheMissesMetric).Value(), reg.Counter(CacheHitsMetric).Value()
+	if misses != 2 || hits != 2 {
+		t.Fatalf("current, older, current, current: %v misses and %v hits, want 2 and 2", misses, hits)
 	}
 }
 

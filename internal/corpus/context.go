@@ -36,22 +36,22 @@ func (c *Corpus) Contexts(term string, window int) []Context {
 // semantic-linkage cosine.
 func (c *Corpus) ContextVector(term string, window int) sparse.Vector {
 	v := sparse.New(64)
-	c.AddContextVector(v, term, window)
+	c.EachContextWord(term, window, func(w string) { v[w]++ })
 	return v
 }
 
-// AddContextVector adds the term's context counts (ContextVector's
-// entries) into v in place. Counts are whole numbers, so adding
-// several terms into one vector gives bit-for-bit the floats of
-// summing their ContextVectors, without building any of them. Once v
-// holds every word it will count, the scan allocates the same no
-// matter how often the term occurs.
-func (c *Corpus) AddContextVector(v sparse.Vector, term string, window int) {
-	c.scanContexts(term, window, nil, func(w string) { v[w]++ })
+// EachContextWord calls word for every word ContextVector counts, once
+// per count: the content words of the windows around every occurrence
+// of term, occurrences in posting order and words in position order.
+// A caller that sums several terms' contexts counts them straight into
+// its own store, and the scan allocates the same however often the
+// term occurs.
+func (c *Corpus) EachContextWord(term string, window int, word func(string)) {
+	c.scanContexts(term, window, nil, word)
 }
 
 // scanContexts is the one window scan behind Contexts and
-// AddContextVector. For every occurrence of term, in posting order, it
+// EachContextWord. For every occurrence of term, in posting order, it
 // calls occurrence (when non-nil) and then word for each content word
 // of the window around it, in position order: window tokens on each
 // side, the term's own words excluded, one-letter tokens, numerics and

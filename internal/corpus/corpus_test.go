@@ -101,17 +101,17 @@ func TestContextVector(t *testing.T) {
 	}
 }
 
-// TestAddContextVectorSumsTerms: counting several terms into one
-// vector gives exactly the sum of their ContextVectors, and each
-// ContextVector counts exactly the words Contexts returns — the two
-// views of the one window scan agree.
-func TestAddContextVectorSumsTerms(t *testing.T) {
+// TestEachContextWordSumsTerms: counting several terms' context words
+// into one vector gives exactly the sum of their ContextVectors, and
+// each ContextVector counts exactly the words Contexts returns — the
+// two views of the one window scan agree.
+func TestEachContextWordSumsTerms(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		c := randomCorpus(seed, 8)
 		terms := []string{"alpha", "Beta  GAMMA", "delta epsilon", "absent"}
 		got, want := sparse.New(0), sparse.New(0)
 		for _, term := range terms {
-			c.AddContextVector(got, term, 3)
+			c.EachContextWord(term, 3, func(w string) { got[w]++ })
 			tv := c.ContextVector(term, 3)
 			var words []string
 			for _, ctx := range c.Contexts(term, 3) {
@@ -123,16 +123,15 @@ func TestAddContextVectorSumsTerms(t *testing.T) {
 			want.Add(tv)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: AddContextVector %v, summed ContextVectors %v", seed, got, want)
+			t.Fatalf("seed %d: EachContextWord counts %v, summed ContextVectors %v", seed, got, want)
 		}
 	}
 }
 
-// TestAddContextVectorAllocs pins what keeps profile rebuilds cheap
-// for the collector: once the vector holds every word, counting a
-// term's contexts allocates a fixed amount per call, however often the
-// term occurs.
-func TestAddContextVectorAllocs(t *testing.T) {
+// TestEachContextWordAllocs pins what keeps profile rebuilds cheap for
+// the collector: scanning a term's context words allocates a fixed
+// amount per call, however often the term occurs.
+func TestEachContextWordAllocs(t *testing.T) {
 	c := New(textutil.English)
 	for d := 0; d < 200; d++ {
 		text := "frequent marker sits beside cornea lens retina"
@@ -145,13 +144,12 @@ func TestAddContextVectorAllocs(t *testing.T) {
 	if c.TF("frequent") != 200 || c.TF("rare") != 1 {
 		t.Fatalf("fixture: tf frequent %d, rare %d", c.TF("frequent"), c.TF("rare"))
 	}
-	v := sparse.New(0)
-	c.AddContextVector(v, "frequent", 8)
-	c.AddContextVector(v, "rare", 8)
-	frequent := testing.AllocsPerRun(20, func() { c.AddContextVector(v, "frequent", 8) })
-	rare := testing.AllocsPerRun(20, func() { c.AddContextVector(v, "rare", 8) })
+	n := 0
+	word := func(string) { n++ }
+	frequent := testing.AllocsPerRun(20, func() { c.EachContextWord("frequent", 8, word) })
+	rare := testing.AllocsPerRun(20, func() { c.EachContextWord("rare", 8, word) })
 	if frequent != rare {
-		t.Errorf("AddContextVector allocates %v times for a term with 200 occurrences, %v for one with 1", frequent, rare)
+		t.Errorf("EachContextWord allocates %v times for a term with 200 occurrences, %v for one with 1", frequent, rare)
 	}
 }
 

@@ -87,6 +87,61 @@ func TestCosinesMatchCosine(t *testing.T) {
 	checkCosines(t, v, others)
 	checkCosines(t, Vector{}, others)
 	checkCosines(t, v, nil)
+	checkInvertedCosines(t, v, others)
+	checkInvertedCosines(t, Vector{}, others)
+	checkInvertedCosines(t, v, nil)
+}
+
+// checkInvertedCosines asserts the InvertedCosines contract: with the
+// rows stored inverted, rows ascending within each feature, and each
+// row's Norm, every score is bit for bit what Cosine returns for v and
+// that row.
+func checkInvertedCosines(t *testing.T, v Vector, rows []Vector) {
+	t.Helper()
+	postings := map[string][]Posting{}
+	norms := make([]float64, len(rows))
+	for r, row := range rows {
+		for k, w := range row {
+			postings[k] = append(postings[k], Posting{Row: int32(r), Weight: w})
+		}
+		norms[r] = row.Norm()
+	}
+	got := v.InvertedCosines(func(k string) []Posting { return postings[k] }, norms)
+	if len(got) != len(rows) {
+		t.Fatalf("InvertedCosines returned %d scores for %d rows", len(got), len(rows))
+	}
+	for r, row := range rows {
+		if want := v.Cosine(row); math.Float64bits(got[r]) != math.Float64bits(want) {
+			t.Errorf("InvertedCosines[%d] = %v (%#x), Cosine = %v (%#x)",
+				r, got[r], math.Float64bits(got[r]), want, math.Float64bits(want))
+		}
+	}
+}
+
+// TestUnitNormMatchesNormalize pins UnitNorm to Normalize then Norm,
+// bit for bit, on irregular weights, a zero vector and no weights.
+func TestUnitNormMatchesNormalize(t *testing.T) {
+	for _, v := range []Vector{irregularVector(300, 1), irregularVector(7, 1e-7), {"a": 0, "b": 0}, {}} {
+		var keys []string
+		for k := range v {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		ws := make([]float64, len(keys))
+		for i, k := range keys {
+			ws[i] = v[k]
+		}
+		norm := UnitNorm(ws, make([]float64, 0, len(ws)))
+		v.Normalize()
+		if want := v.Norm(); math.Float64bits(norm) != math.Float64bits(want) {
+			t.Errorf("%d weights: UnitNorm = %v, Norm after Normalize = %v", len(ws), norm, want)
+		}
+		for i, k := range keys {
+			if math.Float64bits(ws[i]) != math.Float64bits(v[k]) {
+				t.Fatalf("%d weights: weight %s = %v, Normalize gives %v", len(ws), k, ws[i], v[k])
+			}
+		}
+	}
 }
 
 // TestReductionsInsertionOrderIndependent pins the same contract

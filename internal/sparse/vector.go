@@ -173,6 +173,103 @@ func (v Vector) Cosines(others []Vector, norms []float64) []float64 {
 	return out
 }
 
+// Posting is one entry of rows stored inverted, by feature: a row
+// that holds the feature the posting is listed under, and its weight
+// there.
+type Posting struct {
+	Row    int32
+	Weight float64
+}
+
+// InvertedCosines scores v against rows stored inverted: postings(k)
+// lists every row holding feature k with its weight (none when no row
+// does), and norms[r] is row r's Norm. out[r] is bit for bit
+// v.Cosine(row r). Only v's features are looked up. Their postings are
+// read once to count each row's shared features, which sizes the row's
+// segment of one product buffer, and once to write v's weight times
+// the row's into that segment. Each segment is then reduced with the
+// same detSum, zero checks and clamp as Cosine; detSum sorts, so the
+// order the products arrive in does not reach the bits.
+func (v Vector) InvertedCosines(postings func(feature string) []Posting, norms []float64) []float64 {
+	out := make([]float64, len(norms))
+	nv := v.Norm()
+	if nv == 0 {
+		return out
+	}
+	weights := make([]float64, 0, len(v))
+	lists := make([][]Posting, 0, len(v))
+	// at[r] counts row r's products, then holds where the next one
+	// goes: the segment's start before the fill, its end after.
+	at := make([]int, len(norms))
+	for k, w := range v {
+		ps := postings(k)
+		if len(ps) == 0 {
+			continue
+		}
+		weights = append(weights, w)
+		lists = append(lists, ps)
+		for _, p := range ps {
+			at[p.Row]++
+		}
+	}
+	n := 0
+	for r, c := range at {
+		at[r] = n
+		n += c
+	}
+	terms := make([]float64, n)
+	for i, ps := range lists {
+		for _, p := range ps {
+			terms[at[p.Row]] = weights[i] * p.Weight
+			at[p.Row]++
+		}
+	}
+	lo := 0
+	for r, no := range norms {
+		seg := terms[lo:at[r]]
+		lo = at[r]
+		if no == 0 {
+			continue
+		}
+		c := detSum(seg) / (nv * no)
+		if c > 1 {
+			c = 1
+		} else if c < -1 {
+			c = -1
+		}
+		out[r] = c
+	}
+	return out
+}
+
+// UnitNorm scales ws in place exactly as Normalize scales a vector
+// holding the same weights, and returns the Norm that vector then has:
+// 1 up to rounding, or 0 when every weight is 0 (ws is left as is).
+// Both reductions collect their squares in scratch, so a caller that
+// normalizes many weight lists passes one buffer with room for the
+// longest and allocates nothing here.
+func UnitNorm(ws, scratch []float64) float64 {
+	n := sliceNorm(ws, scratch)
+	if n == 0 {
+		return 0
+	}
+	s := 1 / n
+	for i := range ws {
+		ws[i] *= s
+	}
+	return sliceNorm(ws, scratch)
+}
+
+// sliceNorm is Norm over weights held in a slice: the same squares,
+// the same order-canonical sum.
+func sliceNorm(ws, scratch []float64) float64 {
+	terms := scratch[:0]
+	for _, w := range ws {
+		terms = append(terms, w*w)
+	}
+	return math.Sqrt(detSum(terms))
+}
+
 // Top returns the n highest-weighted features in descending weight
 // order (ties broken alphabetically for determinism).
 func (v Vector) Top(n int) []Entry {
