@@ -73,6 +73,20 @@ func (o *Ontology) ConceptIDs() []ConceptID {
 	return ids
 }
 
+// CurationCounts counts the concepts that have at least one parent and
+// those that have at least one synonym, without listing them.
+func (o *Ontology) CurationCounts() (linked, withSynonyms int) {
+	for _, c := range o.concepts {
+		if len(c.Parents) > 0 {
+			linked++
+		}
+		if len(c.Synonyms) > 0 {
+			withSynonyms++
+		}
+	}
+	return linked, withSynonyms
+}
+
 // AddConcept creates a concept with the given preferred term. Returns
 // an error if the id already exists or the term is empty.
 func (o *Ontology) AddConcept(id ConceptID, preferred string) (*Concept, error) {

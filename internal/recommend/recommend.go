@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"bioenrich/internal/ontology"
 	"bioenrich/internal/state"
@@ -158,39 +157,47 @@ type matchResult struct {
 // greedyMatch scans the token stream left to right, preferring the
 // longest gram (up to maxGram words) present in the ontology's term
 // index at each position — the standard annotator longest-match rule.
+// Each position's longest gram is spelled once into one reused buffer,
+// and every shorter gram there is a prefix of it, so the probes build
+// no string; a gram becomes one only when it is a term seen for the
+// first time.
 func greedyMatch(o *ontology.Ontology, tokens []string) matchResult {
 	var res matchResult
 	seenTerm := map[string]bool{}
 	seenConcept := map[ontology.ConceptID]bool{}
+	var buf []byte
+	var ends [maxGram + 1]int // ends[g] is the length of the g-word gram
 	for i := 0; i < len(tokens); {
-		g := maxGram
-		if rest := len(tokens) - i; g > rest {
-			g = rest
+		g := min(maxGram, len(tokens)-i)
+		buf = buf[:0]
+		for n, tok := range tokens[i : i+g] {
+			if n > 0 {
+				buf = append(buf, ' ')
+			}
+			buf = append(buf, tok...)
+			ends[n+1] = len(buf)
 		}
-		advanced := false
-		for ; g >= 1; g-- {
-			gram := strings.Join(tokens[i:i+g], " ")
-			if !o.HasTerm(gram) {
-				continue
-			}
-			if !seenTerm[gram] {
-				seenTerm[gram] = true
-				res.terms = append(res.terms, gram)
-			}
-			for _, id := range o.ConceptsForTerm(gram) {
+		for g > 0 && !o.HasTermBytes(buf[:ends[g]]) {
+			g--
+		}
+		if g == 0 {
+			i++
+			continue
+		}
+		gram := buf[:ends[g]]
+		if !seenTerm[string(gram)] {
+			term := string(gram)
+			seenTerm[term] = true
+			res.terms = append(res.terms, term)
+			for _, id := range o.ConceptsForTerm(term) {
 				if !seenConcept[id] {
 					seenConcept[id] = true
 					res.concepts = append(res.concepts, id)
 				}
 			}
-			res.tokens += g
-			i += g
-			advanced = true
-			break
 		}
-		if !advanced {
-			i++
-		}
+		res.tokens += g
+		i += g
 	}
 	sort.Slice(res.concepts, func(a, b int) bool { return res.concepts[a] < res.concepts[b] })
 	return res
@@ -205,16 +212,7 @@ func acceptance(o *ontology.Ontology) float64 {
 	if n == 0 {
 		return 0
 	}
-	linked, withSyn := 0, 0
-	for _, id := range o.ConceptIDs() {
-		c := o.Concept(id)
-		if len(c.Parents) > 0 {
-			linked++
-		}
-		if len(c.Synonyms) > 0 {
-			withSyn++
-		}
-	}
+	linked, withSyn := o.CurationCounts()
 	// log-scaled size: ~0.5 at 100 concepts, saturating toward 1 at 10k.
 	size := math.Min(1, math.Log1p(float64(n))/math.Log1p(10000))
 	return (float64(linked)/float64(n) + float64(withSyn)/float64(n) + size) / 3

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"bioenrich/internal/corpus"
@@ -178,5 +179,23 @@ func TestRankCancelled(t *testing.T) {
 	inputs := []Input{{Name: "eye", Snap: snapFor(t, eyeOntology(t), textutil.English)}}
 	if _, err := Rank(ctx, inputs, "corneal injury", Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestGreedyMatchAllocsPerToken pins greedyMatch's probes to the
+// reused gram buffer: on a 500-token text that repeats two matching
+// terms among words no term holds, a call allocates a small fixed
+// amount, not a string per probed gram (up to three per token).
+func TestGreedyMatchAllocsPerToken(t *testing.T) {
+	o := eyeOntology(t)
+	sentence := "the corneal injury progressed into chronic corneal diseases of the eye "
+	tokens := normalizedTokens(strings.Repeat(sentence, 46))[:500]
+	if m := greedyMatch(o, tokens); len(m.terms) != 2 || len(m.concepts) != 2 {
+		t.Fatalf("fixture: matched terms %v, concepts %v; want two of each", m.terms, m.concepts)
+	}
+	allocs := testing.AllocsPerRun(20, func() { greedyMatch(o, tokens) })
+	if perToken := allocs / float64(len(tokens)); perToken > 0.1 {
+		t.Fatalf("greedyMatch allocates %v times on %d tokens (%.3f per token), want at most 0.1 per token",
+			allocs, len(tokens), perToken)
 	}
 }
