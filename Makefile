@@ -4,7 +4,7 @@
 #   make test     plain test run (what CI's quick loop wants)
 #   make lint     in-repo analyzers (cmd/biolint): determinism/context/obs/lock/snapshot/goroutine/envelope/metric invariants
 #   make lint-bench   serial-vs-parallel lint driver wall-clock -> LINTBENCH_<timestamp>.txt
-#   make fuzz-smoke   10s native-fuzz passes over the tokenizer, canonical keys, batched cosines, corpus reader, clone lineages and WAL
+#   make fuzz-smoke   10s native-fuzz passes over the tokenizer, canonical keys, batched and inverted cosines, corpus reader, clone lineages and WAL
 #   make bench    full benchmark sweep -> BENCH_<timestamp>.json
 #   make bench-enricher   just the worker-pool speedup pair
 #   make perf-smoke   short read + enrich runs of the repository benchmark (perfbench/)
@@ -68,14 +68,15 @@ lint-bench:
 
 # Short native-fuzz passes over the untrusted-input parsers, the
 # canonical-key invariant the stopword and ontology lookups rely on,
-# Cosines' bit-identity to Cosine, which classify and linkage rely on,
-# and the corpus clones' shared arrays, which every ingest relies on.
-# CI runs the same smoke lane; longer local sessions just raise
-# -fuzztime.
+# the bit-identity to Cosine of Cosines, which step IV relies on, and
+# of InvertedCosines, which classify relies on, and the corpus clones'
+# shared arrays, which every ingest relies on. CI runs the same smoke
+# lane; longer local sessions just raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzTokenize' -fuzztime 10s ./internal/textutil
 	$(GO) test -fuzz 'FuzzCanonicalKeys' -fuzztime 10s ./internal/textutil
 	$(GO) test -fuzz 'FuzzCosines' -fuzztime 10s ./internal/sparse
+	$(GO) test -fuzz 'FuzzInvertedCosines' -fuzztime 10s ./internal/sparse
 	$(GO) test -fuzz 'FuzzReadJSONL' -fuzztime 10s ./internal/corpus
 	$(GO) test -fuzz 'FuzzCloneLineages' -fuzztime 10s ./internal/corpus
 	$(GO) test -fuzz 'FuzzWALReplay' -fuzztime 10s ./internal/storage
