@@ -101,7 +101,7 @@ func TestIndexMatchesMapProfiles(t *testing.T) {
 		scores := docVec.InvertedCosines(idx.lookup, idx.norms)
 		for i, p := range profiles {
 			if want := docVec.Cosine(p); math.Float64bits(scores[i]) != math.Float64bits(want) {
-				t.Fatalf("%q against %s: index %v (%#x), Cosine %v (%#x)", text, idx.ids[i],
+				t.Fatalf("%.60q against %s: index %v (%#x), Cosine %v (%#x)", text, idx.ids[i],
 					scores[i], math.Float64bits(scores[i]), want, math.Float64bits(want))
 			}
 		}
