@@ -234,12 +234,22 @@ func TestClassifyCancelled(t *testing.T) {
 	}
 }
 
+// TestClassifyConcurrent classifies from 16 goroutines over 3 keys,
+// half of them on an older snapshot. Whatever order the builds land
+// in, every key's slot ends on the newer epoch, so classifying it
+// again hits.
 func TestClassifyConcurrent(t *testing.T) {
-	snap := fixtureSnapshot(t)
-	cl := New(Options{})
+	old := fixtureSnapshot(t)
+	cur := publishNext(t, old)
+	reg := obs.New()
+	cl := New(Options{Obs: reg})
 	done := make(chan error, 16)
 	for i := 0; i < 16; i++ {
 		go func(i int) {
+			snap := cur
+			if i%2 == 1 {
+				snap = old
+			}
 			_, err := cl.Classify(context.TODO(), fmt.Sprintf("k%d", i%3), snap, "corneal injury and damage", 0)
 			done <- err
 		}(i)
@@ -248,6 +258,15 @@ func TestClassifyConcurrent(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+	misses := reg.Counter(CacheMissesMetric).Value()
+	for k := 0; k < 3; k++ {
+		if _, err := cl.Classify(context.TODO(), fmt.Sprintf("k%d", k), cur, "corneal injury", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Counter(CacheMissesMetric).Value(); got != misses {
+		t.Fatalf("classifying each key on the newer epoch rebuilt %v indexes, want 0", got-misses)
 	}
 }
 
