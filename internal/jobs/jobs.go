@@ -251,10 +251,10 @@ func (m *Manager) Submit(kind, requestID string, epoch uint64, fn Fn) (Job, erro
 		return Job{}, fmt.Errorf("%w: %d pending", ErrQueueFull, m.opts.Queue)
 	}
 	m.jobs[j.ID] = j
-	view := j.Job
-	m.mu.Unlock()
 	m.depth.Add(1)
 	m.opts.Obs.Counter(JobsMetric, "status", string(StatusQueued)).Inc()
+	view := j.Job
+	m.mu.Unlock()
 	return view, nil
 }
 
@@ -326,21 +326,17 @@ func (m *Manager) Cancel(id string) (Job, error) {
 		return view, ErrFinished
 	}
 	j.cancelled = true
-	var queued bool
 	switch j.Status {
 	case StatusQueued:
-		queued = true
 		j.Status = StatusCancelled
 		j.Finished = time.Now()
+		m.depth.Add(-1)
+		m.opts.Obs.Counter(JobsMetric, "status", string(StatusCancelled)).Inc()
 	case StatusRunning:
 		j.cancel() // the worker finalizes the status when Fn returns
 	}
 	view := j.Job
 	m.mu.Unlock()
-	if queued {
-		m.depth.Add(-1)
-		m.opts.Obs.Counter(JobsMetric, "status", string(StatusCancelled)).Inc()
-	}
 	return view, nil
 }
 
@@ -396,7 +392,9 @@ func (m *Manager) worker(ctx context.Context) {
 	}
 }
 
-// run executes one dequeued job through its lifecycle.
+// run executes one dequeued job through its lifecycle. Each
+// transition's metrics are recorded before m.mu is released, so a
+// caller that sees a status through Get also sees its counts.
 func (m *Manager) run(ctx context.Context, j *job) {
 	m.mu.Lock()
 	if j.Status != StatusQueued {
@@ -409,9 +407,9 @@ func (m *Manager) run(ctx context.Context, j *job) {
 	j.cancel = cancel
 	j.Status = StatusRunning
 	j.Started = time.Now()
-	m.mu.Unlock()
 	m.depth.Add(-1)
 	m.opts.Obs.Counter(JobsMetric, "status", string(StatusRunning)).Inc()
+	m.mu.Unlock()
 
 	result, err := j.fn(jctx)
 	cancel()
@@ -430,9 +428,7 @@ func (m *Manager) run(ctx context.Context, j *job) {
 		j.Status = StatusFailed
 		j.Err = err
 	}
-	final := j.Status
-	elapsed := j.Finished.Sub(j.Started)
+	m.duration.Observe(j.Finished.Sub(j.Started).Seconds())
+	m.opts.Obs.Counter(JobsMetric, "status", string(j.Status)).Inc()
 	m.mu.Unlock()
-	m.duration.Observe(elapsed.Seconds())
-	m.opts.Obs.Counter(JobsMetric, "status", string(final)).Inc()
 }

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -299,6 +300,40 @@ func TestJobMetrics(t *testing.T) {
 	}
 	if got := reg.Histogram(DurationMetric, nil).Count(); got != 1 {
 		t.Errorf("duration observations = %v, want 1", got)
+	}
+}
+
+// TestJobMetricsKeepUpWithStatus: once Get reports a job terminal, the
+// done counter and the duration histogram already count it. The test
+// spins on Get rather than sleeping, so it reads the metrics in the
+// window right after the terminal status is published.
+func TestJobMetricsKeepUpWithStatus(t *testing.T) {
+	reg := obs.New()
+	m := startManager(t, Options{Obs: reg})
+	done := reg.Counter(JobsMetric, "status", string(StatusDone))
+	durations := reg.Histogram(DurationMetric, nil)
+	const n = 2000
+	for i := 1; i <= n; i++ {
+		j, err := m.Submit("quick", "", 1, func(context.Context) (any, error) { return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			v, ok := m.Get(j.ID)
+			if !ok {
+				t.Fatalf("job %s vanished", j.ID)
+			}
+			if v.Status.Terminal() {
+				break
+			}
+			runtime.Gosched()
+		}
+		if got := done.Value(); got != float64(i) {
+			t.Fatalf("job %d terminal but done transitions = %v", i, got)
+		}
+		if got := durations.Count(); got != uint64(i) {
+			t.Fatalf("job %d terminal but duration observations = %d", i, got)
+		}
 	}
 }
 
