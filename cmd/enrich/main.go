@@ -194,7 +194,7 @@ func run(o options) error {
 	if !o.apply {
 		return nil
 	}
-	applied, err := enricher.Apply(report, core.DefaultPolicy())
+	applied, err := enricher.Apply(report)
 	if err != nil {
 		return err
 	}

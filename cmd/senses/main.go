@@ -47,7 +47,6 @@ func run(corpusPath, term, algorithm, index, rep string, monosemic bool, seed in
 		Algorithm:      cluster.Algorithm(algorithm),
 		Index:          cluster.Index(index),
 		Representation: senseind.Representation(rep),
-		Window:         senseind.DefaultWindow,
 		Seed:           seed,
 	}
 	res, err := in.Induce(c, term, !monosemic)

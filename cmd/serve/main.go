@@ -10,8 +10,7 @@
 //	      [-enrich-timeout 2m] [-metrics=true] [-pprof] \
 //	      [-log-level info] [-max-body 8388608] \
 //	      [-job-queue 16] [-job-workers 1] [-job-ttl 15m] \
-//	      [-data-dir data/state] [-wal-sync=true] \
-//	      [-retain-segments 3] [-checkpoint-every 256]
+//	      [-data-dir data/state] [-retain-segments 3] [-checkpoint-every 256]
 //
 // Multi-ontology hosting: -corpus/-ontology seed the default registry
 // entry (every single-ontology route serves it); each repeatable
@@ -41,12 +40,11 @@
 // the server warm-restarts from it — loading the newest valid segment
 // and replaying the WAL tail to the exact pre-crash epoch — and the
 // -corpus/-ontology flags are only consulted on a cold (empty) data
-// directory, where they seed epoch 1. -wal-sync=false trades the
-// per-append fsync for throughput (a crash may then lose acknowledged
-// ingests), -retain-segments bounds how many full snapshots are kept,
-// and -checkpoint-every bounds boot-time replay by writing a full
-// segment after that many ingest batches. Without -data-dir everything
-// lives in RAM and dies with the process, as before.
+// directory, where they seed epoch 1. -retain-segments bounds how many
+// full snapshots are kept, and -checkpoint-every bounds boot-time
+// replay by writing a full segment after that many ingest batches.
+// Without -data-dir everything lives in RAM and dies with the process,
+// as before.
 //
 // Ingestion is group-committed (internal/batch): concurrent POST
 // /v1/documents requests coalesce per ontology into one corpus
@@ -90,7 +88,6 @@ import (
 	"syscall"
 	"time"
 
-	"bioenrich/internal/core"
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/obs"
 	"bioenrich/internal/ontology"
@@ -165,7 +162,6 @@ func main() {
 	jobWorkers := flag.Int("job-workers", 0, "concurrent async job runners (0 = default 1)")
 	jobTTL := flag.Duration("job-ttl", 0, "retention for finished jobs before GC (0 = default 15m, negative = forever)")
 	dataDir := flag.String("data-dir", "", "durable state directory: WAL + snapshot segments; empty = in-memory only")
-	walSync := flag.Bool("wal-sync", true, "fsync the WAL on every ingest before acknowledging (false trades crash-safety for throughput)")
 	retainSegments := flag.Int("retain-segments", 0, "full snapshot segments to keep in -data-dir (0 = default 3, negative = all)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "write a full segment every N ingest batches, bounding boot replay (0 = default 256, negative = never automatically)")
 	addrFile := flag.String("addr-file", "", "write the resolved listen address (host:port) to this file once listening; lets tooling discover a kernel-assigned :0 port without parsing logs")
@@ -187,6 +183,7 @@ func main() {
 	defer stop()
 
 	opts := server.Options{
+		Workers:       *workers,
 		Pprof:         *pprofFlag,
 		MaxBodyBytes:  *maxBody,
 		AccessLog:     logger,
@@ -215,7 +212,6 @@ func main() {
 	diskOptsFor := func(dir string) storage.DiskOptions {
 		return storage.DiskOptions{
 			Dir:             dir,
-			DisableWALSync:  !*walSync,
 			Retain:          *retainSegments,
 			CheckpointEvery: *checkpointEvery,
 			Obs:             opts.Obs,
@@ -311,10 +307,7 @@ func main() {
 	def := reg.Default().Snapshot()
 	c, o := def.Corpus, def.Ontology
 
-	cfg := core.DefaultConfig()
-	cfg.Workers = *workers
-
-	app := server.New(reg, cfg, opts)
+	app := server.New(reg, opts)
 	srv := &http.Server{
 		Handler:           app.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,

@@ -36,7 +36,8 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{
 		Level: slog.LevelWarn, // keep stdout clean; bump to Info for progress
 	}))
-	cfg := core.DefaultConfig().WithLogger(logger)
+	cfg := core.DefaultConfig()
+	cfg.Log = logger
 
 	trainer := core.NewEnricher(trainSet.Corpus, mesh.Ontology, cfg)
 	if err := trainer.TrainPolysemy(trainSet.Polysemic, trainSet.Monosemic); err != nil {
@@ -57,7 +58,7 @@ func main() {
 	// 4. Enrich the working ontology over two rounds.
 	worker := core.NewEnricher(workCorpus, mesh.Ontology, cfg)
 	before := mesh.Ontology.NumTerms()
-	rounds, err := worker.RunRounds(2, core.DefaultPolicy())
+	rounds, err := worker.RunRounds(2)
 	if err != nil {
 		log.Fatal(err)
 	}

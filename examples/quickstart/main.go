@@ -51,7 +51,7 @@ func main() {
 
 	// 4. Apply the accepted proposals.
 	before := mesh.Ontology.NumTerms()
-	applied, err := enricher.Apply(report, core.DefaultPolicy())
+	applied, err := enricher.Apply(report)
 	if err != nil {
 		log.Fatal(err)
 	}

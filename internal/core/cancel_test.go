@@ -156,7 +156,7 @@ func TestRunRoundsContextCancelledAppliesNothing(t *testing.T) {
 	cfg.TopCandidates = 6
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := NewEnricher(c, o, cfg).RunRoundsContext(ctx, 2, DefaultPolicy())
+	out, err := NewEnricher(c, o, cfg).RunRoundsContext(ctx, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

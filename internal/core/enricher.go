@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"bioenrich/internal/cluster"
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/linkage"
 	"bioenrich/internal/ml"
@@ -32,42 +31,26 @@ import (
 	"bioenrich/internal/termex"
 )
 
-// Config selects the strategy of every step.
+// Config holds the settings callers vary. The paper's other choices
+// are fixed: a random forest over all 23 features (step II), direct
+// clustering with the f_k index on bag-of-words seeded per candidate
+// (step III), and cosine linkage with father/son expansion proposing
+// topPositions positions (step IV). The ablations over those choices
+// run through internal/experiments.
 type Config struct {
-	// Step I
-	Measure       termex.Measure // ranking measure (default LIDF)
-	TopCandidates int            // candidates carried into steps II–IV
-
-	// Step II
-	Classifier func() ml.Classifier // polysemy classifier factory
-	Features   polysemy.FeatureSet  // feature ablation switch
-
-	// Step III
-	Algorithm      cluster.Algorithm
-	Index          cluster.Index
-	Representation senseind.Representation
-
-	// Step IV
-	Link         linkage.Options
-	TopPositions int
-
-	Seed int64
+	Measure termex.Measure // step I ranking measure (default LIDF)
+	// TopCandidates is how many new candidates steps II–IV carry; it
+	// also bounds how many already-known ontology terms the report
+	// records alongside them.
+	TopCandidates int
 
 	// Workers bounds the pool that runs steps II–IV across candidates
 	// (each candidate is independent, so they parallelize cleanly).
-	// 0 means runtime.GOMAXPROCS(0). Output is deterministic for a
-	// fixed Seed regardless of Workers: every candidate clusters with
-	// its own derived seed (Seed + report index) and results land in
-	// rank order.
+	// 0 means runtime.GOMAXPROCS(0). Output is deterministic
+	// regardless of Workers: every candidate clusters with its own
+	// derived seed (baseSeed + report index) and results land in rank
+	// order.
 	Workers int
-
-	// MaxKnown bounds how many already-known ontology terms are
-	// recorded in the report alongside the TopCandidates new terms.
-	// Known terms are informational (skipped by steps II–IV and by
-	// Apply), so without a bound a corpus dominated by known
-	// terminology yields an unbounded report. 0 means TopCandidates;
-	// negative drops known terms from the report entirely.
-	MaxKnown int
 
 	// ExtractRelations enables the future-work extension: after step
 	// IV proposes positions, typed relations between the candidate and
@@ -87,24 +70,29 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// DefaultConfig mirrors the paper's best-performing choices: LIDF-value
-// ranking, random forest over all 23 features, direct clustering with
-// the f_k index on bag-of-words, cosine linkage with father/son
-// expansion, 10 position proposals.
+// DefaultConfig mirrors the paper's run: LIDF-value ranking and 20
+// candidates.
 func DefaultConfig() Config {
-	return Config{
-		Measure:        termex.LIDF,
-		TopCandidates:  20,
-		Classifier:     func() ml.Classifier { return ml.NewRandomForest() },
-		Features:       polysemy.AllFeatures,
-		Algorithm:      cluster.Direct,
-		Index:          cluster.FK,
-		Representation: senseind.BagOfWords,
-		Link:           linkage.DefaultOptions(),
-		TopPositions:   10,
-		Seed:           1,
-	}
+	return Config{Measure: termex.LIDF, TopCandidates: 20}
 }
+
+const (
+	// topPositions is how many position proposals step IV keeps per
+	// candidate.
+	topPositions = 10
+	// baseSeed is the paper's clustering seed: the candidate in report
+	// slot i clusters with baseSeed + i.
+	baseSeed = 1
+	// synonymCosine: a candidate whose best proposal scores at or
+	// above this cosine is attached as a synonym of that concept;
+	// below it, a new child concept of the proposal's concept is
+	// created. Strong context identity (like "corneal injury" vs
+	// "corneal injuries") means synonymy; weaker but real similarity
+	// means a nearby new concept.
+	synonymCosine = 0.40
+	// minCosine: proposals below this are not applied at all.
+	minCosine = 0.15
+)
 
 // Candidate is the full per-term outcome of the pipeline.
 type Candidate struct {
@@ -133,12 +121,8 @@ type Enricher struct {
 	detector *polysemy.Detector
 }
 
-// withDefaults fills every zero-valued field from DefaultConfig,
-// leaving explicitly-set fields alone. A Config with only
-// TopCandidates set therefore runs the paper's defaults for the other
-// steps instead of being replaced wholesale. Seed 0 becomes 1 (the
-// paper's seed) and MaxKnown 0 becomes TopCandidates; pass a negative
-// MaxKnown to suppress known terms.
+// withDefaults fills a zero Measure or TopCandidates from
+// DefaultConfig, leaving the other fields as given.
 func (c Config) withDefaults() Config {
 	def := DefaultConfig()
 	if c.Measure == "" {
@@ -146,32 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TopCandidates == 0 {
 		c.TopCandidates = def.TopCandidates
-	}
-	if c.Classifier == nil {
-		c.Classifier = def.Classifier
-	}
-	if c.Algorithm == "" {
-		c.Algorithm = def.Algorithm
-	}
-	if c.Index == "" {
-		c.Index = def.Index
-	}
-	if c.Representation == "" {
-		c.Representation = def.Representation
-	}
-	// Only a fully-zero Link means the paper's linkage: a caller who
-	// set Link.Obs or an expansion flag keeps the Link as given.
-	if c.Link == (linkage.Options{}) {
-		c.Link = def.Link
-	}
-	if c.TopPositions == 0 {
-		c.TopPositions = def.TopPositions
-	}
-	if c.Seed == 0 {
-		c.Seed = def.Seed
-	}
-	if c.MaxKnown == 0 {
-		c.MaxKnown = c.TopCandidates
 	}
 	return c
 }
@@ -185,8 +143,8 @@ func (c Config) workers() int {
 }
 
 // NewEnricher builds an enricher. The ontology is not copied; Apply
-// mutates it. Zero-valued Config fields are filled from
-// DefaultConfig; explicitly-set fields are honored as given.
+// mutates it. A zero Measure or TopCandidates is filled from
+// DefaultConfig.
 func NewEnricher(c *corpus.Corpus, o *ontology.Ontology, cfg Config) *Enricher {
 	return &Enricher{cfg: cfg.withDefaults(), c: c, o: o}
 }
@@ -196,7 +154,8 @@ func NewEnricher(c *corpus.Corpus, o *ontology.Ontology, cfg Config) *Enricher {
 // concepts are polysemic. Without training, every candidate is treated
 // as monosemic (k = 1).
 func (e *Enricher) TrainPolysemy(polysemic, monosemic []string) error {
-	det, err := polysemy.Train(e.c, polysemic, monosemic, e.cfg.Classifier, e.cfg.Features)
+	det, err := polysemy.Train(e.c, polysemic, monosemic,
+		func() ml.Classifier { return ml.NewRandomForest() }, polysemy.AllFeatures)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -215,11 +174,11 @@ func (e *Enricher) IsPolysemic(c *corpus.Corpus, term string) bool {
 // RunContext with context.Background(): it cannot be cancelled.
 //
 // Steps II–IV are independent per candidate and run on a bounded pool
-// of Config.Workers goroutines. The report is deterministic for a
-// fixed Config.Seed whatever the pool size: candidate selection and
-// ordering are fixed by step I's rank before any worker starts, each
-// worker writes into its candidate's pre-assigned slot, and clustering
-// seeds derive from the slot index rather than scheduling order.
+// of Config.Workers goroutines. The report is deterministic whatever
+// the pool size: candidate selection and ordering are fixed by step
+// I's rank before any worker starts, each worker writes into its
+// candidate's pre-assigned slot, and clustering seeds derive from the
+// slot index rather than scheduling order.
 func (e *Enricher) Run() (*Report, error) {
 	//biolint:allow context-background documented uncancellable convenience wrapper
 	return e.RunContext(context.Background())
@@ -263,9 +222,9 @@ func (e *Enricher) run(ctx context.Context) (*Report, error) {
 	}
 
 	// Selection pass (sequential): fix every candidate's slot in the
-	// report. Known terms are recorded but bounded by MaxKnown so a
-	// corpus dominated by ontology terminology cannot blow up the
-	// report; they never count against TopCandidates.
+	// report. Known terms are recorded but bounded by TopCandidates so
+	// a corpus dominated by ontology terminology cannot blow up the
+	// report; they never count against the new candidates.
 	report := &Report{Measure: e.cfg.Measure}
 	var work []int // slots needing steps II–IV
 	kept, known := 0, 0
@@ -274,7 +233,7 @@ func (e *Enricher) run(ctx context.Context) (*Report, error) {
 			break
 		}
 		if e.o.HasTerm(st.Term) {
-			if known >= e.cfg.MaxKnown {
+			if known >= e.cfg.TopCandidates {
 				continue
 			}
 			known++
@@ -302,17 +261,10 @@ func (e *Enricher) run(ctx context.Context) (*Report, error) {
 	// cache is shared, concurrency-safe, and saves repeated corpus
 	// scans for pool terms common across candidates), one inducer
 	// template whose seed is re-derived per slot.
-	lopts := e.cfg.Link
-	if lopts.Obs == nil {
-		lopts.Obs = e.cfg.Obs
-	}
+	lopts := linkage.DefaultOptions()
+	lopts.Obs = e.cfg.Obs
 	linker := linkage.New(e.c, e.o, lopts)
-	inducer := senseind.Inducer{
-		Algorithm:      e.cfg.Algorithm,
-		Index:          e.cfg.Index,
-		Representation: e.cfg.Representation,
-		Window:         senseind.DefaultWindow,
-	}
+	inducer := senseind.New()
 	e.cfg.Obs.Counter("bioenrich_pool_tasks_queued_total").Add(float64(len(work)))
 	active := e.cfg.Obs.Gauge("bioenrich_pool_tasks_active")
 	timed := e.cfg.Obs != nil
@@ -377,7 +329,7 @@ type stepSpans struct {
 // Cancellation is checked at every step boundary (and inside steps III
 // and IV via their context-aware entry points); a cancelled candidate
 // is abandoned where it stands — the caller discards the whole report.
-func (e *Enricher) enrichCandidate(ctx context.Context, cand *Candidate, linker *linkage.Linker, inducer senseind.Inducer, slot int64, spans stepSpans) {
+func (e *Enricher) enrichCandidate(ctx context.Context, cand *Candidate, linker *linkage.Linker, inducer *senseind.Inducer, slot int64, spans stepSpans) {
 	timed := spans.s2 != nil
 	var t0 time.Time
 	if timed {
@@ -399,9 +351,9 @@ func (e *Enricher) enrichCandidate(ctx context.Context, cand *Candidate, linker 
 
 	// Step III: sense induction (k = 1 for monosemic candidates). The
 	// seed derives from the candidate's report slot so the clustering
-	// outcome is a pure function of (Config.Seed, slot), independent
-	// of which worker picks the candidate up and in what order.
-	if senses, err := inducer.WithSeed(e.cfg.Seed+slot).InduceContext(ctx, e.c, cand.Term, cand.Polysemic); err == nil {
+	// outcome is a pure function of the slot, independent of which
+	// worker picks the candidate up and in what order.
+	if senses, err := inducer.WithSeed(baseSeed+slot).InduceContext(ctx, e.c, cand.Term, cand.Polysemic); err == nil {
 		cand.Senses = senses
 	}
 	if timed {
@@ -414,7 +366,7 @@ func (e *Enricher) enrichCandidate(ctx context.Context, cand *Candidate, linker 
 	}
 
 	// Step IV: position proposals.
-	if props, err := linker.ProposeContext(ctx, cand.Term, e.cfg.TopPositions); err == nil {
+	if props, err := linker.ProposeContext(ctx, cand.Term, topPositions); err == nil {
 		cand.Positions = props
 	}
 	if timed {
@@ -443,24 +395,6 @@ func (e *Enricher) enrichCandidate(ctx context.Context, cand *Candidate, linker 
 	}
 }
 
-// AttachPolicy decides how an accepted candidate joins the ontology.
-type AttachPolicy struct {
-	// SynonymThreshold: a candidate whose best proposal scores at or
-	// above this cosine is attached as a synonym of that concept;
-	// below it, a new child concept of the proposal's concept is
-	// created.
-	SynonymThreshold float64
-	// MinCosine: proposals below this are not applied at all.
-	MinCosine float64
-}
-
-// DefaultPolicy mirrors the paper's discussion: strong context
-// identity (like "corneal injury" vs "corneal injuries") means
-// synonymy; weaker but real similarity means a nearby new concept.
-func DefaultPolicy() AttachPolicy {
-	return AttachPolicy{SynonymThreshold: 0.40, MinCosine: 0.15}
-}
-
 // Applied describes one enrichment actually performed.
 type Applied struct {
 	Term      string
@@ -470,8 +404,10 @@ type Applied struct {
 }
 
 // Apply enriches the ontology with every non-known candidate whose
-// best proposal clears the policy, returning what was done.
-func (e *Enricher) Apply(report *Report, policy AttachPolicy) ([]Applied, error) {
+// best proposal reaches minCosine, returning what was done: at or
+// above synonymCosine the candidate becomes a synonym of the proposed
+// concept, below it a new child concept.
+func (e *Enricher) Apply(report *Report) ([]Applied, error) {
 	var out []Applied
 	nextID := e.o.NumConcepts()
 	for _, cand := range report.Candidates {
@@ -479,10 +415,10 @@ func (e *Enricher) Apply(report *Report, policy AttachPolicy) ([]Applied, error)
 			continue
 		}
 		best := cand.Positions[0]
-		if best.Cosine < policy.MinCosine {
+		if best.Cosine < minCosine {
 			continue
 		}
-		if best.Cosine >= policy.SynonymThreshold {
+		if best.Cosine >= synonymCosine {
 			if err := e.o.AddSynonym(best.Concept, cand.Term); err != nil {
 				return out, fmt.Errorf("core: apply %q: %w", cand.Term, err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"bioenrich/internal/corpus"
@@ -47,13 +48,6 @@ func pipelineFixture() (*corpus.Corpus, *ontology.Ontology) {
 	return c, o
 }
 
-func TestDefaultConfigComplete(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.Classifier == nil || cfg.TopCandidates == 0 || cfg.TopPositions == 0 {
-		t.Error("DefaultConfig incomplete")
-	}
-}
-
 func TestRunPipeline(t *testing.T) {
 	c, o := pipelineFixture()
 	e := NewEnricher(c, o, DefaultConfig())
@@ -87,6 +81,21 @@ func TestRunPipeline(t *testing.T) {
 	}
 }
 
+// setBestCosine moves every new candidate's best proposal to cosine,
+// so Apply sees the report in the band under test. It returns how many
+// candidates it moved.
+func setBestCosine(report *Report, cosine float64) int {
+	n := 0
+	for i := range report.Candidates {
+		cand := &report.Candidates[i]
+		if !cand.Known && len(cand.Positions) > 0 {
+			cand.Positions[0].Cosine = cosine
+			n++
+		}
+	}
+	return n
+}
+
 func TestApplySynonym(t *testing.T) {
 	c, o := pipelineFixture()
 	e := NewEnricher(c, o, DefaultConfig())
@@ -94,9 +103,8 @@ func TestApplySynonym(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy := DefaultPolicy()
-	policy.SynonymThreshold = 0.01 // force synonym attachment
-	applied, err := e.Apply(report, policy)
+	setBestCosine(report, synonymCosine)
+	applied, err := e.Apply(report)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +116,7 @@ func TestApplySynonym(t *testing.T) {
 		if a.Term == "corneal abrasion" {
 			found = true
 			if !a.AsSynonym {
-				t.Error("expected synonym attachment under permissive threshold")
+				t.Error("expected synonym attachment at the synonym cosine")
 			}
 		}
 	}
@@ -123,38 +131,42 @@ func TestApplySynonym(t *testing.T) {
 	}
 }
 
+// TestApplyNewConcept: a best cosine from minCosine up to but not
+// including synonymCosine creates a new child concept.
 func TestApplyNewConcept(t *testing.T) {
-	c, o := pipelineFixture()
-	before := o.NumConcepts()
-	e := NewEnricher(c, o, DefaultConfig())
-	report, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	policy := AttachPolicy{SynonymThreshold: 0.999, MinCosine: 0.01}
-	applied, err := e.Apply(report, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newConcepts := 0
-	for _, a := range applied {
-		if !a.AsSynonym {
-			newConcepts++
-			if a.NewID == "" {
-				t.Error("new concept without id")
-			}
-			nc := o.Concept(a.NewID)
-			if nc == nil || len(nc.Parents) == 0 {
-				t.Error("new concept not linked under anchor")
+	for _, cosine := range []float64{minCosine, math.Nextafter(synonymCosine, 0)} {
+		c, o := pipelineFixture()
+		before := o.NumConcepts()
+		e := NewEnricher(c, o, DefaultConfig())
+		report, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		setBestCosine(report, cosine)
+		applied, err := e.Apply(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newConcepts := 0
+		for _, a := range applied {
+			if !a.AsSynonym {
+				newConcepts++
+				if a.NewID == "" {
+					t.Error("new concept without id")
+				}
+				nc := o.Concept(a.NewID)
+				if nc == nil || len(nc.Parents) == 0 {
+					t.Error("new concept not linked under anchor")
+				}
 			}
 		}
-	}
-	if newConcepts == 0 {
-		t.Error("no new concepts created under strict synonym threshold")
-	}
-	if o.NumConcepts() != before+newConcepts {
-		t.Errorf("concepts %d -> %d with %d additions",
-			before, o.NumConcepts(), newConcepts)
+		if newConcepts == 0 {
+			t.Errorf("cosine %v: no new concepts created below the synonym cosine", cosine)
+		}
+		if o.NumConcepts() != before+newConcepts {
+			t.Errorf("cosine %v: concepts %d -> %d with %d additions",
+				cosine, before, o.NumConcepts(), newConcepts)
+		}
 	}
 }
 
@@ -165,12 +177,15 @@ func TestApplyMinCosineFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied, err := e.Apply(report, AttachPolicy{SynonymThreshold: 0.99, MinCosine: 0.99})
+	if setBestCosine(report, math.Nextafter(minCosine, 0)) == 0 {
+		t.Fatal("no new candidate with a proposal")
+	}
+	applied, err := e.Apply(report)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(applied) != 0 {
-		t.Errorf("impossible MinCosine still applied %d candidates", len(applied))
+		t.Errorf("a best cosine below minCosine still applied %d candidates", len(applied))
 	}
 }
 

@@ -6,10 +6,9 @@ import (
 	"testing"
 
 	"bioenrich/internal/corpus"
-	"bioenrich/internal/linkage"
-	"bioenrich/internal/obs"
 	"bioenrich/internal/ontology"
 	"bioenrich/internal/synth"
+	"bioenrich/internal/termex"
 )
 
 // meshFixture generates a synthetic MeSH-like ontology and matching
@@ -27,31 +26,16 @@ func meshFixture() (*corpus.Corpus, *ontology.Ontology) {
 }
 
 // TestConfigWithDefaultsPreservesCustomFields is the regression for
-// NewEnricher wholesale-replacing a Config whose Classifier was nil:
-// explicitly-set fields must survive defaulting.
+// NewEnricher wholesale-replacing a partly set Config: explicitly-set
+// fields must survive defaulting.
 func TestConfigWithDefaultsPreservesCustomFields(t *testing.T) {
 	c, o := pipelineFixture()
-	e := NewEnricher(c, o, Config{TopCandidates: 3, Seed: 42})
+	e := NewEnricher(c, o, Config{TopCandidates: 3})
 	if e.cfg.TopCandidates != 3 {
 		t.Errorf("TopCandidates = %d, want the caller's 3", e.cfg.TopCandidates)
 	}
-	if e.cfg.Seed != 42 {
-		t.Errorf("Seed = %d, want the caller's 42", e.cfg.Seed)
-	}
-	if e.cfg.Classifier == nil {
-		t.Error("nil Classifier not defaulted")
-	}
-	def := DefaultConfig()
-	if e.cfg.Measure != def.Measure || e.cfg.Algorithm != def.Algorithm ||
-		e.cfg.Index != def.Index || e.cfg.Representation != def.Representation ||
-		e.cfg.TopPositions != def.TopPositions {
-		t.Errorf("zero fields not defaulted: %+v", e.cfg)
-	}
-	if e.cfg.MaxKnown != 3 {
-		t.Errorf("MaxKnown = %d, want TopCandidates (3)", e.cfg.MaxKnown)
-	}
-	if e.cfg.Link != linkage.DefaultOptions() {
-		t.Errorf("zero Link options not defaulted: %+v", e.cfg.Link)
+	if def := DefaultConfig(); e.cfg.Measure != def.Measure {
+		t.Errorf("zero Measure not defaulted: %+v", e.cfg)
 	}
 
 	// And the honored TopCandidates actually bounds the run.
@@ -70,38 +54,12 @@ func TestConfigWithDefaultsPreservesCustomFields(t *testing.T) {
 	}
 }
 
-// TestWithDefaultsPreservesLinkFields is the regression for the Link
-// clobber: replacing the whole Options whenever a numeric field was
-// zero silently dropped an explicitly-set Obs registry or disabled
-// expansion flag.
-func TestWithDefaultsPreservesLinkFields(t *testing.T) {
-	reg := obs.New()
-	cfg := Config{Link: linkage.Options{
-		Obs:           reg,
-		ExpandFathers: true,
-		ExpandSons:    false, // the table-4a ablation shape
-	}}
-	got := cfg.withDefaults().Link
-	if got.Obs != reg {
-		t.Error("Link.Obs clobbered by defaulting")
-	}
-	if !got.ExpandFathers || got.ExpandSons {
-		t.Errorf("expansion flags clobbered: fathers=%v sons=%v", got.ExpandFathers, got.ExpandSons)
-	}
-
-	// A fully-zero Link still means the paper's defaults, expansion on.
-	def := linkage.DefaultOptions()
-	if got := (Config{}).withDefaults().Link; !reflect.DeepEqual(got, def) {
-		t.Errorf("zero Link = %+v, want DefaultOptions", got)
-	}
-}
-
 func TestWithDefaultsKeepsExplicitValues(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TopCandidates = 7
-	cfg.MaxKnown = -1
+	cfg.Measure = termex.CValue
 	got := cfg.withDefaults()
-	if got.TopCandidates != 7 || got.MaxKnown != -1 {
+	if got.TopCandidates != 7 || got.Measure != termex.CValue {
 		t.Errorf("withDefaults mangled explicit values: %+v", got)
 	}
 	if got.Workers != 0 || cfg.workers() < 1 {
@@ -144,7 +102,7 @@ func TestRunRoundsDeterministicAcrossWorkers(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.TopCandidates = 6
 		cfg.Workers = workers
-		rounds, err := NewEnricher(c, o, cfg).RunRounds(2, DefaultPolicy())
+		rounds, err := NewEnricher(c, o, cfg).RunRounds(2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +122,7 @@ func TestRunRoundsDeterministicAcrossWorkers(t *testing.T) {
 
 // TestRunCapsKnownTerms is the regression for the unbounded report: a
 // corpus dominated by terms already in the ontology must not append
-// known candidates past MaxKnown.
+// known candidates past TopCandidates.
 func TestRunCapsKnownTerms(t *testing.T) {
 	o := ontology.New("mesh")
 	known := []string{
@@ -180,7 +138,7 @@ func TestRunCapsKnownTerms(t *testing.T) {
 	c, _ := pipelineFixture() // corpus text is mostly the known terms above
 
 	cfg := DefaultConfig()
-	cfg.TopCandidates = 2 // MaxKnown defaults to match
+	cfg.TopCandidates = 2 // bounds known terms too
 	report, err := NewEnricher(c, o, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -194,24 +152,12 @@ func TestRunCapsKnownTerms(t *testing.T) {
 		}
 	}
 	if knownCount > 2 {
-		t.Errorf("%d known candidates recorded, want ≤ MaxKnown (2)", knownCount)
+		t.Errorf("%d known candidates recorded, want ≤ TopCandidates (2)", knownCount)
 	}
 	if freshCount > 2 {
 		t.Errorf("%d new candidates, want ≤ TopCandidates (2)", freshCount)
 	}
 	if len(report.Candidates) > 4 {
-		t.Errorf("report holds %d candidates, want ≤ TopCandidates+MaxKnown (4)", len(report.Candidates))
-	}
-
-	// Negative MaxKnown drops known terms entirely.
-	cfg.MaxKnown = -1
-	report, err = NewEnricher(c, o, cfg).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cand := range report.Candidates {
-		if cand.Known {
-			t.Errorf("known term %q recorded despite MaxKnown=-1", cand.Term)
-		}
+		t.Errorf("report holds %d candidates, want ≤ twice TopCandidates (4)", len(report.Candidates))
 	}
 }

@@ -3,14 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"log/slog"
 )
-
-// WithLogger returns a copy of the config with progress logging.
-func (c Config) WithLogger(l *slog.Logger) Config {
-	c.Log = l
-	return c
-}
 
 // RoundReport is the outcome of one iteration of RunRounds.
 type RoundReport struct {
@@ -29,9 +22,9 @@ type RoundReport struct {
 // (Config.Workers); rounds themselves stay sequential because round
 // n+1's anchors depend on round n's Apply. RunRounds is
 // RunRoundsContext with context.Background(): it cannot be cancelled.
-func (e *Enricher) RunRounds(rounds int, policy AttachPolicy) ([]RoundReport, error) {
+func (e *Enricher) RunRounds(rounds int) ([]RoundReport, error) {
 	//biolint:allow context-background documented uncancellable convenience wrapper
-	return e.RunRoundsContext(context.Background(), rounds, policy)
+	return e.RunRoundsContext(context.Background(), rounds)
 }
 
 // RunRoundsContext is RunRounds with a caller-controlled lifetime.
@@ -39,7 +32,7 @@ func (e *Enricher) RunRounds(rounds int, policy AttachPolicy) ([]RoundReport, er
 // only after its Run completed uncancelled, and the context is
 // re-checked between Run and Apply — a cancelled round returns the
 // rounds completed so far and applies nothing further.
-func (e *Enricher) RunRoundsContext(ctx context.Context, rounds int, policy AttachPolicy) ([]RoundReport, error) {
+func (e *Enricher) RunRoundsContext(ctx context.Context, rounds int) ([]RoundReport, error) {
 	var out []RoundReport
 	for r := 1; r <= rounds; r++ {
 		report, err := e.RunContext(ctx)
@@ -52,7 +45,7 @@ func (e *Enricher) RunRoundsContext(ctx context.Context, rounds int, policy Atta
 			return out, fmt.Errorf("core: round %d: %w", r, err)
 		}
 		_, apSpan := e.cfg.Obs.StartSpan(ctx, "enrich.apply")
-		applied, err := e.Apply(report, policy)
+		applied, err := e.Apply(report)
 		apSpan.End()
 		if err != nil {
 			return out, fmt.Errorf("core: round %d apply: %w", r, err)

@@ -10,13 +10,11 @@ import (
 func TestRunRounds(t *testing.T) {
 	c, o := pipelineFixture()
 	var logBuf bytes.Buffer
-	cfg := DefaultConfig().WithLogger(
-		slog.New(slog.NewTextHandler(&logBuf, nil)))
+	cfg := DefaultConfig()
+	cfg.Log = slog.New(slog.NewTextHandler(&logBuf, nil))
 	e := NewEnricher(c, o, cfg)
 
-	policy := DefaultPolicy()
-	policy.SynonymThreshold = 0.01
-	rounds, err := e.RunRounds(3, policy)
+	rounds, err := e.RunRounds(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +47,7 @@ func TestRunRounds(t *testing.T) {
 func TestRunRoundsNoLogger(t *testing.T) {
 	c, o := pipelineFixture()
 	e := NewEnricher(c, o, DefaultConfig())
-	if _, err := e.RunRounds(1, DefaultPolicy()); err != nil {
+	if _, err := e.RunRounds(1); err != nil {
 		t.Fatal(err) // nil logger must not panic
 	}
 }

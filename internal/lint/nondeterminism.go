@@ -29,8 +29,9 @@ var pipelineRoots = []string{
 
 // pipelinePackages names the packages under the determinism gate.
 // Everything these packages compute must be a pure function of
-// (corpus, ontology, Config.Seed): no ambient randomness, no wall
-// clock, no environment, no map-order-dependent output.
+// (corpus, ontology, the pipeline's fixed seed): no ambient
+// randomness, no wall clock, no environment, no map-order-dependent
+// output.
 var pipelinePackages = map[string]bool{
 	"termex":      true,
 	"polysemy":    true,
@@ -106,7 +107,7 @@ var wallClockFuncs = map[string]map[string]bool{
 // append to slices or write output without a subsequent sort.
 var Nondeterminism = &Analyzer{
 	Name: "nondeterminism",
-	Doc:  "pipeline output must be a pure function of (inputs, Config.Seed)",
+	Doc:  "pipeline output must be a pure function of (inputs, fixed seed)",
 	Run:  runNondeterminism,
 }
 

@@ -29,8 +29,8 @@ const (
 // Representations lists both.
 var Representations = []Representation{BagOfWords, GraphRep}
 
-// DefaultWindow is the context window (tokens each side) used when
-// harvesting contexts from a corpus.
+// DefaultWindow is the context window (tokens each side) InduceContext
+// harvests from a corpus.
 const DefaultWindow = 8
 
 // TopFeaturesPerSense is how many centroid features label an induced
@@ -65,7 +65,6 @@ type Inducer struct {
 	Algorithm      cluster.Algorithm
 	Index          cluster.Index
 	Representation Representation
-	Window         int
 	Seed           int64
 }
 
@@ -77,7 +76,6 @@ func New() *Inducer {
 		Algorithm:      cluster.Direct,
 		Index:          cluster.FK,
 		Representation: BagOfWords,
-		Window:         DefaultWindow,
 		Seed:           1,
 	}
 }
@@ -99,15 +97,16 @@ func (in *Inducer) Induce(c *corpus.Corpus, term string, polysemic bool) (*Resul
 }
 
 // InduceContext is Induce with cooperative cancellation: the context
-// is checked before the corpus harvest and again before vectorization
-// and clustering — the two expensive stages. A cancelled call returns
-// ctx's error (errors.Is-compatible with context.Canceled /
+// is checked before the corpus harvest of the term's DefaultWindow
+// contexts and again before vectorization and clustering — the two
+// expensive stages. A cancelled call returns ctx's error
+// (errors.Is-compatible with context.Canceled /
 // context.DeadlineExceeded).
 func (in *Inducer) InduceContext(ctx context.Context, c *corpus.Corpus, term string, polysemic bool) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("senseind: induce %q: %w", term, err)
 	}
-	ctxs := c.Contexts(term, in.Window)
+	ctxs := c.Contexts(term, DefaultWindow)
 	raw := make([][]string, len(ctxs))
 	for i, cw := range ctxs {
 		raw[i] = cw.Words

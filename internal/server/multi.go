@@ -83,11 +83,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	start := obs.Now()
 	res, err := s.classifier.Classify(r.Context(), entry.Name, snap, req.Text, req.Top)
 	if err != nil {
-		if r.Context().Err() != nil {
-			writeError(w, runStatus(err), err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, stepStatus(r, err), err)
 		return
 	}
 	s.opts.Obs.Counter(classify.RequestsMetric, "ontology", entry.Name).Inc()
@@ -139,11 +135,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	start := obs.Now()
 	scores, err := recommend.Rank(r.Context(), inputs, req.Text, recommend.Options{})
 	if err != nil {
-		if r.Context().Err() != nil {
-			writeError(w, runStatus(err), err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, stepStatus(r, err), err)
 		return
 	}
 	top := scores[0] // the registry always holds at least the default entry

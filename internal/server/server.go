@@ -124,9 +124,12 @@ const DefaultOntology = "default"
 // memory through an unbounded decode.
 const DefaultMaxBodyBytes = 8 << 20
 
-// Options is the server's operational (non-pipeline) configuration.
-// The zero value is a plain, uninstrumented server.
+// Options is the server's configuration. The zero value is a plain,
+// uninstrumented server.
 type Options struct {
+	// Workers bounds the pool that runs steps II–IV of an enrichment
+	// run whose request sets no workers. 0 means all cores.
+	Workers int
 	// Obs enables metrics: per-endpoint request counters, latency
 	// histograms, the in-flight gauge, pipeline metrics from /enrich
 	// runs, job-subsystem metrics, and the GET /v1/metrics exposition
@@ -176,7 +179,6 @@ type Options struct {
 // mechanically.
 type Server struct {
 	reg        *registry.Registry
-	cfg        core.Config
 	opts       Options
 	jobs       *jobs.Manager
 	classifier *classify.Classifier
@@ -190,13 +192,10 @@ type Server struct {
 // New builds a server over a populated registry; the registry's
 // default entry serves every pattern without a {name} segment. Each
 // entry's store carries its own durability and boot epoch, and the
-// registry its ingest batching, configured by whoever built it. cfg is
-// the pipeline configuration (zero-valued fields fall back to the
-// defaults when the enricher is built); opts the operational one.
-func New(reg *registry.Registry, cfg core.Config, opts Options) *Server {
+// registry its ingest batching, configured by whoever built it.
+func New(reg *registry.Registry, opts Options) *Server {
 	return &Server{
 		reg:  reg,
-		cfg:  cfg,
 		opts: opts,
 		jobs: jobs.New(jobs.Options{
 			Queue:   opts.JobQueue,
@@ -592,11 +591,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	ext.LearnPatterns(snap.Ontology.Terms())
 	ranked, err := ext.Rank(r.Context(), measure, top)
 	if err != nil {
-		if r.Context().Err() != nil {
-			writeError(w, runStatus(err), err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, stepStatus(r, err), err)
 		return
 	}
 	if ranked == nil {
@@ -628,11 +623,7 @@ func (s *Server) handleSenses(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := in.InduceContext(r.Context(), snap.Corpus, term, polysemic)
 	if err != nil {
-		if r.Context().Err() != nil {
-			writeError(w, runStatus(err), err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, stepStatus(r, err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -655,34 +646,13 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 	}
 	props, err := linkage.New(snap.Corpus, snap.Ontology, linkage.DefaultOptions()).ProposeContext(r.Context(), term, top)
 	if err != nil {
-		if r.Context().Err() != nil {
-			writeError(w, runStatus(err), err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, stepStatus(r, err), err)
 		return
 	}
 	if props == nil {
 		props = []linkage.Proposal{}
 	}
 	writeJSON(w, http.StatusOK, props)
-}
-
-// ingestStatus maps an ingest failure to its response status. The
-// distinction that matters operationally: a durability rejection
-// (state.ErrUnavailable — disk full, fsync failure, backend shut down)
-// and a closing batcher are retryable server conditions, 503, while a
-// programmer error stays 500. Cancellation statuses mirror runStatus.
-func ingestStatus(err error) int {
-	switch {
-	case errors.Is(err, state.ErrUnavailable), errors.Is(err, batch.ErrClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest
-	}
-	return http.StatusInternalServerError
 }
 
 // handleDocuments appends a document batch to the request's entry
@@ -720,7 +690,7 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	}
 	next, err := entry.Ingest(r.Context(), docs)
 	if err != nil {
-		writeError(w, ingestStatus(err), err)
+		writeError(w, runStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"docs": next.Corpus.NumDocs(), "epoch": next.Epoch})
@@ -777,11 +747,7 @@ func (s *Server) handleDisambiguate(w http.ResponseWriter, r *http.Request) {
 	in := senseind.New()
 	res, err := in.InduceContext(r.Context(), snap.Corpus, req.Term, true)
 	if err != nil {
-		if r.Context().Err() != nil {
-			writeError(w, runStatus(err), err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, stepStatus(r, err), err)
 		return
 	}
 	d, err := senseind.NewDisambiguator(res, in.Representation)
@@ -818,16 +784,17 @@ type enrichRequest struct {
 // abandoned runs from server faults.
 const statusClientClosedRequest = 499
 
-// runStatus maps a pipeline error to its response status: 409 when a
-// commit lost the epoch race, 503 when the durability layer rejected
-// the publish (retryable, nothing committed), 504 when the run
-// outlived Options.EnrichTimeout, 499 when the client went away
-// (request context cancelled), 500 otherwise.
+// runStatus maps a pipeline, ingest or job error to its response
+// status: 409 when a commit lost the epoch race, 503 when the
+// durability layer rejected the publish or the ingest batcher is
+// closing (retryable, nothing committed), 504 when the run outlived
+// Options.EnrichTimeout, 499 when the client went away (request
+// context cancelled), 500 otherwise.
 func runStatus(err error) int {
 	switch {
 	case errors.Is(err, state.ErrStale):
 		return http.StatusConflict
-	case errors.Is(err, state.ErrUnavailable):
+	case errors.Is(err, state.ErrUnavailable), errors.Is(err, batch.ErrClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
@@ -835,6 +802,16 @@ func runStatus(err error) int {
 		return statusClientClosedRequest
 	}
 	return http.StatusInternalServerError
+}
+
+// stepStatus maps a failed read-only step to its response status: a
+// request whose context is done answers as runStatus says; any other
+// failure is the request's input, 400.
+func stepStatus(r *http.Request, err error) int {
+	if r.Context().Err() != nil {
+		return runStatus(err)
+	}
+	return http.StatusBadRequest
 }
 
 // pinEnrich reads and validates an enrichRequest body (shared by the
@@ -890,14 +867,13 @@ func (s *Server) runEnrich(ctx context.Context, entry *registry.Entry, snap *sta
 		ctx, cancel = context.WithTimeout(ctx, s.opts.EnrichTimeout)
 		defer cancel()
 	}
-	cfg := s.cfg
+	cfg := core.DefaultConfig()
 	cfg.TopCandidates = req.Top
+	cfg.Workers = s.opts.Workers
 	if req.Workers > 0 {
 		cfg.Workers = req.Workers
 	}
-	if cfg.Obs == nil {
-		cfg.Obs = s.opts.Obs // pipeline spans and pool metrics land in /v1/metrics
-	}
+	cfg.Obs = s.opts.Obs // pipeline spans and pool metrics land in /v1/metrics
 	enricher := core.NewEnricher(snap.Corpus, snap.Ontology, cfg)
 	report, err := enricher.RunContext(ctx)
 	if err != nil {
@@ -918,7 +894,7 @@ func (s *Server) runEnrich(ctx context.Context, entry *registry.Entry, snap *sta
 	// Apply onto a clone; the served snapshot stays untouched until
 	// (and unless) the commit wins the epoch check.
 	clone := snap.Ontology.Clone()
-	applied, err := core.NewEnricher(snap.Corpus, clone, cfg).Apply(report, core.DefaultPolicy())
+	applied, err := core.NewEnricher(snap.Corpus, clone, cfg).Apply(report)
 	if err != nil {
 		return nil, err
 	}
@@ -964,24 +940,6 @@ type jobPayload struct {
 	Error     *errorDetail `json:"error,omitempty"`
 }
 
-// jobErrCode classifies a failed job's error into the envelope code
-// set: a lost epoch race is conflict, a durability rejection
-// unavailable (retryable), a timed-out run deadline_exceeded, a
-// cancelled run cancelled, anything else internal.
-func jobErrCode(err error) string {
-	switch {
-	case errors.Is(err, state.ErrStale):
-		return "conflict"
-	case errors.Is(err, state.ErrUnavailable):
-		return "unavailable"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline_exceeded"
-	case errors.Is(err, context.Canceled):
-		return "cancelled"
-	}
-	return "internal"
-}
-
 func jobView(j jobs.Job) jobPayload {
 	p := jobPayload{
 		ID:        j.ID,
@@ -1001,7 +959,7 @@ func jobView(j jobs.Job) jobPayload {
 		p.Finished = &t
 	}
 	if j.Err != nil {
-		p.Error = &errorDetail{Code: jobErrCode(j.Err), Message: j.Err.Error()}
+		p.Error = &errorDetail{Code: codeForStatus(runStatus(j.Err)), Message: j.Err.Error()}
 	}
 	return p
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"bioenrich/internal/core"
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/ontology"
 	"bioenrich/internal/registry"
@@ -53,15 +52,14 @@ func fixtureData(t *testing.T) (*corpus.Corpus, *ontology.Ontology) {
 	return c, o
 }
 
-// newServer builds a server with the default pipeline configuration
-// over a fresh registry whose default entry is st — the one way tests
-// construct a registry.
+// newServer builds a server over a fresh registry whose default entry
+// is st — the one way tests construct a registry.
 func newServer(st *state.Store, opts Options) *Server {
 	reg, err := registry.New(DefaultOntology, st, opts.Obs)
 	if err != nil {
 		panic(err) // DefaultOntology is a valid name and st is non-nil
 	}
-	return New(reg, core.DefaultConfig(), opts)
+	return New(reg, opts)
 }
 
 func testServer(t *testing.T) *httptest.Server {

@@ -16,18 +16,12 @@ import (
 	"bioenrich/internal/state"
 )
 
-// DiskOptions configures a disk backend. The zero value (plus Dir) is
-// the safe configuration: WAL fsync on every append, three retained
-// segments, a checkpoint every 256 ingest records.
+// DiskOptions configures a disk backend. Every WAL append is fsynced
+// before it is acknowledged. The zero value (plus Dir) keeps three
+// segments and checkpoints every 256 ingest records.
 type DiskOptions struct {
 	// Dir is the data directory (created if absent). Required.
 	Dir string
-	// DisableWALSync skips the per-append fsync. Appends become
-	// OS-buffered: an order of magnitude faster, but a crash can lose
-	// acknowledged ingests since the last sync — only the machine
-	// staying up is then guaranteed. The default (false) fsyncs every
-	// record before the snapshot swap.
-	DisableWALSync bool
 	// Retain is how many full segments to keep; older segments (and
 	// the WAL files they obsolete) are deleted at checkpoint. 0 means
 	// 3; negative retains everything.
@@ -174,7 +168,7 @@ func (d *Disk) Recover(ctx context.Context) (*state.Snapshot, bool, error) {
 	// checkpoint's retention pass proves them redundant; any file
 	// already named for this epoch holds no unreplayed intact record
 	// (one would have advanced cur past it), so truncating is safe.
-	w, err := createWAL(d.dir, cur, !d.opts.DisableWALSync)
+	w, err := createWAL(d.dir, cur)
 	if err != nil {
 		return nil, false, err
 	}
@@ -276,7 +270,7 @@ func (d *Disk) checkpointLocked(snap *state.Snapshot) error {
 	d.insertSegLocked(snap.Epoch)
 	d.sinceCheckpoint = 0
 
-	w, err := createWAL(d.dir, snap.Epoch, !d.opts.DisableWALSync)
+	w, err := createWAL(d.dir, snap.Epoch)
 	if err != nil {
 		// The old WAL keeps working: its base is below the new segment,
 		// so replay still reconstructs every epoch.

@@ -15,7 +15,7 @@ import (
 func walBytes(f *testing.F, n int) []byte {
 	f.Helper()
 	dir := f.TempDir()
-	w, err := createWAL(dir, 1, false)
+	w, err := createWAL(dir, 1)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -276,7 +276,7 @@ func TestEpochGapIsError(t *testing.T) {
 	ingest(t, st, "doc-1")
 
 	// Forge a gap: append an intact record for epoch 5 (store is at 2).
-	w, err := createWAL(dir, 2, true)
+	w, err := createWAL(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

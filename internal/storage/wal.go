@@ -70,7 +70,6 @@ type wal struct {
 	f    *os.File
 	path string
 	base uint64 // epoch of the segment this log extends
-	sync bool   // fsync after every append
 }
 
 // walName renders the file name for a log extending segment base.
@@ -94,7 +93,7 @@ func walBase(name string) (uint64, bool) {
 // createWAL starts a fresh log for segment base in dir, durably: the
 // magic header is written and fsynced, and the directory entry synced,
 // before the handle is returned.
-func createWAL(dir string, base uint64, syncEvery bool) (*wal, error) {
+func createWAL(dir string, base uint64) (*wal, error) {
 	path := filepath.Join(dir, walName(base))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -112,13 +111,12 @@ func createWAL(dir string, base uint64, syncEvery bool) (*wal, error) {
 		f.Close()
 		return nil, err
 	}
-	return &wal{f: f, path: path, base: base, sync: syncEvery}, nil
+	return &wal{f: f, path: path, base: base}, nil
 }
 
-// append frames and writes one record. With w.sync set it fsyncs
-// before returning — the record is durable once append returns nil,
-// which is the property state.Durable's BeforePublish relies on. It
-// returns the framed size in bytes.
+// append frames, writes and fsyncs one record: the record is durable
+// once append returns nil, which is the property state.Durable's
+// BeforePublish relies on. It returns the framed size in bytes.
 func (w *wal) append(epoch uint64, docs []corpus.Document) (int, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&walRecord{Epoch: epoch, Docs: docs}); err != nil {
@@ -134,10 +132,8 @@ func (w *wal) append(epoch uint64, docs []corpus.Document) (int, error) {
 	if _, err := w.f.Write(frame); err != nil {
 		return 0, fmt.Errorf("storage: append wal record: %w", err)
 	}
-	if w.sync {
-		if err := w.f.Sync(); err != nil {
-			return 0, fmt.Errorf("storage: fsync wal: %w", err)
-		}
+	if err := w.f.Sync(); err != nil {
+		return 0, fmt.Errorf("storage: fsync wal: %w", err)
 	}
 	return len(frame), nil
 }
