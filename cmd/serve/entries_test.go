@@ -1,10 +1,6 @@
 package main
 
 import (
-	"io"
-	"log/slog"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -41,41 +37,5 @@ func TestEntryFlagsSet(t *testing.T) {
 		if err := e.Set(v); err == nil {
 			t.Errorf("Set(%q) unexpectedly succeeded", v)
 		}
-	}
-}
-
-func TestDiscoverEntries(t *testing.T) {
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-
-	// No ontologies directory at all: nothing to discover.
-	if got := discoverEntries(logger, t.TempDir()); got != nil {
-		t.Fatalf("empty data dir: got %v", got)
-	}
-
-	dataDir := t.TempDir()
-	mk := func(name string, populated bool) {
-		dir := filepath.Join(dataDir, "ontologies", name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if populated {
-			if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte("{}"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	mk("zeta", true)
-	mk("agro", true)
-	mk("empty-entry", false) // never checkpointed: skipped
-	mk("bad name", true)     // invalid registry name: skipped
-	// Stray file alongside the entry directories: skipped.
-	if err := os.WriteFile(filepath.Join(dataDir, "ontologies", "stray.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	got := discoverEntries(logger, dataDir)
-	want := []string{"agro", "zeta"} // sorted
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("discovered = %v, want %v", got, want)
 	}
 }

@@ -21,7 +21,10 @@
 // entry gets its own WAL + segments under
 // <data-dir>/ontologies/<name>/; ontologies created at runtime through
 // POST /v1/ontologies are persisted the same way and revived on the
-// next boot.
+// next boot. The registry (internal/registry) opens every entry, the
+// flagged ones, the revived ones and the runtime-created ones alike,
+// and shuts each one down at exit; this command only hands it the
+// seed files and the data directory.
 //
 // The server is configured with conservative read/write timeouts so a
 // slow or stalled client cannot pin a connection forever, and shuts
@@ -40,9 +43,12 @@
 // the server warm-restarts from it — loading the newest valid segment
 // and replaying the WAL tail to the exact pre-crash epoch — and the
 // -corpus/-ontology flags are only consulted on a cold (empty) data
-// directory, where they seed epoch 1. -retain-segments bounds how many
-// full snapshots are kept, and -checkpoint-every bounds boot-time
-// replay by writing a full segment after that many ingest batches.
+// directory, where they seed epoch 1; an -ontology-entry's files
+// likewise seed only its empty directory. -retain-segments bounds how
+// many full snapshots are kept, and -checkpoint-every bounds boot-time
+// replay by writing a full segment after that many ingest batches. A
+// clean shutdown checkpoints every entry, so the next boot replays no
+// WAL.
 // Without -data-dir everything lives in RAM and dies with the process,
 // as before.
 //
@@ -81,10 +87,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -93,7 +96,6 @@ import (
 	"bioenrich/internal/ontology"
 	"bioenrich/internal/registry"
 	"bioenrich/internal/server"
-	"bioenrich/internal/state"
 	"bioenrich/internal/storage"
 )
 
@@ -136,13 +138,6 @@ func (e *entryFlags) Set(v string) error {
 	}
 	*e = append(*e, entrySpec{name: name, corpusPath: cp, ontPath: op})
 	return nil
-}
-
-// entryDataDir is where a named entry's durable state lives under the
-// server's -data-dir (the default entry stays at the root, keeping old
-// data directories valid).
-func entryDataDir(dataDir, name string) string {
-	return filepath.Join(dataDir, "ontologies", name)
 }
 
 func main() {
@@ -196,113 +191,27 @@ func main() {
 		opts.Obs = obs.New()
 	}
 
-	// backends tracks every open disk backend by entry name so the
-	// clean-shutdown path can checkpoint each one. Runtime-created
-	// entries (POST /v1/ontologies) add to it concurrently, hence the
-	// mutex.
-	var backendsMu sync.Mutex
-	backends := map[string]*storage.Disk{}
-	defer func() {
-		backendsMu.Lock()
-		defer backendsMu.Unlock()
-		for _, b := range backends {
-			b.Close()
-		}
-	}()
-	diskOptsFor := func(dir string) storage.DiskOptions {
-		return storage.DiskOptions{
-			Dir:             dir,
-			Retain:          *retainSegments,
-			CheckpointEvery: *checkpointEvery,
-			Obs:             opts.Obs,
-		}
-	}
-
-	// openEntryStore boots one entry: with a data dir it recovers (warm)
-	// or seeds (cold) the per-entry backend; without, it loads the seed
-	// files into RAM. An empty seed path pair is only legal on a warm
-	// restart.
-	openEntryStore := func(name, dir, cPath, oPath string) *state.Store {
-		if dir == "" {
-			ec, eo := loadSeed(logger, cPath, oPath)
-			return state.NewStore(ec, eo)
-		}
-		b, err := storage.OpenDisk(diskOptsFor(dir))
-		if err != nil {
-			fatal(logger, "open data dir for "+name, err)
-		}
-		snap, recovered, err := b.Recover(ctx)
-		if err != nil {
-			fatal(logger, "recover durable state for "+name, err)
-		}
-		var st *state.Store
-		if recovered {
-			st = state.NewStoreAt(snap.Corpus, snap.Ontology, snap.Epoch)
-			logger.Info("warm restart from durable state", "ontology", name,
-				"data_dir", dir, "epoch", snap.Epoch,
-				"docs", snap.Corpus.NumDocs(), "concepts", snap.Ontology.NumConcepts())
-		} else {
-			ec, eo := loadSeed(logger, cPath, oPath)
-			// Seed the directory so the next boot warm-restarts even if
-			// no ingest ever lands.
-			if err := b.Checkpoint(&state.Snapshot{Corpus: ec, Ontology: eo, Epoch: 1}); err != nil {
-				fatal(logger, "seed data dir for "+name, err)
-			}
-			logger.Info("cold start: seeded data dir", "ontology", name, "data_dir", dir)
-			st = state.NewStore(ec, eo)
-		}
-		st.SetDurable(b)
-		backends[name] = b
-		return st
-	}
-
-	defaultDir := ""
-	if *dataDir != "" {
-		defaultDir = *dataDir // default entry stays at the root: old data dirs keep working
-	}
-	reg, err := registry.New(server.DefaultOntology,
-		openEntryStore(server.DefaultOntology, defaultDir, *corpusPath, *ontPath), opts.Obs)
+	// The registry opens every entry: it recovers each one's data
+	// directory, or seeds it from the files on a cold start.
+	reg, err := registry.New(ctx, server.DefaultOntology, fileSeed(*corpusPath, *ontPath), storage.DiskOptions{
+		Dir:             *dataDir,
+		Retain:          *retainSegments,
+		CheckpointEvery: *checkpointEvery,
+		Obs:             opts.Obs,
+	})
 	if err != nil {
-		fatal(logger, "register ontology "+server.DefaultOntology, err)
+		fatal(logger, "open ontology", err)
 	}
-	named := map[string]bool{}
 	for _, e := range entries {
-		dir := ""
-		if *dataDir != "" {
-			dir = entryDataDir(*dataDir, e.name)
+		if _, err := reg.Open(ctx, e.name, fileSeed(e.corpusPath, e.ontPath)); err != nil {
+			fatal(logger, "open ontology", err)
 		}
-		if _, err := reg.Add(e.name, openEntryStore(e.name, dir, e.corpusPath, e.ontPath)); err != nil {
-			fatal(logger, "register ontology "+e.name, err)
-		}
-		named[e.name] = true
 	}
-	// Entries created at runtime in a previous process left their state
-	// under <data-dir>/ontologies/<name>; revive any not named by flags.
-	if *dataDir != "" {
-		for _, name := range discoverEntries(logger, *dataDir) {
-			if named[name] || name == server.DefaultOntology {
-				continue
-			}
-			if _, err := reg.Add(name, openEntryStore(name, entryDataDir(*dataDir, name), "", "")); err != nil {
-				fatal(logger, "register recovered ontology "+name, err)
-			}
-		}
-		// Runtime-created ontologies get their own durable subdirectory,
-		// seeded before the entry is visible to requests.
-		opts.OpenEntryBackend = func(name string, seed *state.Snapshot) (state.Durable, error) {
-			b, err := storage.OpenDisk(diskOptsFor(entryDataDir(*dataDir, name)))
-			if err != nil {
-				return nil, err
-			}
-			if err := b.Checkpoint(seed); err != nil {
-				b.Close()
-				return nil, err
-			}
-			backendsMu.Lock()
-			backends[name] = b
-			backendsMu.Unlock()
-			return b, nil
-		}
+	// Entries created at runtime by an earlier process left their
+	// state under <data-dir>/ontologies/<name>; revive any the flags
+	// did not name.
+	if err := reg.OpenDiscovered(ctx); err != nil {
+		fatal(logger, "open recovered ontologies", err)
 	}
 	def := reg.Default().Snapshot()
 	c, o := def.Corpus, def.Ontology
@@ -360,72 +269,32 @@ func main() {
 			fatal(logger, "serve", err)
 		}
 		app.Wait() // job workers exit after the signal context cancelled
-		// Flush the ingest batchers before checkpointing: queued groups
-		// land (or fail durably), and no group commit can race the
-		// backend Close below.
-		reg.Close()
-		// A clean shutdown checkpoint per durable entry bounds the next
-		// boot's WAL replay to zero records. A crash skips this — that
-		// is what recovery is for.
-		backendsMu.Lock()
-		for name, b := range backends {
-			entry, ok := app.Registry().Get(name)
-			if !ok {
-				continue
-			}
-			if err := b.Checkpoint(entry.Snapshot()); err != nil {
-				logger.Warn("shutdown checkpoint failed; next boot will replay the WAL",
-					"ontology", name, "err", err)
-			}
+		// Each entry flushes its batcher, checkpoints its final
+		// snapshot so the next boot replays no WAL, and closes its disk.
+		if err := reg.Close(); err != nil {
+			logger.Warn("shutdown checkpoint failed; next boot will replay the WAL", "err", err)
 		}
-		backendsMu.Unlock()
 		logger.Info("stopped cleanly")
 	}
 }
 
-// discoverEntries lists the named-ontology state directories under
-// dataDir/ontologies — entries created through POST /v1/ontologies by
-// a previous process, which have durable state but no seed flags.
-// Empty directories are skipped.
-func discoverEntries(logger *slog.Logger, dataDir string) []string {
-	root := filepath.Join(dataDir, "ontologies")
-	des, err := os.ReadDir(root)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			logger.Warn("scan ontology entries", "dir", root, "err", err)
+// fileSeed loads a cold-start corpus and ontology from files. Both
+// paths are required: only a warm restart may go without them.
+func fileSeed(corpusPath, ontPath string) registry.Seed {
+	return func() (*corpus.Corpus, *ontology.Ontology, error) {
+		if corpusPath == "" || ontPath == "" {
+			return nil, nil, errors.New("-corpus and -ontology are required (no durable state to restart from)")
 		}
-		return nil
-	}
-	var names []string
-	for _, de := range des {
-		if !de.IsDir() || !registry.ValidName(de.Name()) {
-			continue
+		c, err := corpus.Load(corpusPath)
+		if err != nil {
+			return nil, nil, err
 		}
-		if inner, err := os.ReadDir(filepath.Join(root, de.Name())); err != nil || len(inner) == 0 {
-			continue
+		o, err := ontology.Load(ontPath)
+		if err != nil {
+			return nil, nil, err
 		}
-		names = append(names, de.Name())
+		return c, o, nil
 	}
-	sort.Strings(names)
-	return names
-}
-
-// loadSeed loads the cold-start corpus and ontology from the -corpus
-// and -ontology flags, which are mandatory in that case.
-func loadSeed(logger *slog.Logger, corpusPath, ontPath string) (*corpus.Corpus, *ontology.Ontology) {
-	if corpusPath == "" || ontPath == "" {
-		fmt.Fprintln(os.Stderr, "serve: -corpus and -ontology are required (no durable state to restart from)")
-		os.Exit(1)
-	}
-	c, err := corpus.Load(corpusPath)
-	if err != nil {
-		fatal(logger, "load corpus", err)
-	}
-	o, err := ontology.Load(ontPath)
-	if err != nil {
-		fatal(logger, "load ontology", err)
-	}
-	return c, o
 }
 
 func fatal(logger *slog.Logger, what string, err error) {

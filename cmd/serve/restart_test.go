@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -23,7 +24,9 @@ import (
 // TestRestartAfterSIGKILL is the end-to-end durability contract: serve,
 // ingest, SIGKILL (no drain, no shutdown checkpoint), restart from the
 // data directory alone, and verify the recovered process reports the
-// exact pre-kill epoch and document count.
+// exact pre-kill epoch and document count. An entry created at runtime
+// must come back the same way, untouched by a refused duplicate
+// create.
 func TestRestartAfterSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
@@ -68,19 +71,38 @@ func TestRestartAfterSIGKILL(t *testing.T) {
 		body, _ := json.Marshal([]corpus.Document{
 			{ID: fmt.Sprintf("doc-%d", i), Text: "Retinal detachment with vitreous hemorrhage."},
 		})
-		resp, err := http.Post(base1+"/v1/documents", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("ingest %d: status %d", i, resp.StatusCode)
+		if code := post(t, base1+"/v1/documents", string(body)); code != http.StatusOK {
+			t.Fatalf("ingest %d: status %d", i, code)
 		}
 	}
 	wantDocs, wantEpoch := health(t, base1)
 	if wantDocs != 4 || wantEpoch != 4 {
 		t.Fatalf("pre-kill docs=%d epoch=%d, want 4/4", wantDocs, wantEpoch)
 	}
+
+	// A runtime-created entry: two ingests, a refused duplicate create
+	// carrying a different payload, then one more ingest.
+	const create = `{"name":"foo","lang":"en","concepts":[{"id":"F1","preferred":"heel pain"}],"documents":[{"id":"%s","text":"%s"}]}`
+	if code := post(t, base1+"/v1/ontologies", fmt.Sprintf(create, "foo-seed", "Plantar fasciitis causes heel pain.")); code != http.StatusCreated {
+		t.Fatalf("create foo: status %d", code)
+	}
+	ingestFoo := func(i int) {
+		body := fmt.Sprintf(`[{"id":"foo-%d","text":"Heel pain after plantar fascia rupture."}]`, i)
+		if code := post(t, base1+"/v1/ontologies/foo/documents", body); code != http.StatusOK {
+			t.Fatalf("ingest foo-%d: status %d", i, code)
+		}
+	}
+	ingestFoo(1)
+	ingestFoo(2)
+	if code := post(t, base1+"/v1/ontologies", fmt.Sprintf(create, "refused", "A refused heel payload.")); code != http.StatusConflict {
+		t.Fatalf("duplicate create foo: status %d, want 409", code)
+	}
+	ingestFoo(3)
+	wantFoo := ontologyGet(t, base1, "foo")
+	if wantFoo.Docs != 4 || wantFoo.Epoch != 4 {
+		t.Fatalf("pre-kill foo docs=%d epoch=%d, want 4/4", wantFoo.Docs, wantFoo.Epoch)
+	}
+	wantHits := get(t, base1+"/v1/ontologies/foo/search?q=heel&n=10")
 
 	// The crash: SIGKILL, no goroutine gets to say goodbye.
 	if err := proc1.Process.Signal(syscall.SIGKILL); err != nil {
@@ -95,6 +117,57 @@ func TestRestartAfterSIGKILL(t *testing.T) {
 	if gotDocs != wantDocs || gotEpoch != wantEpoch {
 		t.Fatalf("post-restart docs=%d epoch=%d, want %d/%d", gotDocs, gotEpoch, wantDocs, wantEpoch)
 	}
+	if gotFoo := ontologyGet(t, base2, "foo"); gotFoo != wantFoo {
+		t.Fatalf("post-restart foo = %+v, want %+v", gotFoo, wantFoo)
+	}
+	if gotHits := get(t, base2+"/v1/ontologies/foo/search?q=heel&n=10"); !bytes.Equal(gotHits, wantHits) {
+		t.Fatalf("post-restart foo search = %s, want %s", gotHits, wantHits)
+	}
+}
+
+// post sends a JSON body and returns the status code.
+func post(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// get fetches url, requires a 200 and returns the body.
+func get(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d body %s", url, resp.StatusCode, b)
+	}
+	return b
+}
+
+// entryState is the part of GET /v1/ontologies/{name} a restart must
+// reproduce.
+type entryState struct {
+	Epoch uint64 `json:"epoch"`
+	Docs  int    `json:"docs"`
+}
+
+func ontologyGet(t *testing.T, base, name string) entryState {
+	t.Helper()
+	var st entryState
+	if err := json.Unmarshal(get(t, base+"/v1/ontologies/"+name), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // startServe launches the binary, scrapes the resolved listen address

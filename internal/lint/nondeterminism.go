@@ -50,6 +50,7 @@ var pipelinePackages = map[string]bool{
 	"corpus":      true,
 	"ontology":    true,
 	"state":       true,
+	"storage":     true,
 	"eval":        true,
 	"experiments": true,
 	"postag":      true,

@@ -11,8 +11,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"bioenrich/internal/state"
 )
 
 // TestReadyLifecycle: /v1/ready is a boot barrier — 503 unavailable
@@ -21,7 +19,7 @@ import (
 // (liveness, not readiness).
 func TestReadyLifecycle(t *testing.T) {
 	c, o := fixtureData(t)
-	srv := newServer(state.NewStore(c, o), Options{})
+	srv := newServer(c, o, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"bioenrich/internal/ontology"
-	"bioenrich/internal/state"
 	"bioenrich/internal/synth"
 )
 
@@ -29,7 +28,7 @@ func slowServer(t *testing.T, opts Options) (*httptest.Server, *ontology.Ontolog
 	copts.DocsPerConcept = 4
 	mesh := synth.GenerateMesh(mopts)
 	c := synth.GenerateMeshCorpus(mesh, copts)
-	ts := httptest.NewServer(newServer(state.NewStore(c, mesh.Ontology), opts).Handler())
+	ts := httptest.NewServer(newServer(c, mesh.Ontology, opts).Handler())
 	t.Cleanup(ts.Close)
 	return ts, mesh.Ontology
 }
@@ -201,7 +200,7 @@ func TestCancelledEnrichReleasesLock(t *testing.T) {
 // "cancelled" instead of running the step.
 func TestPreCancelledStepRequests(t *testing.T) {
 	c, o := fixtureData(t)
-	h := newServer(state.NewStore(c, o), Options{}).Handler()
+	h := newServer(c, o, Options{}).Handler()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct{ method, target, body string }{

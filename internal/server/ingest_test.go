@@ -142,9 +142,8 @@ func (f *flakyDurable) heal() {
 func TestIngestDurabilityFailureIs503(t *testing.T) {
 	c, o := fixtureData(t)
 	d := &flakyDurable{fail: true}
-	st := state.NewStore(c, o)
-	st.SetDurable(d)
-	srv := newServer(st, Options{})
+	srv := newServer(c, o, Options{})
+	srv.reg.Default().Store.SetDurable(d)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

@@ -13,7 +13,6 @@ import (
 	"bioenrich/internal/ontology"
 	"bioenrich/internal/recommend"
 	"bioenrich/internal/registry"
-	"bioenrich/internal/state"
 	"bioenrich/internal/textutil"
 
 	"bioenrich/internal/obs"
@@ -252,7 +251,7 @@ func (s *Server) handleOntologyCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if !registry.ValidName(req.Name) {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("name %q: want 1-64 chars of [A-Za-z0-9._-]", req.Name))
+			fmt.Errorf(`name %q: want 1-64 chars of [A-Za-z0-9._-], not "." or ".."`, req.Name))
 		return
 	}
 	if len(req.Concepts) == 0 {
@@ -291,22 +290,17 @@ func (s *Server) handleOntologyCreate(w http.ResponseWriter, r *http.Request) {
 	c := corpus.New(textutil.ParseLang(req.Lang))
 	c.AddAll(req.Documents)
 	c.Build()
-	st := state.NewStore(c, o)
-	if s.opts.OpenEntryBackend != nil {
-		d, err := s.opts.OpenEntryBackend(req.Name, st.Load())
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("open durability backend: %w", err))
-			return
-		}
-		st.SetDurable(d)
+	// The registry checks the name before it touches the entry's data
+	// directory: a refused create writes nothing.
+	entry, err := s.reg.Open(r.Context(), req.Name, func() (*corpus.Corpus, *ontology.Ontology, error) {
+		return c, o, nil
+	})
+	if errors.Is(err, registry.ErrExists) {
+		writeError(w, http.StatusConflict, err)
+		return
 	}
-	entry, err := s.reg.Add(req.Name, st)
 	if err != nil {
-		if errors.Is(err, registry.ErrExists) {
-			writeError(w, http.StatusConflict, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Location", "/v1/ontologies/"+entry.Name)

@@ -423,7 +423,7 @@ func TestRecommendRoutesEnrichment(t *testing.T) {
 
 	// The job really ran on the agro snapshot: its pinned epoch matches
 	// the agro entry, whose store is distinct from the default.
-	entry, okE := srv.Registry().Get("agro")
+	entry, okE := srv.reg.Get("agro")
 	if !okE {
 		t.Fatal("agro entry missing")
 	}

@@ -12,7 +12,6 @@ import (
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/obs"
 	"bioenrich/internal/ontology"
-	"bioenrich/internal/state"
 	"bioenrich/internal/textutil"
 )
 
@@ -47,7 +46,7 @@ func obsFixture(t *testing.T, opts Options) *httptest.Server {
 		{ID: "3", Text: "The corneal injury caused epithelium scarring treated with membrane grafts."},
 	})
 	c.Build()
-	ts := httptest.NewServer(newServer(state.NewStore(c, o), opts).Handler())
+	ts := httptest.NewServer(newServer(c, o, opts).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }

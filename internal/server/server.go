@@ -161,14 +161,6 @@ type Options struct {
 	// collection. 0 means the jobs package default (15 minutes);
 	// negative retains forever and starts no sweeper.
 	JobTTL time.Duration
-	// OpenEntryBackend, when non-nil, provides a durability backend
-	// for ontologies created at runtime through POST /v1/ontologies:
-	// it is called with the new entry's name and seed snapshot before
-	// the entry is registered, and the returned Durable gates every
-	// publish of that entry (cmd/serve opens a per-ontology disk
-	// backend under -data-dir). nil keeps runtime-created entries
-	// in-memory.
-	OpenEntryBackend func(name string, seed *state.Snapshot) (state.Durable, error)
 }
 
 // Server wires a registry of hosted ontologies to HTTP handlers: each
@@ -190,9 +182,9 @@ type Server struct {
 }
 
 // New builds a server over a populated registry; the registry's
-// default entry serves every pattern without a {name} segment. Each
-// entry's store carries its own durability and boot epoch, and the
-// registry its ingest batching, configured by whoever built it.
+// default entry serves every pattern without a {name} segment. The
+// registry owns each entry's store, durability and ingest batching,
+// and opens the entries POST /v1/ontologies creates.
 func New(reg *registry.Registry, opts Options) *Server {
 	return &Server{
 		reg:  reg,
@@ -206,11 +198,6 @@ func New(reg *registry.Registry, opts Options) *Server {
 		classifier: classify.New(classify.Options{Obs: opts.Obs}),
 	}
 }
-
-// Registry exposes the ontology registry to the embedding process —
-// cmd/serve registers extra entries at boot and checkpoints every
-// durable entry on clean shutdown.
-func (s *Server) Registry() *registry.Registry { return s.reg }
 
 // Start launches the async job workers under ctx and marks the server
 // ready; cancelling ctx cancels running jobs and stops the workers.

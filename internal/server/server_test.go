@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,7 +13,7 @@ import (
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/ontology"
 	"bioenrich/internal/registry"
-	"bioenrich/internal/state"
+	"bioenrich/internal/storage"
 	"bioenrich/internal/textutil"
 )
 
@@ -52,12 +53,15 @@ func fixtureData(t *testing.T) (*corpus.Corpus, *ontology.Ontology) {
 	return c, o
 }
 
-// newServer builds a server over a fresh registry whose default entry
-// is st — the one way tests construct a registry.
-func newServer(st *state.Store, opts Options) *Server {
-	reg, err := registry.New(DefaultOntology, st, opts.Obs)
+// newServer builds a server over a fresh in-memory registry whose
+// default entry serves (c, o) — the one way tests construct a
+// registry.
+func newServer(c *corpus.Corpus, o *ontology.Ontology, opts Options) *Server {
+	reg, err := registry.New(context.Background(), DefaultOntology, func() (*corpus.Corpus, *ontology.Ontology, error) {
+		return c, o, nil
+	}, storage.DiskOptions{Obs: opts.Obs})
 	if err != nil {
-		panic(err) // DefaultOntology is a valid name and st is non-nil
+		panic(err) // DefaultOntology is a valid name and the seed cannot fail
 	}
 	return New(reg, opts)
 }
@@ -65,7 +69,7 @@ func newServer(st *state.Store, opts Options) *Server {
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	c, o := fixtureData(t)
-	ts := httptest.NewServer(newServer(state.NewStore(c, o), Options{}).Handler())
+	ts := httptest.NewServer(newServer(c, o, Options{}).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }

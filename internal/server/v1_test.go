@@ -15,7 +15,6 @@ import (
 
 	"bioenrich/internal/core"
 	"bioenrich/internal/obs"
-	"bioenrich/internal/state"
 	"bioenrich/internal/synth"
 )
 
@@ -24,7 +23,7 @@ import (
 func startedServer(t *testing.T, opts Options) (*httptest.Server, *Server) {
 	t.Helper()
 	c, o := fixtureData(t)
-	srv := newServer(state.NewStore(c, o), opts)
+	srv := newServer(c, o, opts)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(func() {
 		cancel()
@@ -48,7 +47,7 @@ func startedSlowServer(t *testing.T, opts Options) (*httptest.Server, *Server) {
 	copts.DocsPerConcept = 4
 	mesh := synth.GenerateMesh(mopts)
 	c := synth.GenerateMeshCorpus(mesh, copts)
-	srv := newServer(state.NewStore(c, mesh.Ontology), opts)
+	srv := newServer(c, mesh.Ontology, opts)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(func() {
 		cancel()
