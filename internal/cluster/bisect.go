@@ -95,17 +95,20 @@ func refineKWay(unit []sparse.Vector, c *Clustering, iters int) *Clustering {
 			sums[assign[i]].Add(v)
 			counts[assign[i]]++
 		}
+		norms := make([]float64, k)
 		for i := range sums {
 			sums[i].Normalize()
+			norms[i] = sums[i].Norm()
 		}
 		changed := false
 		for i, v := range unit {
 			if counts[assign[i]] <= 1 {
 				continue // don't empty a cluster
 			}
-			best, bestSim := assign[i], v.Cosine(sums[assign[i]])
-			for cc := 0; cc < k; cc++ {
-				if s := v.Cosine(sums[cc]); s > bestSim {
+			sims := v.Cosines(sums, norms)
+			best, bestSim := assign[i], sims[assign[i]]
+			for cc, s := range sims {
+				if s > bestSim {
 					best, bestSim = cc, s
 				}
 			}

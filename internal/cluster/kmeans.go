@@ -59,13 +59,19 @@ func kmeans(unit []sparse.Vector, k int, seed int64, iters int) *Clustering {
 	r := rand.New(rand.NewSource(seed))
 	n := len(unit)
 	centroids := seedCentroids(unit, k, r)
+	// norms[c] is centroids[c].Norm(), taken once whenever the centroid
+	// changes instead of once per object scored against it.
+	norms := make([]float64, k)
+	for c, cen := range centroids {
+		norms[c] = cen.Norm()
+	}
 	assign := make([]int, n)
 	for it := 0; it < iters; it++ {
 		changed := false
 		for i, v := range unit {
 			best, bestSim := 0, -2.0
-			for c, cen := range centroids {
-				if s := v.Cosine(cen); s > bestSim {
+			for c, s := range v.Cosines(centroids, norms) {
+				if s > bestSim {
 					best, bestSim = c, s
 				}
 			}
@@ -87,15 +93,15 @@ func kmeans(unit []sparse.Vector, k int, seed int64, iters int) *Clustering {
 		}
 		for c := range centroids {
 			if counts[c] == 0 {
-				far := farthestObject(unit, centroids, assign)
+				far := farthestObject(unit, centroids, norms, assign)
 				assign[far] = c
 				centroids[c] = unit[far].Clone()
 				changed = true
-				continue
+			} else {
+				centroids[c] = sums[c]
+				centroids[c].Normalize()
 			}
-			cen := sums[c]
-			cen.Normalize()
-			centroids[c] = cen
+			norms[c] = centroids[c].Norm()
 		}
 		if !changed {
 			break
@@ -145,11 +151,13 @@ func seedCentroids(unit []sparse.Vector, k int, r *rand.Rand) []sparse.Vector {
 }
 
 // farthestObject finds the object least similar to its own centroid —
-// the best candidate to re-seed an empty cluster.
-func farthestObject(unit []sparse.Vector, centroids []sparse.Vector, assign []int) int {
+// the best candidate to re-seed an empty cluster. norms[c] must be the
+// norm of centroids[c] as it stands, recomputed or not.
+func farthestObject(unit []sparse.Vector, centroids []sparse.Vector, norms []float64, assign []int) int {
 	worst, worstSim := 0, 2.0
 	for i, v := range unit {
-		s := v.Cosine(centroids[assign[i]])
+		a := assign[i]
+		s := v.Cosines(centroids[a:a+1], norms[a:a+1])[0]
 		if s < worstSim {
 			worst, worstSim = i, s
 		}
