@@ -142,7 +142,6 @@ type Job struct {
 // job is the mutable record behind a Job view, guarded by Manager.mu.
 type job struct {
 	Job
-	seq       int
 	fn        Fn
 	cancel    context.CancelFunc // non-nil while running
 	cancelled bool               // Cancel was requested
@@ -240,8 +239,7 @@ func (m *Manager) Submit(kind, requestID string, epoch uint64, fn Fn) (Job, erro
 			Status:    StatusQueued,
 			Created:   time.Now(),
 		},
-		seq: m.seq,
-		fn:  fn,
+		fn: fn,
 	}
 	select {
 	case m.queue <- j:

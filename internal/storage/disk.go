@@ -49,7 +49,8 @@ func (o DiskOptions) withDefaults() DiskOptions {
 // Disk is the durable backend: segment files plus a write-ahead log
 // in a data directory. Lifecycle: OpenDisk → Recover (or, on a cold
 // start, Checkpoint with the seed snapshot) → install as the store's
-// durability hook → Close on shutdown. All methods are safe for
+// durability hook → Close on shutdown; internal/registry runs it for
+// every served entry. All methods are safe for
 // concurrent use, though in practice BeforePublish is already
 // serialized under the store's writer mutex.
 type Disk struct {
@@ -129,15 +130,6 @@ func (d *Disk) Recover(ctx context.Context) (*state.Snapshot, bool, error) {
 		}
 		return nil, false, fmt.Errorf("storage: data dir %s has WAL files but no segment: nothing to replay onto", d.dir)
 	}
-	// The manifest is advisory: the files are the truth, but a mismatch
-	// is worth a line in the log (it means a crash landed between a
-	// segment publish and the manifest rewrite).
-	if m, ok := readManifest(d.dir); ok && len(m.Segments) > 0 && len(segs) > 0 &&
-		m.Segments[len(m.Segments)-1] != segs[len(segs)-1] {
-		slog.Info("storage: manifest lags directory scan; trusting the files",
-			"manifest_newest", m.Segments[len(m.Segments)-1], "scan_newest", segs[len(segs)-1])
-	}
-
 	// Newest intact segment wins; a corrupt one falls back to its
 	// predecessor (whose WAL records were retained for exactly this).
 	var (
@@ -300,9 +292,8 @@ func (d *Disk) insertSegLocked(epoch uint64) {
 	d.segs[i] = epoch
 }
 
-// pruneLocked applies retention — keep the newest Retain segments,
-// drop WAL files made redundant by the oldest retained segment — and
-// rewrites the manifest.
+// pruneLocked applies retention: keep the newest Retain segments and
+// drop WAL files made redundant by the oldest retained segment.
 func (d *Disk) pruneLocked() error {
 	if d.opts.Retain > 0 && len(d.segs) > d.opts.Retain {
 		drop := d.segs[:len(d.segs)-d.opts.Retain]
@@ -341,11 +332,15 @@ func (d *Disk) pruneLocked() error {
 			}
 		}
 	}
-	m := manifest{Segments: append([]uint64(nil), d.segs...)}
-	if d.wal != nil {
-		m.WALBase = d.wal.base
+	return nil
+}
+
+// removeIfExists deletes path, tolerating its absence.
+func removeIfExists(path string) error {
+	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("storage: remove %s: %w", path, err)
 	}
-	return writeManifest(d.dir, m)
+	return nil
 }
 
 // Close releases the WAL file handle. The backend must not be used
