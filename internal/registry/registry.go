@@ -51,6 +51,9 @@ var (
 	// ErrNotFound is returned for lookups of unregistered names. The
 	// HTTP layer maps it to 404.
 	ErrNotFound = errors.New("registry: no such ontology")
+
+	// errNoSeed is a cold start with a nil seed.
+	errNoSeed = errors.New("no durable state and no seed")
 )
 
 // Seed builds an entry's first corpus and ontology. Open calls it only
@@ -264,7 +267,7 @@ func (r *Registry) openStore(ctx context.Context, name string, seed Seed) (*stat
 // seed.
 func seedSnapshot(seed Seed) (*state.Snapshot, error) {
 	if seed == nil {
-		return nil, errors.New("no durable state and no seed")
+		return nil, errNoSeed
 	}
 	c, o, err := seed()
 	if err != nil {
@@ -286,7 +289,9 @@ func (r *Registry) entryDir(name string) string {
 // OpenDiscovered opens, in name order, every entry an earlier process
 // left under the data directory's ontologies/ that is not registered
 // yet — entries created through the API, which have durable state but
-// no seed. In memory it does nothing.
+// no seed. A directory with no durable state is skipped: its create
+// crashed before the first checkpoint, so it was never acknowledged.
+// In memory it does nothing.
 func (r *Registry) OpenDiscovered(ctx context.Context) error {
 	if r.disk.Dir == "" {
 		return nil
@@ -296,7 +301,11 @@ func (r *Registry) OpenDiscovered(ctx context.Context) error {
 		return err
 	}
 	for _, name := range names {
-		if _, err := r.Open(ctx, name, nil); err != nil && !errors.Is(err, ErrExists) {
+		_, err := r.Open(ctx, name, nil)
+		switch {
+		case errors.Is(err, errNoSeed):
+			slog.Warn("registry: skipping ontology directory with no durable state", "ontology", name)
+		case err != nil && !errors.Is(err, ErrExists):
 			return err
 		}
 	}

@@ -409,6 +409,37 @@ func TestCloseCheckpoints(t *testing.T) {
 	}
 }
 
+// TestOpenDiscoveredSkipsUnseededEntry: a create that crashed before
+// its first checkpoint leaves a directory holding only the segment's
+// temp file. It was never acknowledged, so the next boot skips it
+// instead of refusing to start, and the name can be created again.
+func TestOpenDiscoveredSkipsUnseededEntry(t *testing.T) {
+	ctx := context.Background()
+	dataDir := t.TempDir()
+	half := filepath.Join(dataDir, "ontologies", "half")
+	if err := os.MkdirAll(half, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(half, ".seg-00000000000000000001.seg.tmp-1"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := newDurable(t, dataDir, testSeed("mesh", "1"))
+	t.Cleanup(func() { r.Close() })
+	if err := r.OpenDiscovered(ctx); err != nil {
+		t.Fatalf("OpenDiscovered: %v", err)
+	}
+	if _, ok := r.Get("half"); ok {
+		t.Fatal("an entry with no durable state was registered")
+	}
+	e, err := r.Open(ctx, "half", testSeed("half", "half-seed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := docIDs(e); !reflect.DeepEqual(ids, []string{"half-seed"}) {
+		t.Fatalf("re-created half holds %v", ids)
+	}
+}
+
 func TestDiscoverEntries(t *testing.T) {
 	// No ontologies directory at all: nothing to discover.
 	if got, err := discoverEntries(t.TempDir()); err != nil || got != nil {
