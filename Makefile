@@ -37,9 +37,12 @@ test:
 # for its tokenize worker pool; internal/lint for the parallel
 # load/analyze driver. CI (.github/workflows/ci.yml) runs this target,
 # so this is the one raced list, and scripts/race_gate_check.sh proves
-# it plus its documented exemptions cover ./internal/... exactly.
+# it plus its documented exemptions cover ./internal/... exactly. The
+# job manager runs ten more times: its runners start and exit with the
+# queue, and one run rarely hits the interleavings of that handoff.
 race:
 	$(GO) test -race ./internal/core ./internal/server ./internal/linkage ./internal/obs ./internal/senseind ./internal/state ./internal/jobs ./internal/storage ./internal/registry ./internal/classify ./internal/recommend ./internal/batch ./internal/corpus ./internal/lint
+	$(GO) test -race -count=10 ./internal/jobs
 
 race-gate-check:
 	./scripts/race_gate_check.sh

@@ -61,9 +61,11 @@
 // Async jobs: POST /v1/jobs/enrich queues an enrichment run against
 // the snapshot current at submission. -job-queue bounds how many may
 // wait (429 past it), -job-workers how many run concurrently, and
-// -job-ttl how long finished jobs stay pollable before garbage
-// collection (negative retains forever). On SIGINT/SIGTERM running
-// jobs are cancelled along with the HTTP drain.
+// -job-ttl how long finished jobs stay pollable before they expire
+// (negative retains forever). On SIGINT/SIGTERM running jobs are
+// cancelled along with the HTTP drain. The server listens only once
+// every entry is open, so GET /v1/ready answers 200 from the first
+// request it serves.
 //
 // Observability: -metrics (on by default) serves the Prometheus
 // exposition at GET /v1/metrics — per-endpoint request counts and
@@ -216,7 +218,9 @@ func main() {
 	def := reg.Default().Snapshot()
 	c, o := def.Corpus, def.Ontology
 
-	app := server.New(reg, opts)
+	// Background jobs run under the signal context: SIGINT/SIGTERM
+	// cancels running jobs alongside the HTTP drain.
+	app := server.New(ctx, reg, opts)
 	srv := &http.Server{
 		Handler:           app.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
@@ -224,10 +228,6 @@ func main() {
 		WriteTimeout:      *writeTimeout,
 		IdleTimeout:       2 * time.Minute,
 	}
-
-	// Job workers live under the signal context: SIGINT/SIGTERM cancels
-	// running jobs alongside the HTTP drain.
-	app.Start(ctx)
 
 	// Listen explicitly (rather than ListenAndServe) so the resolved
 	// address — including a kernel-assigned port for ":0" — lands in
@@ -268,7 +268,7 @@ func main() {
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal(logger, "serve", err)
 		}
-		app.Wait() // job workers exit after the signal context cancelled
+		app.Wait() // job runners exit once the signal context is cancelled
 		// Each entry flushes its batcher, checkpoints its final
 		// snapshot so the next boot replays no WAL, and closes its disk.
 		if err := reg.Close(); err != nil {

@@ -1,17 +1,22 @@
 // Package jobs runs heavyweight work — enrichment pipeline runs —
 // off-request, so interactive endpoints stay fast while a multi-second
 // analysis grinds in the background (the deployment shape of NCBO's
-// Annotator/Recommender services). The Manager is a bounded-queue
-// worker pool with an explicit job lifecycle:
+// Annotator/Recommender services). The Manager runs jobs through an
+// explicit lifecycle:
 //
 //	queued → running → done | failed | cancelled
 //
-// Submissions past the queue bound fail fast with ErrQueueFull (429
-// at the HTTP layer) instead of buffering unboundedly. Each running
-// job gets its own context derived from the manager's root, so a job
-// can be cancelled individually (DELETE /v1/jobs/{id}) and every job
-// dies with the server's root context on shutdown. Finished jobs are
-// retained for Options.TTL so clients can poll results, then swept.
+// Jobs wait in one FIFO queue. Submissions past the queue bound fail
+// fast with ErrQueueFull (429 at the HTTP layer) instead of buffering
+// unboundedly. Runner goroutines are demand-driven, as in
+// internal/batch: Submit starts one while fewer than Options.Workers
+// are live and hands it the new job, and a runner exits when the queue
+// is empty, so an idle manager owns no goroutine. Each running job
+// gets its own context derived from the root context New takes, so a
+// job can be cancelled individually (DELETE /v1/jobs/{id}) and every
+// job dies with the server's root context on shutdown. Cancelling a
+// queued job takes it out of the queue at once. A finished job stays
+// pollable for Options.TTL, then a timer removes it.
 //
 // The package is deliberately ignorant of the pipeline: a job is just
 // a func(ctx) (any, error). The server closes over the snapshot a job
@@ -22,7 +27,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -49,11 +57,8 @@ var (
 	// ErrQueueFull: the pending queue is at capacity. Retry later
 	// (HTTP 429).
 	ErrQueueFull = errors.New("jobs: queue full")
-	// ErrNotStarted: Submit before Start. The manager owns no worker
-	// goroutines until Start hands it a root context.
-	ErrNotStarted = errors.New("jobs: manager not started")
-	// ErrNotFound: no job with that ID (possibly already swept by TTL
-	// garbage collection).
+	// ErrNotFound: no job with that ID (possibly already expired
+	// after its TTL).
 	ErrNotFound = errors.New("jobs: no such job")
 	// ErrFinished: Cancel on a job that already reached a terminal
 	// status.
@@ -63,13 +68,13 @@ var (
 // Metric names, exposed so the server's exposition test can pin them.
 const (
 	// QueueDepthMetric gauges jobs currently waiting (queued, not yet
-	// picked up by a worker).
+	// picked up by a runner).
 	QueueDepthMetric = "bioenrich_jobs_queue_depth"
 	// JobsMetric counts lifecycle transitions by state label: how many
 	// jobs ever entered queued/running/done/failed/cancelled.
 	JobsMetric = "bioenrich_jobs_total"
 	// DurationMetric is the per-job run duration histogram (seconds,
-	// measured from worker pickup to completion).
+	// measured from runner pickup to completion).
 	DurationMetric = "bioenrich_job_duration_seconds"
 )
 
@@ -79,7 +84,7 @@ const DefaultTTL = 15 * time.Minute
 
 // Options configures a Manager. The zero value gets sane defaults.
 type Options struct {
-	// Queue bounds how many submitted jobs may wait for a worker;
+	// Queue bounds how many submitted jobs may wait for a runner;
 	// submissions past it fail with ErrQueueFull. 0 means 16.
 	Queue int
 	// Workers is the number of concurrent job runners. 0 means 1 — one
@@ -89,12 +94,11 @@ type Options struct {
 	// TTL is how long finished jobs remain pollable. The two sentinels
 	// are deliberate and distinct:
 	//
-	//	TTL > 0   retain for TTL; a background sweeper GCs expired jobs
+	//	TTL > 0   retain for TTL after the job finishes, then remove it
 	//	TTL == 0  DefaultTTL (15 minutes) — zero is "unset", never
 	//	          "keep forever", so a zero-valued Options cannot leak
 	//	          job records unboundedly
-	//	TTL < 0   retain forever: GC is a no-op and Start launches no
-	//	          sweeper goroutine
+	//	TTL < 0   retain forever
 	TTL time.Duration
 	// Obs receives queue depth, per-state transition counters and the
 	// job duration histogram. nil disables instrumentation.
@@ -114,11 +118,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ttlDisabled reports whether finished jobs are retained forever.
-// After withDefaults the TTL is never zero, so "disabled" has exactly
-// one spelling: negative.
-func (m *Manager) ttlDisabled() bool { return m.opts.TTL < 0 }
-
 // Fn is the work a job performs. It must honor ctx — the manager
 // cancels it on DELETE and on shutdown — and return its result (any
 // JSON-encodable value) or an error.
@@ -137,6 +136,8 @@ type Job struct {
 	Finished  time.Time // zero until terminal
 	Result    any       // set when done
 	Err       error     // set when failed (or cancelled mid-run)
+
+	seq int // the sequence number ID carries; jobs list in its order
 }
 
 // job is the mutable record behind a Job view, guarded by Manager.mu.
@@ -147,112 +148,102 @@ type job struct {
 	cancelled bool               // Cancel was requested
 }
 
-// Manager owns the queue, the workers and the job table.
+// Manager owns the queue, the runners and the job table.
 type Manager struct {
 	opts Options
+	root context.Context
 
 	mu      sync.Mutex
 	jobs    map[string]*job
 	seq     int
-	queue   chan *job
-	root    context.Context
-	started bool
-	// sweeping records whether Start launched the TTL sweeper; it
-	// stays false when the TTL is negative (retain forever). Exposed
-	// via Sweeping so tests can assert the goroutine truly isn't
-	// running, not just that GC declines to collect.
-	sweeping bool
+	queue   []*job // queued jobs, oldest first
+	runners int    // live runner goroutines
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // tracks the live runners for Wait
 
 	depth    *obs.Gauge
 	duration *obs.Histogram
 }
 
-// New builds a manager. No goroutines run until Start.
-func New(opts Options) *Manager {
+// New builds a manager whose jobs run under root: cancelling root
+// cancels every running job, and no runner takes a queued job after
+// that. No goroutine runs until a job is submitted.
+func New(root context.Context, opts Options) *Manager {
 	opts = opts.withDefaults()
 	return &Manager{
 		opts:     opts,
+		root:     root,
 		jobs:     make(map[string]*job),
-		queue:    make(chan *job, opts.Queue),
 		depth:    opts.Obs.Gauge(QueueDepthMetric),
 		duration: opts.Obs.Histogram(DurationMetric, nil),
 	}
 }
 
-// Start launches the worker pool (and the TTL sweeper) under ctx.
-// Cancelling ctx cancels every running job and stops the workers;
-// Wait blocks until they have exited. Start is idempotent — only the
-// first call takes effect.
-func (m *Manager) Start(ctx context.Context) {
-	m.mu.Lock()
-	if m.started {
-		m.mu.Unlock()
-		return
-	}
-	m.started = true
-	m.root = ctx
-	m.sweeping = !m.ttlDisabled()
-	sweep := m.sweeping
-	m.mu.Unlock()
-	for i := 0; i < m.opts.Workers; i++ {
-		m.wg.Add(1)
-		go m.worker(ctx)
-	}
-	if sweep {
-		m.wg.Add(1)
-		go m.sweeper(ctx)
-	}
-}
-
-// Sweeping reports whether Start launched the background TTL sweeper.
-// It is false before Start and forever false when Options.TTL is
-// negative (retain-forever mode runs no sweeper at all).
-func (m *Manager) Sweeping() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sweeping
-}
-
-// Wait blocks until every worker has exited (after the Start context
-// is cancelled). Useful for clean shutdown and leak-free tests.
+// Wait blocks until every runner has exited: once the queue has
+// drained, or once the root context is cancelled and the running jobs
+// have returned. cmd/serve calls it at shutdown after the HTTP drain.
 func (m *Manager) Wait() { m.wg.Wait() }
+
+// formatID renders the job ID for sequence number seq.
+func formatID(seq int) string { return fmt.Sprintf("j-%06d", seq) }
+
+// parseID returns the sequence number a job ID carries, and false for
+// any string formatID never returns.
+func parseID(id string) (int, bool) {
+	seq, err := strconv.Atoi(strings.TrimPrefix(id, "j-"))
+	if err != nil || seq < 1 || formatID(seq) != id {
+		return 0, false
+	}
+	return seq, true
+}
+
+// ValidID reports whether id has the form of a job ID — the HTTP layer
+// validates page-token cursors against it, so a forged cursor is a
+// 400, not a position.
+func ValidID(id string) bool {
+	_, ok := parseID(id)
+	return ok
+}
 
 // Submit enqueues fn. kind labels the work, requestID ties the job to
 // the HTTP request that created it, and epoch records the snapshot
-// version the job will run against. Fails fast with ErrQueueFull when
-// the pending queue is at capacity and ErrNotStarted before Start.
+// version the job will run against. It returns the job as submitted
+// (queued), and fails fast with ErrQueueFull when the pending queue is
+// at capacity.
 func (m *Manager) Submit(kind, requestID string, epoch uint64, fn Fn) (Job, error) {
 	m.mu.Lock()
-	if !m.started {
-		m.mu.Unlock()
-		return Job{}, ErrNotStarted
+	defer m.mu.Unlock()
+	// A new runner takes the job directly, so it never occupies a
+	// queue slot. None starts once the root context is done: the
+	// runners' WaitGroup must not grow after Wait may have begun.
+	spawn := m.runners < m.opts.Workers && m.root.Err() == nil
+	if !spawn && len(m.queue) >= m.opts.Queue {
+		return Job{}, fmt.Errorf("%w: %d pending", ErrQueueFull, m.opts.Queue)
 	}
 	m.seq++
 	j := &job{
 		Job: Job{
-			ID:        fmt.Sprintf("j-%06d", m.seq),
+			ID:        formatID(m.seq),
 			Kind:      kind,
 			RequestID: requestID,
 			Epoch:     epoch,
 			Status:    StatusQueued,
 			Created:   time.Now(),
+			seq:       m.seq,
 		},
 		fn: fn,
 	}
-	select {
-	case m.queue <- j:
-	default:
-		m.seq-- // the rejected job never existed
-		m.mu.Unlock()
-		return Job{}, fmt.Errorf("%w: %d pending", ErrQueueFull, m.opts.Queue)
-	}
 	m.jobs[j.ID] = j
-	m.depth.Add(1)
 	m.opts.Obs.Counter(JobsMetric, "status", string(StatusQueued)).Inc()
 	view := j.Job
-	m.mu.Unlock()
+	if spawn {
+		m.runners++
+		m.wg.Add(1)
+		go m.runner(m.start(j), j)
+	} else {
+		m.queue = append(m.queue, j)
+		m.depth.Set(float64(len(m.queue)))
+	}
 	return view, nil
 }
 
@@ -278,19 +269,22 @@ func ValidStatus(s Status) bool {
 	return false
 }
 
-// Page returns up to limit retained jobs with ID strictly after the
-// `after` cursor, in ascending ID order, optionally filtered to one
-// status ("" keeps all), plus whether more matching jobs remain past
-// the returned page. Job IDs are zero-padded sequence numbers, so ID
-// order is submission order and an `after` cursor naming a job that
-// has since been swept by TTL GC still resumes at exactly the right
-// position — the cursor is a position in the ID space, not a reference
-// that can dangle. limit <= 0 means no bound.
+// Page returns up to limit retained jobs submitted after the job the
+// `after` cursor names ("" starts at the first job), in submission
+// order, optionally filtered to one status ("" keeps all), plus
+// whether more matching jobs remain past the returned page. The cursor
+// is compared by its sequence number, not as a string, so the order
+// holds past j-999999, and a cursor naming a job that has since
+// expired still resumes at exactly the right position: it is a
+// position in the ID space, not a reference that can dangle. A cursor
+// that is not a job ID (see ValidID) starts at the first job.
+// limit <= 0 means no bound.
 func (m *Manager) Page(after string, limit int, status Status) ([]Job, bool) {
+	from, _ := parseID(after)
 	m.mu.Lock()
 	matched := make([]Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
-		if j.ID <= after {
+		if j.seq <= from {
 			continue
 		}
 		if status != "" && j.Status != status {
@@ -299,134 +293,108 @@ func (m *Manager) Page(after string, limit int, status Status) ([]Job, bool) {
 		matched = append(matched, j.Job)
 	}
 	m.mu.Unlock()
-	sort.Slice(matched, func(i, k int) bool { return matched[i].ID < matched[k].ID })
+	sort.Slice(matched, func(i, k int) bool { return matched[i].seq < matched[k].seq })
 	if limit > 0 && len(matched) > limit {
 		return matched[:limit], true
 	}
 	return matched, false
 }
 
-// Cancel requests cancellation of id. A queued job is marked
-// cancelled immediately (the worker will skip it); a running job has
-// its context cancelled and reaches the cancelled status when its Fn
-// returns. Cancelling a finished job returns ErrFinished; an unknown
-// id, ErrNotFound.
+// Cancel requests cancellation of id. A queued job leaves the queue
+// and is cancelled at once, so its slot is free for the next Submit; a
+// running job has its context cancelled and reaches the cancelled
+// status when its Fn returns. Cancelling a finished job returns
+// ErrFinished; an unknown id, ErrNotFound.
 func (m *Manager) Cancel(id string) (Job, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
-		m.mu.Unlock()
 		return Job{}, ErrNotFound
 	}
 	if j.Status.Terminal() {
-		view := j.Job
-		m.mu.Unlock()
-		return view, ErrFinished
+		return j.Job, ErrFinished
 	}
 	j.cancelled = true
 	switch j.Status {
 	case StatusQueued:
-		j.Status = StatusCancelled
-		j.Finished = time.Now()
-		m.depth.Add(-1)
-		m.opts.Obs.Counter(JobsMetric, "status", string(StatusCancelled)).Inc()
+		i := slices.Index(m.queue, j)
+		m.queue = slices.Delete(m.queue, i, i+1)
+		m.depth.Set(float64(len(m.queue)))
+		m.finish(j, StatusCancelled)
 	case StatusRunning:
-		j.cancel() // the worker finalizes the status when Fn returns
+		j.cancel() // the runner finalizes the status when Fn returns
 	}
-	view := j.Job
-	m.mu.Unlock()
-	return view, nil
+	return j.Job, nil
 }
 
-// GC sweeps finished jobs whose terminal timestamp is older than
-// Options.TTL, returning how many were removed. The background
-// sweeper calls it periodically; tests call it directly.
-func (m *Manager) GC() int {
-	if m.ttlDisabled() {
-		return 0
-	}
-	cutoff := time.Now().Add(-m.opts.TTL)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	removed := 0
-	for id, j := range m.jobs {
-		if j.Status.Terminal() && !j.Finished.IsZero() && j.Finished.Before(cutoff) {
-			delete(m.jobs, id)
-			removed++
-		}
-	}
-	return removed
-}
-
-// sweeper periodically garbage-collects expired finished jobs.
-func (m *Manager) sweeper(ctx context.Context) {
-	defer m.wg.Done()
-	interval := m.opts.TTL / 4
-	if interval < time.Second {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			m.GC()
-		}
-	}
-}
-
-// worker drains the queue until ctx is done.
-func (m *Manager) worker(ctx context.Context) {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case j := <-m.queue:
-			m.run(ctx, j)
-		}
-	}
-}
-
-// run executes one dequeued job through its lifecycle. Each
-// transition's metrics are recorded before m.mu is released, so a
-// caller that sees a status through Get also sees its counts.
-func (m *Manager) run(ctx context.Context, j *job) {
-	m.mu.Lock()
-	if j.Status != StatusQueued {
-		// Cancelled while waiting; its depth decrement and transition
-		// counter were recorded by Cancel.
-		m.mu.Unlock()
-		return
-	}
-	jctx, cancel := context.WithCancel(ctx)
+// start moves j to running under m.mu and returns the context its Fn
+// runs under. Each transition's metrics are recorded before m.mu is
+// released, so a caller that sees a status through Get also sees its
+// counts.
+func (m *Manager) start(j *job) context.Context {
+	ctx, cancel := context.WithCancel(m.root)
 	j.cancel = cancel
 	j.Status = StatusRunning
 	j.Started = time.Now()
-	m.depth.Add(-1)
 	m.opts.Obs.Counter(JobsMetric, "status", string(StatusRunning)).Inc()
-	m.mu.Unlock()
+	return ctx
+}
 
-	result, err := j.fn(jctx)
-	cancel()
+// finish records j's terminal status under m.mu and, unless the TTL
+// is negative, schedules the job's removal once the TTL has passed.
+func (m *Manager) finish(j *job, status Status) {
+	j.Status = status
+	j.Finished = time.Now()
+	m.opts.Obs.Counter(JobsMetric, "status", string(status)).Inc()
+	if m.opts.TTL > 0 {
+		time.AfterFunc(m.opts.TTL, func() {
+			m.mu.Lock()
+			delete(m.jobs, j.ID)
+			m.mu.Unlock()
+		})
+	}
+}
+
+// runner runs j, which start has already marked running, then takes
+// queued jobs oldest first until the queue is empty or the root
+// context is done.
+func (m *Manager) runner(ctx context.Context, j *job) {
+	defer m.wg.Done()
+	for j != nil {
+		ctx, j = m.run(ctx, j)
+	}
+}
+
+// run executes one running job, records its outcome, and returns the
+// next queued job, already started, or a nil job when the runner
+// exits.
+func (m *Manager) run(ctx context.Context, j *job) (context.Context, *job) {
+	result, err := j.fn(ctx)
+	j.cancel()
 
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	j.cancel = nil
-	j.Finished = time.Now()
 	switch {
 	case err == nil:
-		j.Status = StatusDone
 		j.Result = result
+		m.finish(j, StatusDone)
 	case j.cancelled && errors.Is(err, context.Canceled):
-		j.Status = StatusCancelled
 		j.Err = err
+		m.finish(j, StatusCancelled)
 	default:
-		j.Status = StatusFailed
 		j.Err = err
+		m.finish(j, StatusFailed)
 	}
 	m.duration.Observe(j.Finished.Sub(j.Started).Seconds())
-	m.opts.Obs.Counter(JobsMetric, "status", string(j.Status)).Inc()
-	m.mu.Unlock()
+
+	if len(m.queue) == 0 || m.root.Err() != nil {
+		m.runners--
+		return nil, nil
+	}
+	next := m.queue[0]
+	m.queue = slices.Delete(m.queue, 0, 1)
+	m.depth.Set(float64(len(m.queue)))
+	return m.start(next), next
 }

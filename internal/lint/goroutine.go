@@ -13,7 +13,7 @@ import (
 // The repo's two sanctioned shapes are the WaitGroup worker pool
 // (wg.Add before launch, defer wg.Done() in the body, wg.Wait() at the
 // end) and the context-bounded loop (select { case <-ctx.Done(): ... }
-// in the body, as in the jobs manager's worker/sweeper). A goroutine
+// in the body). A goroutine
 // with neither runs unsupervised: nothing stops it on shutdown and
 // nothing observes its completion, which is exactly how the enricher's
 // early cancellation bugs were born.

@@ -20,7 +20,6 @@ var reachabilityKeeps = map[string]string{
 	"bioenrich/internal/cluster.Clustering.Validate": "the cluster tests check every algorithm's output is a well-formed partition",
 	"bioenrich/internal/cluster.Dendrogram.N":        "TestDendrogramCutBounds bounds Cut by the number of clustered objects",
 	"bioenrich/internal/corpus.Corpus.Vocabulary":    "the corpus round-trip, rebuild and JSONL tests compare index sizes",
-	"bioenrich/internal/jobs.Manager.Sweeping":       "TestTTLSemantics checks which TTL settings start the sweeper",
 	"bioenrich/internal/lint.Load":                   "the analyzer golden tests and this scan load packages serially",
 	"bioenrich/internal/lint.Run":                    "the analyzer tests run one analyzer serially",
 	"bioenrich/internal/ml.DecisionTree.Depth":       "the decision-tree tests check the depth cap",

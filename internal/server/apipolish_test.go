@@ -8,33 +8,15 @@ package server
 import (
 	"encoding/base64"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-// TestReadyLifecycle: /v1/ready is a boot barrier — 503 unavailable
-// until Start wires the job subsystem, 200 with snapshot epoch and
-// registry size afterwards. /v1/health stays 200 throughout
-// (liveness, not readiness).
+// TestReadyLifecycle: /v1/ready answers 200 with the snapshot epoch
+// and registry size as soon as the server serves.
 func TestReadyLifecycle(t *testing.T) {
-	c, o := fixtureData(t)
-	srv := newServer(c, o, Options{})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	resp, err := http.Get(ts.URL + "/v1/ready")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := readAll(t, resp)
-	if resp.StatusCode != http.StatusServiceUnavailable || envelopeCode(t, b) != "unavailable" {
-		t.Fatalf("ready before Start: status %d body %s, want 503/unavailable", resp.StatusCode, b)
-	}
-	getJSON(t, ts.URL+"/v1/health", http.StatusOK) // liveness is independent of readiness
-
-	ts2, _ := startedServer(t, Options{})
-	out := getJSON(t, ts2.URL+"/v1/ready", http.StatusOK)
+	ts := testServer(t)
+	out := getJSON(t, ts.URL+"/v1/ready", http.StatusOK)
 	if out["status"] != "ready" {
 		t.Errorf("ready = %v", out)
 	}
@@ -145,6 +127,8 @@ func TestJobListPaginationErrors(t *testing.T) {
 		"?status=bogus",
 		"?page_token=!!!",
 		"?page_token=" + bogusToken,
+		// A well-formed token whose cursor is not a job ID.
+		"?page_token=" + base64.RawURLEncoding.EncodeToString([]byte(jobPageTokenPrefix+"not-a-job")),
 	} {
 		resp, err := http.Get(ts.URL + "/v1/jobs" + query)
 		if err != nil {

@@ -28,7 +28,7 @@ func slowServer(t *testing.T, opts Options) (*httptest.Server, *ontology.Ontolog
 	copts.DocsPerConcept = 4
 	mesh := synth.GenerateMesh(mopts)
 	c := synth.GenerateMeshCorpus(mesh, copts)
-	ts := httptest.NewServer(newServer(c, mesh.Ontology, opts).Handler())
+	ts := httptest.NewServer(newServer(t, c, mesh.Ontology, opts).Handler())
 	t.Cleanup(ts.Close)
 	return ts, mesh.Ontology
 }
@@ -200,7 +200,7 @@ func TestCancelledEnrichReleasesLock(t *testing.T) {
 // "cancelled" instead of running the step.
 func TestPreCancelledStepRequests(t *testing.T) {
 	c, o := fixtureData(t)
-	h := newServer(c, o, Options{}).Handler()
+	h := newServer(t, c, o, Options{}).Handler()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct{ method, target, body string }{

@@ -142,7 +142,7 @@ func (f *flakyDurable) heal() {
 func TestIngestDurabilityFailureIs503(t *testing.T) {
 	c, o := fixtureData(t)
 	d := &flakyDurable{fail: true}
-	srv := newServer(c, o, Options{})
+	srv := newServer(t, c, o, Options{})
 	srv.reg.Default().Store.SetDurable(d)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

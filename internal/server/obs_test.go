@@ -46,7 +46,7 @@ func obsFixture(t *testing.T, opts Options) *httptest.Server {
 		{ID: "3", Text: "The corneal injury caused epithelium scarring treated with membrane grafts."},
 	})
 	c.Build()
-	ts := httptest.NewServer(newServer(c, o, opts).Handler())
+	ts := httptest.NewServer(newServer(t, c, o, opts).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }

@@ -18,7 +18,7 @@
 // # Endpoints (versioned, canonical)
 //
 //	GET    /v1/health                        liveness + current epoch
-//	GET    /v1/ready                         readiness: 503 until boot completes
+//	GET    /v1/ready                         readiness: serving epoch and entry count
 //	GET    /v1/version                       build identity (module/go/VCS revision)
 //	GET    /v1/ontology/stats                concept/term/polysemy counts
 //	GET    /v1/ontology/terms/{term}         concepts lexicalizing a term
@@ -93,7 +93,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"bioenrich/internal/batch"
@@ -148,9 +147,9 @@ type Options struct {
 	// synchronous POST /v1/enrich (504 past it) and each background
 	// job run (the job fails with deadline_exceeded). 0 leaves
 	// synchronous runs bounded only by the client connection and job
-	// runs by the Start context.
+	// runs by the root context New takes.
 	EnrichTimeout time.Duration
-	// JobQueue bounds how many submitted jobs may wait for a worker;
+	// JobQueue bounds how many submitted jobs may wait for a runner;
 	// submissions past it get 429. 0 means the jobs package default
 	// (16).
 	JobQueue int
@@ -159,7 +158,7 @@ type Options struct {
 	JobWorkers int
 	// JobTTL is how long finished jobs stay pollable before garbage
 	// collection. 0 means the jobs package default (15 minutes);
-	// negative retains forever and starts no sweeper.
+	// negative retains forever.
 	JobTTL time.Duration
 }
 
@@ -174,22 +173,18 @@ type Server struct {
 	opts       Options
 	jobs       *jobs.Manager
 	classifier *classify.Classifier
-	// ready flips once Start has launched the job subsystem — the last
-	// boot step. GET /v1/ready serves 503 before that, 200 after;
-	// liveness (GET /v1/health) answers either way. Load tooling polls
-	// readiness instead of sleeping an arbitrary grace period.
-	ready atomic.Bool
 }
 
 // New builds a server over a populated registry; the registry's
 // default entry serves every pattern without a {name} segment. The
 // registry owns each entry's store, durability and ingest batching,
-// and opens the entries POST /v1/ontologies creates.
-func New(reg *registry.Registry, opts Options) *Server {
+// and opens the entries POST /v1/ontologies creates. Background jobs
+// run under root: cancelling it cancels the running ones.
+func New(root context.Context, reg *registry.Registry, opts Options) *Server {
 	return &Server{
 		reg:  reg,
 		opts: opts,
-		jobs: jobs.New(jobs.Options{
+		jobs: jobs.New(root, jobs.Options{
 			Queue:   opts.JobQueue,
 			Workers: opts.JobWorkers,
 			TTL:     opts.JobTTL,
@@ -199,20 +194,8 @@ func New(reg *registry.Registry, opts Options) *Server {
 	}
 }
 
-// Start launches the async job workers under ctx and marks the server
-// ready; cancelling ctx cancels running jobs and stops the workers.
-// Job submissions before Start are rejected with 503 — read and
-// synchronous endpoints work without it. Start is the boot barrier
-// GET /v1/ready reports: cmd/serve calls it only after recovery and
-// registry construction have completed, so a 200 from /v1/ready means
-// the full surface (including job submission) is serving.
-func (s *Server) Start(ctx context.Context) {
-	s.jobs.Start(ctx)
-	s.ready.Store(true)
-}
-
-// Wait blocks until the job workers have exited after the Start
-// context was cancelled — the clean-shutdown hook for cmd/serve.
+// Wait blocks until the job runners have exited — the clean-shutdown
+// hook cmd/serve calls after cancelling the root context.
 func (s *Server) Wait() { s.jobs.Wait() }
 
 // route is one operation: its handler and every pattern serving it —
@@ -447,17 +430,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleReady is readiness, distinct from liveness: 503 "unavailable"
-// until Start has run (recovery and registry boot complete, job
-// subsystem accepting submissions), then 200 with the serving epoch
-// and hosted-entry count. Liveness (/v1/health) stays 200 throughout
-// boot — a booting process is alive but not yet ready for traffic.
+// handleReady is readiness: 200 with the serving epoch and
+// hosted-entry count. cmd/serve listens only once recovery and
+// registry boot have completed, so every answer means the full
+// surface is serving; load tooling polls it instead of sleeping an
+// arbitrary grace period.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	if !s.ready.Load() {
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("booting: job subsystem not started"))
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ready",
 		"epoch":   s.reg.Default().Snapshot().Epoch,
@@ -972,7 +950,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // submitEnrich queues run as an enrichment job pinned at epoch and
 // points the Location header at it — the one submit path of POST
 // /v1/jobs/enrich and recommend-routed jobs. A refusal is written
-// here: 429 when the queue is full, 503 before Start.
+// here: 429 when the queue is full.
 //
 // A finished job keeps its result encoded (json.RawMessage), not the
 // live value: a *core.Report holds every sense's full centroids, which
@@ -994,8 +972,6 @@ func (s *Server) submitEnrich(w http.ResponseWriter, r *http.Request, epoch uint
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, jobs.ErrNotStarted):
-		writeError(w, http.StatusServiceUnavailable, err)
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, err)
 	default:
@@ -1006,9 +982,9 @@ func (s *Server) submitEnrich(w http.ResponseWriter, r *http.Request, epoch uint
 }
 
 // DefaultJobPageLimit bounds a GET /v1/jobs page when the client sends
-// no ?limit=; MaxJobPageLimit caps what a client may request. Bounded
-// pages keep job polling O(page) under load however many jobs a soak
-// run has accumulated.
+// no ?limit=; MaxJobPageLimit caps what a client may request. A bound
+// keeps the response O(page), but building any page still copies and
+// sorts every retained job that matches the filter.
 const (
 	DefaultJobPageLimit = 100
 	MaxJobPageLimit     = 1000
@@ -1017,7 +993,7 @@ const (
 // jobPageTokenPrefix versions the page-token format. The token is
 // opaque to clients (base64url) but deliberately simple inside: a
 // cursor in the job-ID space, which is stable across epoch swaps,
-// job completions and TTL sweeps — none of those renumber jobs.
+// job completions and TTL expiry — none of those renumber jobs.
 const jobPageTokenPrefix = "jobs-v1:"
 
 // encodeJobPageToken renders the "resume after this job ID" cursor.
@@ -1027,16 +1003,16 @@ func encodeJobPageToken(afterID string) string {
 
 // decodeJobPageToken validates and unwraps a client-supplied
 // page_token. Anything that is not a well-formed token of the current
-// version is a client error (400 invalid_argument) — not silently
-// treated as "start over", which would make a corrupted poller loop
-// forever over page one.
+// version carrying a job ID is a client error (400 invalid_argument)
+// — not silently treated as "start over", which would make a
+// corrupted poller loop forever over page one.
 func decodeJobPageToken(tok string) (string, error) {
 	raw, err := base64.RawURLEncoding.DecodeString(tok)
 	if err != nil {
 		return "", fmt.Errorf("page_token: not a valid token")
 	}
 	after, ok := strings.CutPrefix(string(raw), jobPageTokenPrefix)
-	if !ok || after == "" {
+	if !ok || !jobs.ValidID(after) {
 		return "", fmt.Errorf("page_token: not a valid token")
 	}
 	return after, nil
@@ -1044,11 +1020,10 @@ func decodeJobPageToken(tok string) (string, error) {
 
 // handleJobList lists jobs with deterministic pagination and
 // filtering (GET /v1/jobs?limit=&page_token=&status=). Jobs are
-// ordered by ID (== submission order); the next_page_token field is
-// present exactly when more matching jobs remain. The cursor is a
-// position in the ID space, so walking pages while the server commits
-// epochs, finishes jobs or GCs expired ones never skips or repeats a
-// retained job.
+// in submission order; the next_page_token field is present exactly
+// when more matching jobs remain. The cursor is a position in the ID
+// space, so walking pages while the server commits epochs, finishes
+// jobs or expires old ones never skips or repeats a retained job.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	limit, err := intParam(r, "limit", DefaultJobPageLimit)
 	if err != nil {

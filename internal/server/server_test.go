@@ -55,21 +55,28 @@ func fixtureData(t *testing.T) (*corpus.Corpus, *ontology.Ontology) {
 
 // newServer builds a server over a fresh in-memory registry whose
 // default entry serves (c, o) — the one way tests construct a
-// registry.
-func newServer(c *corpus.Corpus, o *ontology.Ontology, opts Options) *Server {
+// registry. Its jobs and job runners die with the test.
+func newServer(t *testing.T, c *corpus.Corpus, o *ontology.Ontology, opts Options) *Server {
+	t.Helper()
 	reg, err := registry.New(context.Background(), DefaultOntology, func() (*corpus.Corpus, *ontology.Ontology, error) {
 		return c, o, nil
 	}, storage.DiskOptions{Obs: opts.Obs})
 	if err != nil {
-		panic(err) // DefaultOntology is a valid name and the seed cannot fail
+		t.Fatal(err)
 	}
-	return New(reg, opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	srv := New(ctx, reg, opts)
+	t.Cleanup(func() {
+		cancel()
+		srv.Wait()
+	})
+	return srv
 }
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	c, o := fixtureData(t)
-	ts := httptest.NewServer(newServer(c, o, Options{}).Handler())
+	ts := httptest.NewServer(newServer(t, c, o, Options{}).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }

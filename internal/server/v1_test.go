@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,18 +17,12 @@ import (
 	"bioenrich/internal/synth"
 )
 
-// startedServer builds a server over the small fixture data with its
-// job workers running; the workers die with the test.
+// startedServer builds a server over the small fixture data and
+// serves it; its jobs die with the test.
 func startedServer(t *testing.T, opts Options) (*httptest.Server, *Server) {
 	t.Helper()
 	c, o := fixtureData(t)
-	srv := newServer(c, o, opts)
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(func() {
-		cancel()
-		srv.Wait()
-	})
-	srv.Start(ctx)
+	srv := newServer(t, c, o, opts)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, srv
@@ -47,13 +40,7 @@ func startedSlowServer(t *testing.T, opts Options) (*httptest.Server, *Server) {
 	copts.DocsPerConcept = 4
 	mesh := synth.GenerateMesh(mopts)
 	c := synth.GenerateMeshCorpus(mesh, copts)
-	srv := newServer(c, mesh.Ontology, opts)
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(func() {
-		cancel()
-		srv.Wait()
-	})
-	srv.Start(ctx)
+	srv := newServer(t, c, mesh.Ontology, opts)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, srv
@@ -462,23 +449,7 @@ func TestJobResultEncoded(t *testing.T) {
 	}
 }
 
-// TestJobSubmitBeforeStart: with no Start, submission is a 503 — the
-// read and synchronous paths keep working.
-func TestJobSubmitBeforeStart(t *testing.T) {
-	ts := testServer(t) // never started
-	resp, err := http.Post(ts.URL+"/v1/jobs/enrich", "application/json", strings.NewReader(`{"top":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := readAll(t, resp)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d body %s, want 503", resp.StatusCode, b)
-	}
-	envelopeCode(t, b) // still the uniform envelope
-	getJSON(t, ts.URL+"/v1/health", http.StatusOK)
-}
-
-// TestJobQueueFull: a single slow worker and a queue of one make
+// TestJobQueueFull: a single slow runner and a queue of one make
 // rapid submissions overflow into 429/queue_full.
 func TestJobQueueFull(t *testing.T) {
 	ts, _ := startedSlowServer(t, Options{JobQueue: 1, JobWorkers: 1})
@@ -535,13 +506,13 @@ func TestJobCancelHTTP(t *testing.T) {
 	}
 }
 
-// TestJobTTLGC: a finished job is swept by the background sweeper once
-// its TTL lapses, after which polling it is a 404.
+// TestJobTTLGC: a finished job is removed once its TTL lapses, after
+// which polling it is a 404.
 func TestJobTTLGC(t *testing.T) {
-	ts, _ := startedServer(t, Options{JobTTL: time.Millisecond})
+	ts, _ := startedServer(t, Options{JobTTL: 200 * time.Millisecond})
 	id := postJob(t, ts.URL, `{"top":2}`)
 	pollJob(t, ts.URL, id, func(s string) bool { return s == "done" })
-	deadline := time.Now().Add(10 * time.Second) // sweeper ticks at 1s minimum
+	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 		if err != nil {
