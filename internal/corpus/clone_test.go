@@ -97,6 +97,22 @@ func TestCloneAllocsFlatInVocabulary(t *testing.T) {
 	}
 }
 
+// TestCloneHeadersHaveRoom: a clone's posting-header array has room
+// for the new tokens of an ingest, so adding a few does not copy every
+// header again.
+func TestCloneHeadersHaveRoom(t *testing.T) {
+	c := distinctCorpus(50)
+	cl := c.Clone()
+	before := cap(cl.post)
+	cl.AppendBuild([]Document{{ID: "new", Text: "brandnew lexicon entries"}})
+	if len(cl.post) <= len(c.post) {
+		t.Fatalf("fixture: the batch added no token (%d headers)", len(cl.post))
+	}
+	if got := cap(cl.post); got != before {
+		t.Errorf("header capacity %d after adding %d tokens, want %d", got, len(cl.post)-len(c.post), before)
+	}
+}
+
 // TestCloneConcurrentReaders: readers querying a corpus see the same
 // answers while other goroutines' clones of it grow, take on new
 // words and fold, and clones of those clones grow too. Run it with

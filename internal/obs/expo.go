@@ -80,7 +80,7 @@ func writeHistogram(cw *countingWriter, name string, s *series) {
 // sorts after every lowercase key we use, and appending keeps the
 // output stable either way.
 func mergeLabel(sig, k, v string) string {
-	pair := k + `="` + escapeLabelValue(v) + `"`
+	pair := k + `="` + labelEscaper.Replace(v) + `"`
 	if sig == "" {
 		return "{" + pair + "}"
 	}

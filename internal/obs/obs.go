@@ -104,17 +104,16 @@ func labelSignature(labels []string) string {
 		}
 		b.WriteString(p.k)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(p.v))
+		b.WriteString(labelEscaper.Replace(p.v))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-func escapeLabelValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value per the exposition format. A
+// Replacer is safe for concurrent use, so every lookup shares this one.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // lookup returns (creating if needed) the series for an identity,
 // enforcing kind consistency per name.
