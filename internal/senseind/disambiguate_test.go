@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"bioenrich/internal/cluster"
-
-	"bioenrich/internal/sparse"
 	"bioenrich/internal/synth"
 )
 
@@ -33,7 +31,7 @@ func TestDisambiguatorRecoversGoldSenses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDisambiguator(res, BagOfWords)
+	d, err := NewDisambiguator(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,32 +63,10 @@ func TestDisambiguatorRecoversGoldSenses(t *testing.T) {
 }
 
 func TestDisambiguatorErrors(t *testing.T) {
-	if _, err := NewDisambiguator(nil, BagOfWords); err == nil {
+	if _, err := NewDisambiguator(nil); err == nil {
 		t.Error("nil result accepted")
 	}
-	if _, err := NewDisambiguator(&Result{}, BagOfWords); err == nil {
+	if _, err := NewDisambiguator(&Result{}); err == nil {
 		t.Error("empty result accepted")
-	}
-}
-
-func TestDisambiguatorFallbackCentroids(t *testing.T) {
-	// A Result without full centroids (as if deserialized) still works
-	// from the truncated feature lists.
-	res := &Result{
-		Term: "x", K: 2,
-		Senses: []Sense{
-			{ID: 0, Size: 1, Features: []sparse.Entry{{Feature: "alpha", Weight: 1}}},
-			{ID: 1, Size: 1, Features: []sparse.Entry{{Feature: "beta", Weight: 1}}},
-		},
-	}
-	d, err := NewDisambiguator(res, BagOfWords)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, _ := d.Disambiguate([]string{"alpha", "alpha"}); s != 0 {
-		t.Errorf("assigned sense %d, want 0", s)
-	}
-	if s, _ := d.Disambiguate([]string{"beta"}); s != 1 {
-		t.Errorf("assigned sense %d, want 1", s)
 	}
 }

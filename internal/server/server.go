@@ -709,13 +709,12 @@ func (s *Server) handleDisambiguate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	in := senseind.New()
-	res, err := in.InduceContext(r.Context(), snap.Corpus, req.Term, true)
+	res, err := senseind.New().InduceContext(r.Context(), snap.Corpus, req.Term, true)
 	if err != nil {
 		writeError(w, stepStatus(r, err), err)
 		return
 	}
-	d, err := senseind.NewDisambiguator(res, in.Representation)
+	d, err := senseind.NewDisambiguator(res)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
