@@ -270,14 +270,13 @@ func ValidStatus(s Status) bool {
 }
 
 // Page returns up to limit retained jobs submitted after the job the
-// `after` cursor names ("" starts at the first job), in submission
-// order, optionally filtered to one status ("" keeps all), plus
-// whether more matching jobs remain past the returned page. The cursor
-// is compared by its sequence number, not as a string, so the order
-// holds past j-999999, and a cursor naming a job that has since
-// expired still resumes at exactly the right position: it is a
-// position in the ID space, not a reference that can dangle. A cursor
-// that is not a job ID (see ValidID) starts at the first job.
+// `after` cursor names ("", or a string that is not a job ID, starts
+// at the first job), in submission order, optionally filtered to one
+// status ("" keeps all), plus whether more matching jobs remain past
+// the returned page. Jobs and the cursor compare by sequence number,
+// so the order holds past j-999999, and a cursor naming a job that has
+// since expired still resumes at exactly the right position: it is a
+// position in the ID space, not a reference that can dangle.
 // limit <= 0 means no bound.
 func (m *Manager) Page(after string, limit int, status Status) ([]Job, bool) {
 	from, _ := parseID(after)

@@ -28,8 +28,8 @@ func NewDisambiguator(res *Result) (*Disambiguator, error) {
 }
 
 // Disambiguate returns the sense id whose centroid is most similar to
-// the context's bag-of-words vector (cosine), and that similarity. Ties break toward the
-// lower sense id.
+// the context's bag-of-words vector (cosine), and that similarity.
+// Ties break toward the lower sense id.
 func (d *Disambiguator) Disambiguate(context []string) (sense int, sim float64) {
 	v := sparse.FromCounts(context)
 	v.Normalize()
