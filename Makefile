@@ -34,14 +34,16 @@ test:
 # these packages are where the concurrency lives, the rest ride along
 # for free. internal/storage joins the gate because the disk backend's
 # mutex serializes WAL appends against checkpoints; internal/corpus
-# for its tokenize worker pool; internal/lint for the parallel
-# load/analyze driver. CI (.github/workflows/ci.yml) runs this target,
+# for its tokenize worker pool and its Derived slot; internal/termex
+# because every step I call on a corpus shares the candidate table
+# kept in that slot; internal/lint for the parallel load/analyze
+# driver. CI (.github/workflows/ci.yml) runs this target,
 # so this is the one raced list, and scripts/race_gate_check.sh proves
 # it plus its documented exemptions cover ./internal/... exactly. The
 # job manager runs ten more times: its runners start and exit with the
 # queue, and one run rarely hits the interleavings of that handoff.
 race:
-	$(GO) test -race ./internal/core ./internal/server ./internal/linkage ./internal/obs ./internal/senseind ./internal/state ./internal/jobs ./internal/storage ./internal/registry ./internal/classify ./internal/recommend ./internal/batch ./internal/corpus ./internal/lint
+	$(GO) test -race ./internal/core ./internal/server ./internal/linkage ./internal/obs ./internal/senseind ./internal/state ./internal/jobs ./internal/storage ./internal/registry ./internal/classify ./internal/recommend ./internal/batch ./internal/corpus ./internal/termex ./internal/lint
 	$(GO) test -race -count=10 ./internal/jobs
 
 race-gate-check:

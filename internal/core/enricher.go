@@ -209,7 +209,34 @@ func (e *Enricher) run(ctx context.Context) (*Report, error) {
 	_, sp1 := e.cfg.Obs.StartSpan(ctx, "step1.extract")
 	ext := termex.NewExtractor(e.c)
 	ext.LearnPatterns(e.o.Terms()) // LIDF pattern model from the ontology
-	ranked, err := ext.Rank(ctx, e.cfg.Measure, 0)
+
+	// Selection (sequential): walk step I's ranking best first and fix
+	// every candidate's slot in the report, stopping at TopCandidates
+	// new terms. Known terms are recorded but bounded by TopCandidates
+	// so a corpus dominated by ontology terminology cannot blow up the
+	// report; they never count against the new candidates.
+	report := &Report{Measure: e.cfg.Measure}
+	var work []int // slots needing steps II–IV
+	kept, known := 0, 0
+	err := ext.Walk(ctx, e.cfg.Measure, func(st termex.ScoredTerm) bool {
+		if kept >= e.cfg.TopCandidates {
+			return false
+		}
+		if e.o.HasTerm(st.Term) {
+			if known >= e.cfg.TopCandidates {
+				return true
+			}
+			known++
+			report.Candidates = append(report.Candidates,
+				Candidate{Term: st.Term, Score: st.Score, Known: true})
+			return true
+		}
+		kept++
+		work = append(work, len(report.Candidates))
+		report.Candidates = append(report.Candidates,
+			Candidate{Term: st.Term, Score: st.Score})
+		return true
+	})
 	if err != nil {
 		sp1.End()
 		return nil, fmt.Errorf("core: step I: %w", err)
@@ -219,32 +246,6 @@ func (e *Enricher) run(ctx context.Context) (*Report, error) {
 			"measure", string(e.cfg.Measure),
 			"candidates", ext.NumCandidates(),
 			"kept", e.cfg.TopCandidates)
-	}
-
-	// Selection pass (sequential): fix every candidate's slot in the
-	// report. Known terms are recorded but bounded by TopCandidates so
-	// a corpus dominated by ontology terminology cannot blow up the
-	// report; they never count against the new candidates.
-	report := &Report{Measure: e.cfg.Measure}
-	var work []int // slots needing steps II–IV
-	kept, known := 0, 0
-	for _, st := range ranked {
-		if kept >= e.cfg.TopCandidates {
-			break
-		}
-		if e.o.HasTerm(st.Term) {
-			if known >= e.cfg.TopCandidates {
-				continue
-			}
-			known++
-			report.Candidates = append(report.Candidates,
-				Candidate{Term: st.Term, Score: st.Score, Known: true})
-			continue
-		}
-		kept++
-		work = append(work, len(report.Candidates))
-		report.Candidates = append(report.Candidates,
-			Candidate{Term: st.Term, Score: st.Score})
 	}
 	sp1.End()
 

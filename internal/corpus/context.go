@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"slices"
 	"strings"
 
@@ -84,8 +85,10 @@ func (c *Corpus) scanContexts(term string, window int, occurrence func(Posting),
 // TermCooccurrenceGraph builds a co-occurrence graph restricted to the
 // given vocabulary (e.g. the extracted candidate terms plus ontology
 // labels), at sentence-window granularity. Multi-word vocabulary
-// entries are matched as phrases.
-func (c *Corpus) TermCooccurrenceGraph(vocab []string, window int) *graph.Graph {
+// entries are matched as phrases. It checks ctx once per vocabulary
+// entry and once per document, and a cancelled build returns ctx's
+// error.
+func (c *Corpus) TermCooccurrenceGraph(ctx context.Context, vocab []string, window int) (*graph.Graph, error) {
 	c.ensureBuilt()
 	g := graph.New()
 	// Locate all occurrences per vocab entry, grouped by document.
@@ -95,6 +98,9 @@ func (c *Corpus) TermCooccurrenceGraph(vocab []string, window int) *graph.Graph 
 	}
 	byDoc := make(map[int32][]hit)
 	for _, term := range vocab {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		nt := textutil.NormalizeTerm(term)
 		g.AddNode(nt)
 		for _, p := range c.Occurrences(nt) {
@@ -102,6 +108,9 @@ func (c *Corpus) TermCooccurrenceGraph(vocab []string, window int) *graph.Graph 
 		}
 	}
 	for _, hits := range byDoc {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for i := 0; i < len(hits); i++ {
 			for j := i + 1; j < len(hits); j++ {
 				d := hits[j].pos - hits[i].pos
@@ -114,7 +123,7 @@ func (c *Corpus) TermCooccurrenceGraph(vocab []string, window int) *graph.Graph 
 			}
 		}
 	}
-	return g
+	return g, nil
 }
 
 // EgoCooccurrence builds the local co-occurrence graph around a single

@@ -38,7 +38,8 @@ type Posting struct {
 // both. ids is made whole by Build, ReadBinary and a fold, and never
 // written after, so every clone shares it; newIDs holds the tokens
 // added since, and a clone copies it. Clones also share the documents,
-// the token streams and the posting arrays (see Clone).
+// the token streams and the posting arrays (see Clone). A corpus also
+// keeps one value another package derives from it (see Derived).
 type Corpus struct {
 	lang  textutil.Lang
 	docs  []Document
@@ -49,6 +50,8 @@ type Corpus struct {
 	newIDs map[string]int // token IDs added since the last fold
 	post   [][]Posting    // positional postings by token ID, in document order
 	total  int            // total token count
+
+	derived derived // see Derived; emptied by Build and AppendBuild
 }
 
 // foldFraction sets when AppendBuild folds newIDs into a fresh ids
@@ -197,6 +200,7 @@ func (c *Corpus) index() {
 // positional inverted index. Safe to call repeatedly; it rebuilds from
 // scratch.
 func (c *Corpus) Build() {
+	c.forget()
 	c.tokens = tokenizeDocs(c.docs)
 	c.index()
 }
@@ -218,6 +222,7 @@ func (c *Corpus) AppendBuild(docs []Document) {
 		c.Build()
 		return
 	}
+	c.forget()
 	base := len(c.docs)
 	c.docs = append(c.docs, docs...)
 	toks := tokenizeDocs(docs)

@@ -2,6 +2,8 @@ package corpus
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -155,13 +157,27 @@ func TestEachContextWordAllocs(t *testing.T) {
 
 func TestTermCooccurrenceGraph(t *testing.T) {
 	c := buildTestCorpus()
-	g := c.TermCooccurrenceGraph([]string{"corneal injury", "corneal ulcer", "eye disease"}, 10)
+	g, err := c.TermCooccurrenceGraph(context.Background(), []string{"corneal injury", "corneal ulcer", "eye disease"}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !g.HasNode("corneal injury") {
 		t.Fatal("vocab node missing")
 	}
 	// d2 contains all three within one sentence region.
 	if !g.HasEdge("corneal injury", "corneal ulcer") {
 		t.Error("expected co-occurrence edge injury–ulcer")
+	}
+}
+
+// TestTermCooccurrenceGraphCancelled: a cancelled context stops the
+// build with its error and no graph.
+func TestTermCooccurrenceGraphCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g, err := buildTestCorpus().TermCooccurrenceGraph(ctx, []string{"corneal injury", "corneal ulcer"}, 10)
+	if !errors.Is(err, context.Canceled) || g != nil {
+		t.Errorf("TermCooccurrenceGraph(cancelled) = %v, %v; want nil, context.Canceled", g, err)
 	}
 }
 

@@ -197,19 +197,31 @@ func TestCancelledEnrichReleasesLock(t *testing.T) {
 
 // TestPreCancelledStepRequests: a step I, III or IV request, or a
 // relation extraction, whose client has already gone answers 499
-// "cancelled" instead of running the step.
+// "cancelled" instead of running the step, also once an uncancelled
+// /v1/extract has left the entry's corpus its step I table.
 func TestPreCancelledStepRequests(t *testing.T) {
 	c, o := fixtureData(t)
 	h := newServer(t, c, o, Options{}).Handler()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, tc := range []struct{ method, target, body string }{
-		{http.MethodGet, "/v1/extract?top=3", ""},
-		{http.MethodGet, "/v1/relations?top=3", ""},
-		{http.MethodGet, "/v1/link?term=corneal+abrasion&top=3", ""},
-		{http.MethodGet, "/v1/senses?term=corneal+abrasion", ""},
-		{http.MethodPost, "/v1/disambiguate", `{"term":"corneal abrasion","context":["scarring"]}`},
+	for _, tc := range []struct {
+		method, target, body string
+		warm                 bool // send the request uncancelled first
+	}{
+		{http.MethodGet, "/v1/extract?top=3", "", false},
+		{http.MethodGet, "/v1/extract?top=3", "", true},
+		{http.MethodGet, "/v1/relations?top=3", "", false},
+		{http.MethodGet, "/v1/link?term=corneal+abrasion&top=3", "", false},
+		{http.MethodGet, "/v1/senses?term=corneal+abrasion", "", false},
+		{http.MethodPost, "/v1/disambiguate", `{"term":"corneal abrasion","context":["scarring"]}`, false},
 	} {
+		if tc.warm {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("warming %s %s: status %d", tc.method, tc.target, rec.Code)
+			}
+		}
 		req := httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)).WithContext(ctx)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
@@ -218,7 +230,7 @@ func TestPreCancelledStepRequests(t *testing.T) {
 			t.Fatalf("%s %s: decode %q: %v", tc.method, tc.target, rec.Body, err)
 		}
 		if rec.Code != statusClientClosedRequest || env.Error.Code != "cancelled" {
-			t.Errorf("%s %s: status %d code %q, want 499 cancelled", tc.method, tc.target, rec.Code, env.Error.Code)
+			t.Errorf("%s %s (warm %v): status %d code %q, want 499 cancelled", tc.method, tc.target, tc.warm, rec.Code, env.Error.Code)
 		}
 	}
 }

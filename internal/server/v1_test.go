@@ -2,19 +2,23 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"bioenrich/internal/core"
+	"bioenrich/internal/corpus"
 	"bioenrich/internal/obs"
 	"bioenrich/internal/synth"
+	"bioenrich/internal/termex"
 )
 
 // startedServer builds a server over the small fixture data and
@@ -33,17 +37,22 @@ func startedServer(t *testing.T, opts Options) (*httptest.Server, *Server) {
 // enough to observe reads landing while a job grinds.
 func startedSlowServer(t *testing.T, opts Options) (*httptest.Server, *Server) {
 	t.Helper()
+	mesh, c := slowMesh()
+	srv := newServer(t, c, mesh.Ontology, opts)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return ts, srv
+}
+
+// slowMesh is startedSlowServer's data: a fresh copy on every call.
+func slowMesh() (*synth.Mesh, *corpus.Corpus) {
 	mopts := synth.DefaultMeshOptions()
 	mopts.Branches = 3
 	mopts.Depth = 2
 	copts := synth.DefaultCorpusOptions()
 	copts.DocsPerConcept = 4
 	mesh := synth.GenerateMesh(mopts)
-	c := synth.GenerateMeshCorpus(mesh, copts)
-	srv := newServer(t, c, mesh.Ontology, opts)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, srv
+	return mesh, synth.GenerateMeshCorpus(mesh, copts)
 }
 
 // envelope decodes the uniform error body and returns its code.
@@ -446,6 +455,67 @@ func TestJobResultEncoded(t *testing.T) {
 	}
 	if !bytes.Equal(view.Result.Report, want) {
 		t.Errorf("job report:\n got %s\nwant %s", view.Result.Report, want)
+	}
+}
+
+// TestExtractBesideJob: a /v1/extract and an enrich job on one entry at
+// once share its corpus's step I table, and each answers what it
+// answers alone, on a fresh copy of the corpus.
+func TestExtractBesideJob(t *testing.T) {
+	ts, _ := startedSlowServer(t, Options{})
+	extracted := make(chan []byte, 1)
+	go func() {
+		var b []byte
+		defer func() { extracted <- b }()
+		resp, err := http.Get(ts.URL + "/v1/extract?top=5")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		if b, err = io.ReadAll(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("extract: status %d, %v", resp.StatusCode, err)
+		}
+	}()
+	id := postJob(t, ts.URL, `{"top":3}`)
+	pollJob(t, ts.URL, id, func(s string) bool { return s == "done" })
+	var job struct {
+		Result struct {
+			Report json.RawMessage `json:"report"`
+		} `json:"result"`
+	}
+	_, b := send(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, "")
+	if err := json.Unmarshal(b, &job); err != nil {
+		t.Fatal(err)
+	}
+	var ranked []termex.ScoredTerm
+	if err := json.Unmarshal(<-extracted, &ranked); err != nil {
+		t.Fatal(err)
+	}
+
+	mesh, c := slowMesh()
+	ext := termex.NewExtractor(c)
+	ext.LearnPatterns(mesh.Ontology.Terms())
+	want, err := ext.Rank(context.Background(), termex.LIDF, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ranked, want) {
+		t.Errorf("extract beside a job:\n got %v\nwant %v", ranked, want)
+	}
+	mesh, c = slowMesh()
+	cfg := core.DefaultConfig()
+	cfg.TopCandidates = 3
+	rep, err := core.NewEnricher(c, mesh.Ontology, cfg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantReport, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(job.Result.Report, wantReport) {
+		t.Errorf("job beside an extract:\n got %s\nwant %s", job.Result.Report, wantReport)
 	}
 }
 

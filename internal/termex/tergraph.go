@@ -1,6 +1,8 @@
 package termex
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"sort"
 )
@@ -23,17 +25,21 @@ const TeRGraph Measure = "tergraph"
 const terGraphWindow = 12
 
 // terGraphScores builds the candidate co-occurrence graph and scores
-// every candidate, aligned with the candidate table.
-func (e *Extractor) terGraphScores() []float64 {
-	candidates := make([]string, len(e.cands))
-	for i, c := range e.cands {
+// every candidate, aligned with the candidate table. A cancelled ctx
+// stops the build and returns its error.
+func (e *Extractor) terGraphScores(ctx context.Context) ([]float64, error) {
+	candidates := make([]string, len(e.t.cands))
+	for i, c := range e.t.cands {
 		candidates[i] = c.term
 	}
 	sort.Strings(candidates) // canonical vocabulary order, whatever first-seen order was
-	g := e.c.TermCooccurrenceGraph(candidates, terGraphWindow)
+	g, err := e.c.TermCooccurrenceGraph(ctx, candidates, terGraphWindow)
+	if err != nil {
+		return nil, fmt.Errorf("termex: tergraph: %w", err)
+	}
 	const isolatedEps = 1e-3
-	out := make([]float64, len(e.cands))
-	for i, c := range e.cands {
+	out := make([]float64, len(e.t.cands))
+	for i, c := range e.t.cands {
 		base := math.Log2(1 + float64(c.freq))
 		nbrs := g.Neighbors(c.term)
 		if len(nbrs) == 0 {
@@ -46,5 +52,5 @@ func (e *Extractor) terGraphScores() []float64 {
 		}
 		out[i] = base * spec / float64(len(nbrs))
 	}
-	return out
+	return out, nil
 }

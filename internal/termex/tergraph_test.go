@@ -2,6 +2,7 @@ package termex
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"bioenrich/internal/corpus"
@@ -44,6 +45,19 @@ func TestTeRGraphIsolatedTermLow(t *testing.T) {
 	if scores["hermitword"] >= scores["keratitis"] {
 		t.Errorf("isolated term %v >= connected term %v",
 			scores["hermitword"], scores["keratitis"])
+	}
+}
+
+// TestTeRGraphCancelled: a context cancelled after the scan stops
+// TeRGraph's co-occurrence build with its error.
+func TestTeRGraphCancelled(t *testing.T) {
+	e := NewExtractor(termCorpus())
+	if err := e.Scan(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// The check on entry to Rank passes; the build's first check fails.
+	if got, err := e.Rank(newCancelAfter(1), TeRGraph, 20); !errors.Is(err, context.Canceled) || got != nil {
+		t.Errorf("Rank(TeRGraph, cancelled in scoring) = %v, %v; want nil, context.Canceled", got, err)
 	}
 }
 

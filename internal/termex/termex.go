@@ -45,24 +45,33 @@ type ScoredTerm struct {
 type Extractor struct {
 	c      *corpus.Corpus
 	tagger *postag.Tagger
-
-	// The candidate table, built once by Scan: one row per distinct
-	// candidate in order of first occurrence, and its index by term
-	// (nil until a scan completes).
-	cands  []cand
-	byTerm map[string]int
+	t      *table // the corpus's candidate table; nil until Scan
 
 	// pattern model for LIDF-value; uniform when no reference is set
 	patternProb map[string]float64
 }
 
+// table is step I's candidate table: everything ranking reads that
+// depends on the corpus alone. It is built once per corpus and kept in
+// the corpus's Derived slot, so every later Extractor over the same
+// corpus reads it; nothing writes it after the build.
+type table struct {
+	cands    []cand   // one row per distinct candidate, in order of first occurrence
+	patterns []string // distinct tag patterns ("JJ NN"), in order of first occurrence
+}
+
 // cand is one row of the candidate table.
 type cand struct {
 	term    string  // normalized words joined by single spaces
-	freq    int     // occurrences
 	docs    []int32 // the documents it occurs in, ascending
-	pattern string  // tag pattern ("JJ NN")
-	words   int     // length in words
+	freq    int32   // occurrences
+	pattern int32   // index into table.patterns
+	words   int32   // length in words
+	// C-value's nesting sums over the candidates that contain this one:
+	// their number and their summed frequency. A term nested twice in b
+	// counts b twice.
+	nestedIn   int32
+	nestedFreq int
 }
 
 // NewExtractor builds an extractor over a built corpus.
@@ -70,38 +79,54 @@ func NewExtractor(c *corpus.Corpus) *Extractor {
 	return &Extractor{c: c, tagger: postag.NewTagger(c.Lang())}
 }
 
-// Scan harvests candidates from every document into the candidate
-// table, once; Rank calls it. It checks ctx once per document, and a
-// cancelled scan returns ctx's error and keeps no partial table.
+// Scan makes the corpus's candidate table available to the extractor;
+// Rank and Walk call it. The first Scan of a corpus harvests the
+// candidates of every document and keeps the table with the corpus;
+// every later Scan of that corpus, through any Extractor, reads it.
+// The harvest checks ctx once per document, and a cancelled one returns
+// ctx's error and keeps no partial table.
+func (e *Extractor) Scan(ctx context.Context) error {
+	if e.t != nil {
+		return nil
+	}
+	v, err := e.c.Derived(ctx, func() (any, error) { return newTable(ctx, e.c, e.tagger) })
+	if err != nil {
+		return fmt.Errorf("termex: scan: %w", err)
+	}
+	e.t = v.(*table)
+	return nil
+}
+
+// newTable harvests the candidates of every document of c into a table
+// and sums C-value's nesting over it.
 //
 // A span's term is built in one reused buffer and looked up without
 // a conversion, so a candidate costs a string only the first time it
-// is seen; each distinct raw token is normalized and tagged once.
-func (e *Extractor) Scan(ctx context.Context) error {
-	if e.byTerm != nil {
-		return nil
-	}
-	lang := e.c.Lang()
-	var cands []cand
-	byTerm := make(map[string]int)
+// is seen; each distinct raw token is normalized and tagged once, and
+// each distinct tag pattern is stored once.
+func newTable(ctx context.Context, c *corpus.Corpus, tagger *postag.Tagger) (*table, error) {
+	lang := c.Lang()
+	t := &table{}
+	byTerm := make(map[string]int)             // term -> row
 	memo := make(map[string]postag.TaggedWord) // raw token -> its tagged form
+	byPattern := make(map[string]int32)        // pattern -> index into t.patterns
 	var (
-		tagged []postag.TaggedWord
-		spans  []postag.Candidate
-		key    []byte
+		tagged   []postag.TaggedWord
+		spans    []postag.Candidate
+		key, pat []byte
 	)
-	for d := 0; d < e.c.NumDocs(); d++ {
+	for d := 0; d < c.NumDocs(); d++ {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("termex: scan: %w", err)
+			return nil, err
 		}
-		doc := e.c.Doc(d)
+		doc := c.Doc(d)
 		for _, sentence := range textutil.Sentences(doc.Title + ". " + doc.Text) {
 			tagged = tagged[:0]
 			for _, tok := range textutil.Tokenize(sentence) {
 				tw, ok := memo[tok.Text]
 				if !ok {
 					w := textutil.Normalize(tok.Text)
-					tw = postag.TaggedWord{Word: w, Tag: e.tagger.TagWord(w)}
+					tw = postag.TaggedWord{Word: w, Tag: tagger.TagWord(w)}
 					memo[tok.Text] = tw
 				}
 				tagged = append(tagged, tw)
@@ -118,44 +143,75 @@ func (e *Extractor) Scan(ctx context.Context) error {
 				}
 				i, ok := byTerm[string(key)]
 				if !ok {
-					i = len(cands)
-					cands = append(cands, cand{term: string(key), pattern: patternOf(span), words: sp.Len})
-					byTerm[cands[i].term] = i
+					pat = appendPattern(pat[:0], span)
+					p, ok := byPattern[string(pat)]
+					if !ok {
+						p = int32(len(t.patterns))
+						t.patterns = append(t.patterns, string(pat))
+						byPattern[t.patterns[p]] = p
+					}
+					i = len(t.cands)
+					t.cands = append(t.cands, cand{term: string(key), pattern: p, words: int32(sp.Len)})
+					byTerm[t.cands[i].term] = i
 				}
-				c := &cands[i]
-				c.freq++
-				if n := len(c.docs); n == 0 || c.docs[n-1] != int32(d) {
-					c.docs = append(c.docs, int32(d))
+				row := &t.cands[i]
+				row.freq++
+				if n := len(row.docs); n == 0 || row.docs[n-1] != int32(d) {
+					row.docs = append(row.docs, int32(d))
 				}
 			}
 		}
 	}
-	e.cands, e.byTerm = cands, byTerm
-	return nil
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var subs []string
+	for _, longer := range t.cands {
+		subs = appendSubTerms(subs[:0], longer.term)
+		for _, sub := range subs {
+			if j, isCand := byTerm[sub]; isCand {
+				t.cands[j].nestedIn++
+				t.cands[j].nestedFreq += int(longer.freq)
+			}
+		}
+	}
+	return t, nil
 }
 
-func patternOf(span []postag.TaggedWord) string {
-	parts := make([]string, len(span))
+// appendPattern appends the tag pattern of span ("JJ NN") to dst.
+func appendPattern(dst []byte, span []postag.TaggedWord) []byte {
 	for i, tw := range span {
-		parts[i] = tw.Tag.String()
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, tw.Tag.String()...)
 	}
-	return strings.Join(parts, " ")
+	return dst
 }
 
 // NumCandidates returns the number of distinct candidates found by
 // Scan or Rank (0 before either has run).
 func (e *Extractor) NumCandidates() int {
-	return len(e.cands)
+	if e.t == nil {
+		return 0
+	}
+	return len(e.t.cands)
 }
 
 // Freq returns a candidate's occurrence count (0 if never harvested,
-// or before Scan or Rank has run).
+// or before Scan or Rank has run). The table keeps no index by term,
+// so Freq reads every row.
 func (e *Extractor) Freq(term string) int {
-	i, ok := e.byTerm[textutil.NormalizeTerm(term)]
-	if !ok {
+	if e.t == nil {
 		return 0
 	}
-	return e.cands[i].freq
+	term = textutil.NormalizeTerm(term)
+	for _, c := range e.t.cands {
+		if c.term == term {
+			return int(c.freq)
+		}
+	}
+	return 0
 }
 
 // LearnPatterns fits the LIDF-value pattern model from a reference
@@ -165,9 +221,11 @@ func (e *Extractor) Freq(term string) int {
 func (e *Extractor) LearnPatterns(referenceTerms []string) {
 	counts := make(map[string]int)
 	total := 0
+	var pat []byte
 	for _, term := range referenceTerms {
 		tagged := e.tagger.Tag(strings.Fields(textutil.NormalizeTerm(term)))
-		counts[patternOf(tagged)]++
+		pat = appendPattern(pat[:0], tagged)
+		counts[string(pat)]++
 		total++
 	}
 	e.patternProb = make(map[string]float64, len(counts))
@@ -189,60 +247,148 @@ func (e *Extractor) patternProbability(pattern string) float64 {
 	return floor
 }
 
-// Rank scans the corpus if it has not been scanned, scores every
-// candidate with the measure and returns the top n (n ≤ 0 means all),
-// ties broken lexically for determinism. A measure not in Measures is
-// an error before any scan. A cancelled ctx stops the scan and returns
-// its error.
+// Rank returns the first n candidates of Walk's order (n ≤ 0 means
+// all): the best scores under the measure, ties broken lexically for
+// determinism. Errors are Walk's.
 func (e *Extractor) Rank(ctx context.Context, m Measure, n int) ([]ScoredTerm, error) {
-	if !slices.Contains(Measures, m) {
-		return nil, fmt.Errorf("termex: unknown measure %q", m)
-	}
-	if err := e.Scan(ctx); err != nil {
-		return nil, err
-	}
-	scores := e.scoreAll(m)
-	out := make([]ScoredTerm, len(e.cands))
-	for i, c := range e.cands {
-		out[i] = ScoredTerm{Term: c.term, Score: scores[i], Freq: c.freq, Docs: len(c.docs), Words: c.words}
-	}
-	slices.SortFunc(out, func(a, b ScoredTerm) int {
-		if a.Score != b.Score {
-			if a.Score > b.Score {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(a.Term, b.Term)
+	out := []ScoredTerm{}
+	err := e.Walk(ctx, m, func(st ScoredTerm) bool {
+		out = append(out, st)
+		return n <= 0 || len(out) < n
 	})
-	if n > 0 && n < len(out) {
-		out = out[:n]
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// Walk scores every candidate with the measure and hands them to yield
+// best first — score descending, then term — until yield returns false
+// or the candidates run out. It orders them as it goes, so a caller
+// that stops after k of n candidates pays O(n + k log n), not a sort.
+// A measure not in Measures is an error before any scan. Walk checks
+// ctx on entry, in the scan and in TeRGraph's co-occurrence build, and
+// returns its error before yielding anything.
+func (e *Extractor) Walk(ctx context.Context, m Measure, yield func(ScoredTerm) bool) error {
+	if !slices.Contains(Measures, m) {
+		return fmt.Errorf("termex: unknown measure %q", m)
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("termex: rank: %w", err)
+	}
+	if err := e.Scan(ctx); err != nil {
+		return err
+	}
+	scores, err := e.scoreAll(ctx, m)
+	if err != nil {
+		return err
+	}
+	r := newRanking(e.t.cands, scores)
+	for {
+		i, ok := r.next()
+		if !ok {
+			return nil
+		}
+		c := &e.t.cands[i]
+		if !yield(ScoredTerm{Term: c.term, Score: scores[i], Freq: int(c.freq), Docs: len(c.docs), Words: int(c.words)}) {
+			return nil
+		}
+	}
+}
+
+// ranking hands out candidate indices best first: score descending,
+// then term. It heapifies the candidates once, in linear time, and each
+// next pops one in O(log n).
+type ranking struct {
+	cands []cand
+	heap  []scored // a binary heap, best at the root
+}
+
+// scored is one heap entry: a candidate's index with its score inline,
+// so comparisons read the heap and touch the table only on ties.
+type scored struct {
+	score float64
+	i     int32
+}
+
+func newRanking(cands []cand, scores []float64) *ranking {
+	r := &ranking{cands: cands, heap: make([]scored, len(cands))}
+	for i, s := range scores {
+		r.heap[i] = scored{s, int32(i)}
+	}
+	for i := len(r.heap)/2 - 1; i >= 0; i-- {
+		r.down(i)
+	}
+	return r
+}
+
+// before reports whether a ranks ahead of b.
+func (r *ranking) before(a, b scored) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return r.cands[a.i].term < r.cands[b.i].term
+}
+
+// down moves the entry at heap position i below every entry that
+// ranks ahead of it.
+func (r *ranking) down(i int) {
+	h := r.heap
+	for {
+		best := i
+		for _, child := range [2]int{2*i + 1, 2*i + 2} {
+			if child < len(h) && r.before(h[child], h[best]) {
+				best = child
+			}
+		}
+		if best == i {
+			return
+		}
+		h[i], h[best] = h[best], h[i]
+		i = best
+	}
+}
+
+// next pops the best candidate left; false once none is.
+func (r *ranking) next() (int32, bool) {
+	h := r.heap
+	if len(h) == 0 {
+		return 0, false
+	}
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	r.heap = h[:last]
+	r.down(0)
+	return top.i, true
+}
+
 // scoreAll computes the chosen measure, one of Measures, for every
-// candidate, aligned with the candidate table.
-func (e *Extractor) scoreAll(m Measure) []float64 {
+// candidate, aligned with the candidate table. Only TeRGraph's
+// co-occurrence build can fail, when ctx ends.
+func (e *Extractor) scoreAll(ctx context.Context, m Measure) ([]float64, error) {
 	switch m {
 	case CValue:
-		return e.cValues()
+		return e.t.cValues(), nil
 	case TFIDF:
-		return e.tfidfScores()
+		return e.tfidfScores(), nil
 	case Okapi:
-		return e.okapiScores()
+		return e.okapiScores(), nil
 	case FTFIDFC:
-		return harmonic(e.tfidfScores(), e.cValues())
+		return harmonic(e.tfidfScores(), e.t.cValues()), nil
 	case LIDF:
-		out := e.cValues()
-		n := float64(e.c.NumDocs())
-		for i, c := range e.cands {
-			idf := math.Log(n / float64(len(c.docs)))
-			out[i] = e.patternProbability(c.pattern) * idf * out[i]
+		out := e.t.cValues()
+		probs := make([]float64, len(e.t.patterns))
+		for p, pattern := range e.t.patterns {
+			probs[p] = e.patternProbability(pattern)
 		}
-		return out
+		n := float64(e.c.NumDocs())
+		for i, c := range e.t.cands {
+			idf := math.Log(n / float64(len(c.docs)))
+			out[i] = probs[c.pattern] * idf * out[i]
+		}
+		return out, nil
 	default: // TeRGraph
-		return e.terGraphScores()
+		return e.terGraphScores(ctx)
 	}
 }
 
@@ -251,26 +397,14 @@ func (e *Extractor) scoreAll(m Measure) []float64 {
 //	C-value(a) = log2(|a|+1) · f(a)                      if a is not nested
 //	C-value(a) = log2(|a|+1) · (f(a) − mean_{b⊃a} f(b))  otherwise
 //
-// A term nested twice in b counts b twice.
-func (e *Extractor) cValues() []float64 {
-	nestedFreq := make([]int, len(e.cands))
-	nestedIn := make([]int, len(e.cands))
-	var subs []string
-	for _, longer := range e.cands {
-		subs = appendSubTerms(subs[:0], longer.term)
-		for _, sub := range subs {
-			if j, isCand := e.byTerm[sub]; isCand {
-				nestedFreq[j] += longer.freq
-				nestedIn[j]++
-			}
-		}
-	}
-	out := make([]float64, len(e.cands))
-	for i, c := range e.cands {
+// from the nesting sums the table keeps.
+func (t *table) cValues() []float64 {
+	out := make([]float64, len(t.cands))
+	for i, c := range t.cands {
 		l := math.Log2(float64(c.words) + 1)
 		score := float64(c.freq)
-		if n := nestedIn[i]; n > 0 {
-			score -= float64(nestedFreq[i]) / float64(n)
+		if c.nestedIn > 0 {
+			score -= float64(c.nestedFreq) / float64(c.nestedIn)
 		}
 		out[i] = l * score
 	}
@@ -301,9 +435,9 @@ func appendSubTerms(dst []string, term string) []string {
 
 // tfidfScores is candidate tf × log(N/df).
 func (e *Extractor) tfidfScores() []float64 {
-	out := make([]float64, len(e.cands))
+	out := make([]float64, len(e.t.cands))
 	n := float64(e.c.NumDocs())
-	for i, c := range e.cands {
+	for i, c := range e.t.cands {
 		idf := math.Log(n / float64(len(c.docs)))
 		out[i] = float64(c.freq) * idf
 	}
@@ -317,8 +451,8 @@ func (e *Extractor) okapiScores() []float64 {
 	const k1, b = 1.2, 0.75
 	n := float64(e.c.NumDocs())
 	avg := e.c.AvgDocLen()
-	out := make([]float64, len(e.cands))
-	for i, c := range e.cands {
+	out := make([]float64, len(e.t.cands))
+	for i, c := range e.t.cands {
 		df := float64(len(c.docs))
 		idf := math.Log((n-df+0.5)/(df+0.5) + 1)
 		var score float64

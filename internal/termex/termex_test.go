@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bioenrich/internal/corpus"
+	"bioenrich/internal/postag"
 	"bioenrich/internal/textutil"
 )
 
@@ -97,13 +101,13 @@ func TestCValueLengthFactor(t *testing.T) {
 	if err := e.Scan(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	cv := e.cValues()
+	cv := e.t.cValues()
 	// A never-nested term of length 2 with freq f scores log2(3)*f.
-	i, ok := e.byTerm["amniotic membrane"]
-	if !ok {
+	i := slices.IndexFunc(e.t.cands, func(c cand) bool { return c.term == "amniotic membrane" })
+	if i < 0 {
 		t.Skip("candidate pattern changed")
 	}
-	f := float64(e.cands[i].freq)
+	f := float64(e.t.cands[i].freq)
 	want := 1.5849625007211562 * (f - avgNested(e, "amniotic membrane"))
 	if diff := cv[i] - want; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("C-value = %v, want %v", cv[i], want)
@@ -112,10 +116,10 @@ func TestCValueLengthFactor(t *testing.T) {
 
 func avgNested(e *Extractor, term string) float64 {
 	total, n := 0, 0
-	for _, longer := range e.cands {
+	for _, longer := range e.t.cands {
 		for _, sub := range subTermsOf(longer.term) {
 			if sub == term {
-				total += longer.freq
+				total += int(longer.freq)
 				n++
 			}
 		}
@@ -250,17 +254,55 @@ func TestFrenchExtraction(t *testing.T) {
 	}
 }
 
-// TestRankCancelled: a cancelled context stops the scan with its
-// error and leaves no partial table, so a later Rank scans afresh.
+// cancelAfter is a context whose Err reports context.Canceled from its
+// n+1st call on; its Done never closes. It cancels a step I call at a
+// chosen check.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int32
+}
+
+func newCancelAfter(n int32) *cancelAfter {
+	c := &cancelAfter{Context: context.Background()}
+	c.n.Store(n)
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// hasTable reports whether c keeps a candidate table, without building
+// one.
+func hasTable(t *testing.T, c *corpus.Corpus) bool {
+	t.Helper()
+	errEmpty := errors.New("empty slot")
+	v, err := c.Derived(context.Background(), func() (any, error) { return nil, errEmpty })
+	if err != nil && !errors.Is(err, errEmpty) {
+		t.Fatal(err)
+	}
+	return v != nil
+}
+
+// TestRankCancelled: a context cancelled during the scan stops it with
+// its error and leaves no table on the corpus, so a later Rank scans
+// afresh.
 func TestRankCancelled(t *testing.T) {
-	e := NewExtractor(termCorpus())
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.Rank(ctx, LIDF, 5); !errors.Is(err, context.Canceled) {
+	c := termCorpus()
+	e := NewExtractor(c)
+	// The first check, on entry to Rank, passes; the scan's first
+	// per-document check fails.
+	if _, err := e.Rank(newCancelAfter(1), LIDF, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Rank(cancelled) error = %v, want context.Canceled", err)
 	}
 	if n := e.NumCandidates(); n != 0 {
 		t.Errorf("cancelled scan kept %d candidates", n)
+	}
+	if hasTable(t, c) {
+		t.Error("cancelled scan left a table on the corpus")
 	}
 	got, err := e.Rank(context.Background(), LIDF, 0)
 	if err != nil {
@@ -272,6 +314,157 @@ func TestRankCancelled(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("Rank after a cancelled scan = %v, want %v", got, want)
+	}
+}
+
+// TestRankCancelledAfterScan: once the corpus is scanned, Rank still
+// returns a cancelled context's error, through the extractor that
+// scanned and through a new one that reads the kept table.
+func TestRankCancelledAfterScan(t *testing.T) {
+	c := termCorpus()
+	e := NewExtractor(c)
+	if err := e.Scan(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, ext := range map[string]*Extractor{"scanned": e, "new": NewExtractor(c)} {
+		if got, err := ext.Rank(ctx, LIDF, 5); !errors.Is(err, context.Canceled) || got != nil {
+			t.Errorf("%s extractor: Rank(cancelled) = %v, %v; want nil, context.Canceled", name, got, err)
+		}
+	}
+}
+
+// TestRankLineage: a corpus's ranking follows its lineage. Clone +
+// AppendBuild ranks as AddAll + Build of the same documents, ranking
+// the clone leaves the original's ranking as it was, and Build after a
+// ranking drops the table.
+func TestRankLineage(t *testing.T) {
+	more := []corpus.Document{
+		{ID: "5", Text: "Bacterial keratitis follows corneal injury. Severe bacterial keratitis needs treatment."},
+		{ID: "6", Text: "The corneal ulcer healed after amniotic membrane transplantation."},
+	}
+	rank := func(c *corpus.Corpus) []ScoredTerm {
+		t.Helper()
+		got, err := NewExtractor(c).Rank(context.Background(), LIDF, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	orig := termCorpus()
+	before := rank(orig)
+
+	full := termCorpus()
+	full.AddAll(more)
+	full.Build()
+	want := rank(full)
+
+	cl := orig.Clone()
+	cl.AppendBuild(more)
+	if got := rank(cl); !slices.Equal(got, want) {
+		t.Errorf("Clone + AppendBuild ranks %v, want %v", got, want)
+	}
+	if got := rank(orig); !slices.Equal(got, before) {
+		t.Errorf("original after its clone grew ranks %v, want %v", got, before)
+	}
+
+	orig.Build()
+	if hasTable(t, orig) {
+		t.Error("Build after a ranking kept the table")
+	}
+	orig.AddAll(more)
+	orig.Build()
+	if got := rank(orig); !slices.Equal(got, want) {
+		t.Errorf("AddAll + Build after a ranking ranks %v, want %v", got, want)
+	}
+}
+
+// TestRankConcurrent: goroutines ranking one fresh corpus with
+// different measures share one table, and each gets the ranking a
+// single goroutine gets.
+func TestRankConcurrent(t *testing.T) {
+	want := make(map[Measure][]ScoredTerm)
+	for _, m := range Measures {
+		got, err := NewExtractor(termCorpus()).Rank(context.Background(), m, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[m] = got
+	}
+	c := termCorpus()
+	var wg sync.WaitGroup
+	for _, m := range append(slices.Clone(Measures), Measures...) {
+		wg.Add(1)
+		go func(m Measure) {
+			defer wg.Done()
+			got, err := NewExtractor(c).Rank(context.Background(), m, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !slices.Equal(got, want[m]) {
+				t.Errorf("%s: concurrent ranking %v, want %v", m, got, want[m])
+			}
+		}(m)
+	}
+	wg.Wait()
+}
+
+// TestRankingMatchesSort: the heap hands out indices in exactly the
+// order of a full sort by score descending, then term, ties included.
+func TestRankingMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		n := rng.Intn(200)
+		cands := make([]cand, n)
+		scores := make([]float64, n)
+		for i := range cands {
+			cands[i].term = fmt.Sprintf("t%03d", rng.Intn(1000)*1000+i)
+			scores[i] = float64(rng.Intn(8)) / 4 // many ties
+		}
+		want := make([]int32, n)
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortFunc(want, func(a, b int32) int {
+			if scores[a] != scores[b] {
+				if scores[a] > scores[b] {
+					return -1
+				}
+				return 1
+			}
+			return strings.Compare(cands[a].term, cands[b].term)
+		})
+		r := newRanking(cands, scores)
+		var got []int32
+		for i, ok := r.next(); ok; i, ok = r.next() {
+			got = append(got, i)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: heap order %v, sort order %v", trial, got, want)
+		}
+	}
+}
+
+// TestWalkStopsEarly: Walk hands out Rank's order and stops when yield
+// returns false.
+func TestWalkStopsEarly(t *testing.T) {
+	e := NewExtractor(termCorpus())
+	all, err := e.Rank(context.Background(), CValue, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []ScoredTerm
+	err = e.Walk(context.Background(), CValue, func(st ScoredTerm) bool {
+		got = append(got, st)
+		return len(got) < 3
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, all[:3]) {
+		t.Errorf("Walk stopped at 3 gave %v, want %v", got, all[:3])
 	}
 }
 
@@ -291,7 +484,9 @@ func TestRankUnknownMeasure(t *testing.T) {
 // documents and sentences it reads, not with candidate occurrences.
 // Doubling a corpus of one repeated document adds only per-document
 // and per-sentence work (the sentence and token slices); every
-// candidate and token is already in the table and the tag memo.
+// candidate and token is already in the table and the tag memo. It
+// builds the table directly: Scan on one corpus would read the table
+// kept by the first run.
 func TestScanAllocsPerDocument(t *testing.T) {
 	const (
 		n         = 40
@@ -307,8 +502,9 @@ func TestScanAllocsPerDocument(t *testing.T) {
 			c.Add(corpus.Document{ID: fmt.Sprint(i), Text: text})
 		}
 		c.Build()
+		tagger := postag.NewTagger(c.Lang())
 		return testing.AllocsPerRun(5, func() {
-			if err := NewExtractor(c).Scan(context.Background()); err != nil {
+			if _, err := newTable(context.Background(), c, tagger); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -30,7 +30,6 @@ bioenrich/internal/postag	pure rule-based tagger
 bioenrich/internal/relext	pure pattern extraction
 bioenrich/internal/sparse	pure vector arithmetic
 bioenrich/internal/synth	seeded corpus synthesizer, single goroutine
-bioenrich/internal/termex	pure term extraction
 bioenrich/internal/textutil	pure string utilities
 bioenrich/internal/storage/fsio	sequential file primitives, no goroutines
 bioenrich/internal/buildinfo	pure build-metadata read (debug.ReadBuildInfo), no goroutines
