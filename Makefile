@@ -4,9 +4,9 @@
 #   make test     plain test run (what CI's quick loop wants)
 #   make lint     in-repo analyzers (cmd/biolint): determinism/context/obs/lock/snapshot/goroutine/envelope/metric invariants
 #   make lint-bench   serial-vs-parallel lint driver wall-clock -> LINTBENCH_<timestamp>.txt
-#   make fuzz-smoke   10s native-fuzz passes over the tokenizer, canonical keys, batched and inverted cosines, corpus reader, clone lineages and WAL
+#   make fuzz-smoke   10s native-fuzz passes over the tokenizer, canonical keys, batched and inverted cosines, corpus reader, clone lineages, step IV's neighbour scan and WAL
 #   make bench    full benchmark sweep -> BENCH_<timestamp>.json
-#   make bench-enricher   just the worker-pool speedup pair
+#   make bench-enricher   perfbench's enrich job in process (small/top3) and the worker-pool speedup pair
 #   make perf-smoke   short read + enrich runs of the repository benchmark (perfbench/)
 
 GO ?= go
@@ -74,9 +74,10 @@ lint-bench:
 # Short native-fuzz passes over the untrusted-input parsers, the
 # canonical-key invariant the stopword and ontology lookups rely on,
 # the bit-identity to Cosine of Cosines, which step IV relies on, and
-# of InvertedCosines, which classify relies on, and the corpus clones'
-# shared arrays, which every ingest relies on. CI runs the same smoke
-# lane; longer local sessions just raise -fuzztime.
+# of InvertedCosines, which classify relies on, the corpus clones'
+# shared arrays, which every ingest relies on, and step IV's
+# per-document neighbour scan against the per-occurrence one. CI runs
+# the same smoke lane; longer local sessions just raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzTokenize' -fuzztime 10s ./internal/textutil
 	$(GO) test -fuzz 'FuzzCanonicalKeys' -fuzztime 10s ./internal/textutil
@@ -84,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzInvertedCosines' -fuzztime 10s ./internal/sparse
 	$(GO) test -fuzz 'FuzzReadJSONL' -fuzztime 10s ./internal/corpus
 	$(GO) test -fuzz 'FuzzCloneLineages' -fuzztime 10s ./internal/corpus
+	$(GO) test -fuzz 'FuzzMeshNeighbors' -fuzztime 10s ./internal/linkage
 	$(GO) test -fuzz 'FuzzWALReplay' -fuzztime 10s ./internal/storage
 
 # End-to-end crash recovery: serve -> ingest -> SIGKILL -> serve again

@@ -161,7 +161,26 @@ func BenchmarkTable4LinkagePrecision(b *testing.B) {
 // speedup into the bench trajectory (on multi-core hardware expect
 // ≥1.5× at 4 workers; a single-core runner shows parity, which is
 // itself the no-regression signal for the pool's overhead).
+// "small/top3" is the job perfbench's enrich workload times, in
+// process: its small corpus loaded as the server loads it, top 3, one
+// worker, and step I's table kept by a run before the timer starts.
 func BenchmarkEnricherRun(b *testing.B) {
+	b.Run("small/top3", func(b *testing.B) {
+		c, o := smallCorpus(b)
+		cfg := core.DefaultConfig()
+		cfg.TopCandidates = 3
+		cfg.Workers = 1
+		if _, err := core.NewEnricher(c, o, cfg).Run(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.NewEnricher(c, o, cfg).Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	mopts := synth.DefaultMeshOptions()
 	copts := synth.DefaultCorpusOptions()
 	copts.DocsPerConcept = 3

@@ -46,4 +46,13 @@ func TestRunSensesErrors(t *testing.T) {
 	if err := run(path, "cold", "bogus", "fk", "bow", false, 1); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
+	if err := run(path, "cold", "bogus", "fk", "bow", true, 1); err == nil {
+		t.Error("unknown algorithm accepted at k = 1")
+	}
+	if err := run(path, "cold", "direct", "bogus", "bow", false, 1); err == nil {
+		t.Error("unknown index accepted")
+	}
+	if err := run(path, "cold", "direct", "fk", "bogus", true, 1); err == nil {
+		t.Error("unknown representation accepted")
+	}
 }

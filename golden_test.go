@@ -81,7 +81,7 @@ func smallMesh(lang textutil.Lang) (*synth.Mesh, *corpus.Corpus) {
 
 // smallCorpus is the benchmark's enrich input: smallMesh in English,
 // saved and loaded back as the server loads it.
-func smallCorpus(t *testing.T) (*corpus.Corpus, *ontology.Ontology) {
+func smallCorpus(t testing.TB) (*corpus.Corpus, *ontology.Ontology) {
 	t.Helper()
 	mesh, c := smallMesh(textutil.English)
 	dir := t.TempDir()

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bioenrich/internal/sparse"
@@ -244,6 +245,56 @@ func TestPredictKFKConservative(t *testing.T) {
 	}
 }
 
+// TestRunOneClusterMatchesAlgorithms: at k = 1 Run returns the
+// one-cluster partition without running an algorithm. It must equal,
+// bit for bit, what each algorithm's own function returns at k = 1 on
+// the same unit vectors, and an unknown algorithm is still refused.
+func TestRunOneClusterMatchesAlgorithms(t *testing.T) {
+	own := map[Algorithm]func(unit []sparse.Vector, seed int64) *Clustering{
+		Direct: func(u []sparse.Vector, seed int64) *Clustering { return kmeans(u, 1, seed, 30) },
+		RB:     func(u []sparse.Vector, seed int64) *Clustering { return repeatedBisection(u, 1, seed, false) },
+		RBR:    func(u []sparse.Vector, seed int64) *Clustering { return repeatedBisection(u, 1, seed, true) },
+		Agglo:  func(u []sparse.Vector, _ int64) *Clustering { return agglomerative(u, 1) },
+		Graph:  func(u []sparse.Vector, seed int64) *Clustering { return graphCluster(u, 1, seed) },
+	}
+	sameBits := func(a, b sparse.Vector) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for f, x := range a {
+			y, ok := b[f]
+			if !ok || math.Float64bits(x) != math.Float64bits(y) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, n := range []int{1, 2, 7, 40} {
+		for seed := int64(1); seed <= 4; seed++ {
+			vecs := randVecs(rand.New(rand.NewSource(seed*100+int64(n))), n)
+			for _, alg := range Algorithms {
+				got, err := Run(alg, vecs, 1, seed)
+				if err != nil {
+					t.Fatalf("%s n=%d seed=%d: %v", alg, n, seed, err)
+				}
+				want := own[alg](normalizeAll(vecs), seed)
+				if got.K != want.K || !slices.Equal(got.Assign, want.Assign) || !slices.Equal(got.sizes, want.sizes) {
+					t.Fatalf("%s n=%d seed=%d: partition (%d, %v, %v), want (%d, %v, %v)", alg, n, seed,
+						got.K, got.Assign, got.sizes, want.K, want.Assign, want.sizes)
+				}
+				if !sameBits(got.comp[0], want.comp[0]) || !sameBits(got.total, want.total) {
+					t.Fatalf("%s n=%d seed=%d: composites differ", alg, n, seed)
+				}
+			}
+		}
+	}
+	vecs := randVecs(rand.New(rand.NewSource(1)), 3)
+	_, err := Run("bogus", vecs, 1, 1)
+	if want := `cluster: unknown algorithm "bogus"`; err == nil || err.Error() != want {
+		t.Errorf("Run(bogus, k=1) err = %v, want %s", err, want)
+	}
+}
+
 func TestPredictKErrors(t *testing.T) {
 	vecs, _ := blobs(2, 3, 9)
 	if _, _, err := PredictK(Direct, FK, vecs, 5, 2, 1); err == nil {
@@ -251,6 +302,12 @@ func TestPredictKErrors(t *testing.T) {
 	}
 	if _, _, err := PredictK(Direct, FK, vecs[:1], 2, 5, 1); err == nil {
 		t.Error("infeasible k accepted")
+	}
+	if _, _, err := PredictK(Direct, "bogus", vecs, 2, 5, 1); err == nil {
+		t.Error("unknown index accepted")
+	}
+	if _, _, err := PredictK(Direct, Silhouette, vecs, 2, 5, 1); err != nil {
+		t.Errorf("silhouette refused: %v", err)
 	}
 }
 

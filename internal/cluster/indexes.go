@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"bioenrich/internal/sparse"
 )
@@ -91,10 +92,14 @@ const (
 // PredictK sweeps k over [kmin, kmax], clusters with alg at each k,
 // scores each solution with the index, and returns the winning k and
 // its clustering. k values exceeding the object count are skipped; if
-// none is feasible an error is returned.
+// none is feasible an error is returned. An index that is neither one
+// of Indexes nor Silhouette is refused before any clustering.
 func PredictK(alg Algorithm, ix Index, vecs []sparse.Vector, kmin, kmax int, seed int64) (int, *Clustering, error) {
 	if kmin < 1 || kmax < kmin {
 		return 0, nil, fmt.Errorf("cluster: bad k range [%d,%d]", kmin, kmax)
+	}
+	if !slices.Contains(Indexes, ix) && ix != Silhouette {
+		return 0, nil, fmt.Errorf("cluster: unknown index %q", ix)
 	}
 	bestK := 0
 	var bestVal float64

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"bioenrich/internal/sparse"
 )
@@ -26,6 +27,8 @@ var Algorithms = []Algorithm{RB, RBR, Direct, Agglo, Graph}
 
 // Run clusters vecs into k clusters with the chosen algorithm.
 // Vectors are cosine-normalized internally; the input is not modified.
+// At k = 1 every algorithm puts all objects in the one cluster, so Run
+// returns that partition without running any of them.
 func Run(alg Algorithm, vecs []sparse.Vector, k int, seed int64) (*Clustering, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("cluster: k=%d", k)
@@ -36,7 +39,13 @@ func Run(alg Algorithm, vecs []sparse.Vector, k int, seed int64) (*Clustering, e
 	if k > len(vecs) {
 		return nil, fmt.Errorf("cluster: k=%d exceeds %d objects", k, len(vecs))
 	}
+	if !slices.Contains(Algorithms, alg) {
+		return nil, fmt.Errorf("cluster: unknown algorithm %q", alg)
+	}
 	unit := normalizeAll(vecs)
+	if k == 1 {
+		return newClustering(unit, make([]int, len(unit)), 1), nil
+	}
 	switch alg {
 	case Direct:
 		return kmeans(unit, k, seed, 30), nil
@@ -46,10 +55,8 @@ func Run(alg Algorithm, vecs []sparse.Vector, k int, seed int64) (*Clustering, e
 		return repeatedBisection(unit, k, seed, true), nil
 	case Agglo:
 		return agglomerative(unit, k), nil
-	case Graph:
+	default: // Graph
 		return graphCluster(unit, k, seed), nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown algorithm %q", alg)
 	}
 }
 

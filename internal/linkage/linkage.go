@@ -10,6 +10,7 @@ package linkage
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,11 +46,13 @@ type Proposal struct {
 // concept profiles count over the same window.
 const ContextWindow = 8
 
-// The neighborhood scan's fixed shape: ontology terms within
-// cooccurWindow tokens of a candidate occurrence are its neighbors,
-// and only the maxNeighbors most frequent are expanded.
+// The neighborhood scan's fixed shape: ontology terms of at most
+// maxGramWords words within cooccurWindow tokens of a candidate
+// occurrence are its neighbors, and only the maxNeighbors most
+// frequent are expanded.
 const (
 	cooccurWindow = 20
+	maxGramWords  = 4
 	maxNeighbors  = 40
 )
 
@@ -76,12 +79,19 @@ func DefaultOptions() Options {
 // in the same run share MeSH neighbors (and those neighbors' fathers
 // and sons), so caching each pool term's aggregated context vector
 // turns repeated corpus scans into map hits. The cache is valid as
-// long as the corpus is not rebuilt; build a fresh Linker after
-// adding documents.
+// long as the corpus is not rebuilt, and the term prefixes as long as
+// the ontology gains or loses no term; build a fresh Linker after
+// either changes.
 type Linker struct {
 	c    *corpus.Corpus
 	o    *ontology.Ontology
 	opts Options
+
+	// terms are the ontology's terms, sorted, and prefixes is
+	// termPrefixes(terms): what the neighbourhood scan looks grams up
+	// in.
+	terms    []string
+	prefixes map[string]int32
 
 	// vecs caches term → termVec (the aggregated context vector at
 	// ContextWindow, with its norm). Cached vectors are shared and
@@ -95,8 +105,10 @@ type Linker struct {
 
 // New builds a linker over a corpus and the target ontology.
 func New(c *corpus.Corpus, o *ontology.Ontology, opts Options) *Linker {
+	terms := o.Terms()
 	return &Linker{
 		c: c, o: o, opts: opts,
+		terms: terms, prefixes: termPrefixes(terms),
 		cacheHits:   opts.Obs.Counter("bioenrich_linkage_cache_hits_total"),
 		cacheMisses: opts.Obs.Counter("bioenrich_linkage_cache_misses_total"),
 	}
@@ -134,10 +146,11 @@ func (l *Linker) Propose(candidate string, topN int) ([]Proposal, error) {
 }
 
 // ProposeContext is Propose with cooperative cancellation: the
-// context is checked per candidate occurrence while scanning for
-// neighbors and per pool term while ranking — the two loops whose
-// cost grows with the corpus. A cancelled call returns ctx's error
-// (errors.Is-compatible with context.Canceled / DeadlineExceeded).
+// context is checked on entry, per document holding the candidate
+// while scanning for neighbors, and per pool term while ranking — the
+// two loops whose cost grows with the corpus. A cancelled call
+// returns ctx's error (errors.Is-compatible with context.Canceled /
+// DeadlineExceeded).
 func (l *Linker) ProposeContext(ctx context.Context, candidate string, topN int) ([]Proposal, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("linkage: propose %q: %w", candidate, err)
@@ -230,63 +243,148 @@ func (l *Linker) ProposeContext(ctx context.Context, candidate string, topN int)
 
 // meshNeighbors returns the ontology terms co-occurring with the
 // candidate within the co-occurrence window, most frequent first,
-// capped at maxNeighbors. The context is checked once per candidate
-// occurrence (one window scan each), the loop that dominates for
-// frequent candidates.
+// capped at maxNeighbors: a term counts once for every occurrence
+// whose ±cooccurWindow region holds it as a gram of at most
+// maxGramWords tokens, and the candidate never counts itself.
+//
+// Each document holding the candidate is visited once. Its
+// occurrences' regions are merged into runs, and every gram in a run
+// is grown word by word only while it is a key of l.prefixes, so a
+// token that starts no ontology term costs one probe. The matches
+// found come out sorted by start; a cursor then walks them once per
+// occurrence, counting the distinct terms that lie wholly inside its
+// region, so an occurrence costs its own region even in a long
+// document. The context is checked once per document.
 func (l *Linker) meshNeighbors(ctx context.Context, cand string) ([]string, error) {
-	counts := make(map[string]int)
-	w := cooccurWindow
 	candWords := len(strings.Fields(cand))
-	seen := make(map[string]bool) // ontology terms of one occurrence's region
-	var gram []byte
-	for _, occ := range l.c.Occurrences(cand) {
+	skip := int32(-1) // the candidate's index in l.terms, if it is a term
+	if id, ok := l.prefixes[cand]; ok {
+		skip = id
+	}
+	slot := make(map[int32]int) // index into l.terms → index into found
+	var (
+		found   []neighbour // in order of first match
+		matches []match     // the current document's, by start
+		gram    []byte
+		seq     int // occurrences so far, across documents
+	)
+	occs := l.c.Occurrences(cand)
+	for len(occs) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		toks := l.c.Tokens(int(occ.Doc))
-		lo := int(occ.Pos) - w
-		if lo < 0 {
-			lo = 0
+		inDoc := 1
+		for inDoc < len(occs) && occs[inDoc].Doc == occs[0].Doc {
+			inDoc++
 		}
-		hi := int(occ.Pos) + candWords + w
-		if hi > len(toks) {
-			hi = len(toks)
+		docOccs := occs[:inDoc]
+		occs = occs[inDoc:]
+		toks := l.c.Tokens(int(docOccs[0].Doc))
+		region := func(p corpus.Posting) (lo, hi int) {
+			return max(int(p.Pos)-cooccurWindow, 0), min(int(p.Pos)+candWords+cooccurWindow, len(toks))
 		}
-		// Slide 1..4-gram windows over the region and keep ontology
-		// matches. Each start grows its grams word by word in one
-		// buffer; a gram becomes a string only when it enters seen.
-		clear(seen)
-		for i := lo; i < hi; i++ {
-			gram = gram[:0]
-			for n := 1; n <= 4 && i+n <= hi; n++ {
-				if n > 1 {
-					gram = append(gram, ' ')
+
+		// Occurrences come in position order, so both ends of their
+		// regions ascend: a run ends where the next region starts past it.
+		matches = matches[:0]
+		for i := 0; i < len(docOccs); {
+			lo, hi := region(docOccs[i])
+			for i++; i < len(docOccs); i++ {
+				next, end := region(docOccs[i])
+				if next > hi {
+					break
 				}
-				gram = append(gram, toks[i+n-1]...)
-				if string(gram) == cand || seen[string(gram)] {
-					continue
-				}
-				if l.o.HasTermBytes(gram) {
-					seen[string(gram)] = true
+				hi = end
+			}
+			for start := lo; start < hi; start++ {
+				gram = gram[:0]
+				for end := start + 1; end <= start+maxGramWords && end <= hi; end++ {
+					if end > start+1 {
+						gram = append(gram, ' ')
+					}
+					gram = append(gram, toks[end-1]...)
+					id, ok := l.prefixes[string(gram)]
+					if !ok {
+						break
+					}
+					if id < 0 || id == skip {
+						continue
+					}
+					idx, ok := slot[id]
+					if !ok {
+						idx = len(found)
+						slot[id] = idx
+						found = append(found, neighbour{term: id})
+					}
+					matches = append(matches, match{start: start, end: end, slot: idx})
 				}
 			}
 		}
-		for g := range seen {
-			counts[g]++
+
+		cursor := 0
+		for _, occ := range docOccs {
+			seq++
+			lo, hi := region(occ)
+			for cursor < len(matches) && matches[cursor].start < lo {
+				cursor++
+			}
+			for _, m := range matches[cursor:] {
+				if m.start >= hi {
+					break
+				}
+				if nb := &found[m.slot]; m.end <= hi && nb.last != seq {
+					nb.last = seq
+					nb.count++
+				}
+			}
 		}
 	}
-	terms := make([]string, 0, len(counts))
-	for t := range counts {
-		terms = append(terms, t)
-	}
-	sort.Slice(terms, func(i, j int) bool {
-		if counts[terms[i]] != counts[terms[j]] {
-			return counts[terms[i]] > counts[terms[j]]
+
+	// A match can straddle two merged regions and lie inside neither:
+	// its term keeps a zero count and is dropped.
+	found = slices.DeleteFunc(found, func(nb neighbour) bool { return nb.count == 0 })
+	sort.Slice(found, func(i, j int) bool {
+		if found[i].count != found[j].count {
+			return found[i].count > found[j].count
 		}
-		return terms[i] < terms[j]
+		return l.terms[found[i].term] < l.terms[found[j].term]
 	})
-	if len(terms) > maxNeighbors {
-		terms = terms[:maxNeighbors]
+	out := make([]string, min(len(found), maxNeighbors))
+	for i := range out {
+		out[i] = l.terms[found[i].term]
 	}
-	return terms, nil
+	return out, nil
+}
+
+// neighbour is an ontology term found near the candidate.
+type neighbour struct {
+	term  int32 // index into Linker.terms
+	count int   // occurrences whose region holds the term
+	last  int   // the last occurrence that counted it, numbered from 1
+}
+
+// match is one ontology term found in a document: tokens [start, end)
+// spell it, and slot is its index among the candidate's neighbours.
+type match struct {
+	start, end, slot int
+}
+
+// termPrefixes maps every word-boundary prefix of each of terms, the
+// whole term included, to the term's index when the prefix is itself
+// one of terms and to -1 when it is not. A gram that is no key here
+// is no term and starts none.
+func termPrefixes(terms []string) map[string]int32 {
+	prefixes := make(map[string]int32, 2*len(terms))
+	for i, t := range terms {
+		for j := 0; j < len(t); j++ {
+			if t[j] != ' ' {
+				continue
+			}
+			if _, ok := prefixes[t[:j]]; !ok {
+				prefixes[t[:j]] = -1
+			}
+		}
+		prefixes[t] = int32(i)
+	}
+	return prefixes
 }

@@ -9,6 +9,7 @@ package senseind
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"bioenrich/internal/cluster"
 	"bioenrich/internal/corpus"
@@ -101,10 +102,14 @@ func (in *Inducer) Induce(c *corpus.Corpus, term string, polysemic bool) (*Resul
 // contexts and again before vectorization and clustering — the two
 // expensive stages. A cancelled call returns ctx's error
 // (errors.Is-compatible with context.Canceled /
-// context.DeadlineExceeded).
+// context.DeadlineExceeded). A Representation outside Representations
+// is refused before the harvest.
 func (in *Inducer) InduceContext(ctx context.Context, c *corpus.Corpus, term string, polysemic bool) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("senseind: induce %q: %w", term, err)
+	}
+	if err := in.checkRepresentation(); err != nil {
+		return nil, err
 	}
 	ctxs := c.Contexts(term, DefaultWindow)
 	raw := make([][]string, len(ctxs))
@@ -120,6 +125,9 @@ func (in *Inducer) InduceContext(ctx context.Context, c *corpus.Corpus, term str
 // InduceFromContexts runs step III on pre-harvested context windows
 // (the form the WSD benchmark provides).
 func (in *Inducer) InduceFromContexts(term string, contexts [][]string, polysemic bool) (*Result, error) {
+	if err := in.checkRepresentation(); err != nil {
+		return nil, err
+	}
 	if len(contexts) == 0 {
 		return nil, fmt.Errorf("senseind: no contexts for %q", term)
 	}
@@ -143,6 +151,9 @@ func (in *Inducer) InduceFromContexts(term string, contexts [][]string, polysemi
 // PredictK returns only the predicted number of senses for a set of
 // contexts (the quantity the E1 benchmark scores).
 func (in *Inducer) PredictK(contexts [][]string) (int, error) {
+	if err := in.checkRepresentation(); err != nil {
+		return 0, err
+	}
 	if len(contexts) == 0 {
 		return 0, fmt.Errorf("senseind: no contexts")
 	}
@@ -150,6 +161,15 @@ func (in *Inducer) PredictK(contexts [][]string) (int, error) {
 	k, _, err := cluster.PredictK(in.Algorithm, in.Index, vecs,
 		cluster.KMin, cluster.KMax, in.Seed)
 	return k, err
+}
+
+// checkRepresentation refuses a Representation that is not one of
+// Representations: Vectorize would read it as GraphRep.
+func (in *Inducer) checkRepresentation() error {
+	if !slices.Contains(Representations, in.Representation) {
+		return fmt.Errorf("senseind: unknown representation %q", in.Representation)
+	}
+	return nil
 }
 
 func resultFrom(term string, cl *cluster.Clustering) *Result {

@@ -239,6 +239,12 @@ func TestErrorEnvelope(t *testing.T) {
 	}{
 		{"/v1/search", http.StatusBadRequest, "invalid_argument"},
 		{"/v1/search?q=x&n=abc", http.StatusBadRequest, "invalid_argument"},
+		// Step III refuses an unknown index or representation, and an
+		// unknown algorithm even at k = 1, where no algorithm runs.
+		{"/v1/senses?term=corneal+abrasion&index=bogus", http.StatusBadRequest, "invalid_argument"},
+		{"/v1/senses?term=corneal+abrasion&rep=bogus", http.StatusBadRequest, "invalid_argument"},
+		{"/v1/senses?term=corneal+abrasion&rep=bogus&monosemic=1", http.StatusBadRequest, "invalid_argument"},
+		{"/v1/senses?term=corneal+abrasion&algorithm=bogus&monosemic=1", http.StatusBadRequest, "invalid_argument"},
 		{"/v1/ontology/terms/nosuchterm", http.StatusNotFound, "not_found"},
 		{"/v1/jobs/j-000042", http.StatusNotFound, "not_found"},
 	}
