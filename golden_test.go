@@ -303,10 +303,13 @@ func TestGoldenTable4(t *testing.T) {
 	}
 }
 
-// TestGoldenExperiments pins one reduced-scale run of each of E1, E2
-// and E3 exactly. E1's clustering and E2's polysemy features are the
-// callers of sparse.Cosine outside classify and linkage, so these
-// catch any drift in its floats.
+// TestGoldenExperiments pins one reduced-scale run of each of E1, E2,
+// E3 and E5, and Table 2, exactly. E1's clustering and E2's polysemy
+// features are the callers of sparse.Cosine outside classify and
+// linkage, so these catch any drift in its floats. E5 clusters at the
+// gold k with all five algorithms on both representations, and Table 2
+// sweeps k = 2..5 with direct, so together they cover every path of
+// step III's clustering.
 func TestGoldenExperiments(t *testing.T) {
 	t.Run("E1", func(t *testing.T) {
 		t.Parallel()
@@ -366,6 +369,52 @@ func TestGoldenExperiments(t *testing.T) {
 			"f-tfidf-c 0.22/0.3/0.405 n=90542, okapi 0.06/0.16/0.27 n=90542"
 		if g := strings.Join(got, ", "); g != want {
 			t.Errorf("E3 rows = %s\nwant       %s", g, want)
+		}
+	})
+	t.Run("E5", func(t *testing.T) {
+		t.Parallel()
+		cells, err := experiments.E5(8, 10, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, c := range cells {
+			got = append(got, fmt.Sprintf("%s/%s %v/%v/%v",
+				c.Algorithm, c.Representation, c.MeanARI, c.MeanNMI, c.MeanPurity))
+		}
+		want := "agglo/bow 0.6142920481860625/0.6033900946036728/0.8937500000000002\n" +
+			"graph/bow 0.49972555189019896/0.5500379953865465/0.825\n" +
+			"direct/graph 0.4627138297115033/0.5177340214995757/0.8062499999999999\n" +
+			"rb/graph 0.4627138297115033/0.5177340214995757/0.8062499999999999\n" +
+			"rbr/graph 0.4627138297115033/0.5177340214995757/0.8062499999999999\n" +
+			"agglo/graph 0.4569936949399108/0.5113702886702903/0.8125\n" +
+			"direct/bow 0.24697023126198098/0.25525700710208094/0.7000000000000001\n" +
+			"rb/bow 0.24697023126198098/0.25525700710208094/0.7000000000000001\n" +
+			"rbr/bow 0.24697023126198098/0.25525700710208094/0.7000000000000001\n" +
+			"graph/graph 0.2238562091503268/0.3377704459304683/0.725"
+		if g := strings.Join(got, "\n"); g != want {
+			t.Errorf("E5 cells =\n%s\nwant\n%s", g, want)
+		}
+	})
+	// The seed cmd/tables -table 2 uses.
+	t.Run("Table2", func(t *testing.T) {
+		t.Parallel()
+		rows, err := experiments.Table2(3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range rows {
+			got = append(got, fmt.Sprintf("%s %v/%v/%v/%v selected=%d",
+				r.Index, r.Values[2], r.Values[3], r.Values[4], r.Values[5], r.Selected))
+		}
+		want := "ak 0.29693448275430656/0.4000433101083402/0.39510853759124687/0.4127881278544783 selected=5\n" +
+			"bk 0.0012090671925805907/0.001220760054434559/0.033467863023883646/0.0581455873187251 selected=2\n" +
+			"ck 15.795374655103359/15.952902002156224/11.686177864092105/8.96999523087823 selected=3\n" +
+			"ek 218.73499923510266/327.7001968201157/29.957391043096692/10.602083245936155 selected=3\n" +
+			"fk 0.986395000602378/0.838452083513634/0.6562610757771112/0.5905662979724048 selected=2"
+		if g := strings.Join(got, "\n"); g != want {
+			t.Errorf("Table 2 rows =\n%s\nwant\n%s", g, want)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -257,18 +258,6 @@ func TestRunOneClusterMatchesAlgorithms(t *testing.T) {
 		Agglo:  func(u []sparse.Vector, _ int64) *Clustering { return agglomerative(u, 1) },
 		Graph:  func(u []sparse.Vector, seed int64) *Clustering { return graphCluster(u, 1, seed) },
 	}
-	sameBits := func(a, b sparse.Vector) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for f, x := range a {
-			y, ok := b[f]
-			if !ok || math.Float64bits(x) != math.Float64bits(y) {
-				return false
-			}
-		}
-		return true
-	}
 	for _, n := range []int{1, 2, 7, 40} {
 		for seed := int64(1); seed <= 4; seed++ {
 			vecs := randVecs(rand.New(rand.NewSource(seed*100+int64(n))), n)
@@ -278,12 +267,8 @@ func TestRunOneClusterMatchesAlgorithms(t *testing.T) {
 					t.Fatalf("%s n=%d seed=%d: %v", alg, n, seed, err)
 				}
 				want := own[alg](normalizeAll(vecs), seed)
-				if got.K != want.K || !slices.Equal(got.Assign, want.Assign) || !slices.Equal(got.sizes, want.sizes) {
-					t.Fatalf("%s n=%d seed=%d: partition (%d, %v, %v), want (%d, %v, %v)", alg, n, seed,
-						got.K, got.Assign, got.sizes, want.K, want.Assign, want.sizes)
-				}
-				if !sameBits(got.comp[0], want.comp[0]) || !sameBits(got.total, want.total) {
-					t.Fatalf("%s n=%d seed=%d: composites differ", alg, n, seed)
+				if diff := sameClustering(got, want); diff != "" {
+					t.Fatalf("%s n=%d seed=%d: %s", alg, n, seed, diff)
 				}
 			}
 		}
@@ -293,6 +278,40 @@ func TestRunOneClusterMatchesAlgorithms(t *testing.T) {
 	if want := `cluster: unknown algorithm "bogus"`; err == nil || err.Error() != want {
 		t.Errorf("Run(bogus, k=1) err = %v, want %s", err, want)
 	}
+}
+
+// sameBits reports whether two vectors hold the same features with
+// bit-identical weights.
+func sameBits(a, b sparse.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for f, x := range a {
+		y, ok := b[f]
+		if !ok || math.Float64bits(x) != math.Float64bits(y) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameClustering returns "" when two clusterings are equal bit for
+// bit — K, labels, sizes, unit vectors, composites and total — and
+// otherwise what differs.
+func sameClustering(a, b *Clustering) string {
+	if a.K != b.K || !slices.Equal(a.Assign, b.Assign) || !slices.Equal(a.sizes, b.sizes) {
+		return fmt.Sprintf("partition (%d, %v, %v), want (%d, %v, %v)", a.K, a.Assign, a.sizes, b.K, b.Assign, b.sizes)
+	}
+	if !slices.EqualFunc(a.vecs, b.vecs, sameBits) {
+		return "unit vectors differ"
+	}
+	if !slices.EqualFunc(a.comp, b.comp, sameBits) {
+		return "composites differ"
+	}
+	if !sameBits(a.total, b.total) {
+		return "totals differ"
+	}
+	return ""
 }
 
 func TestPredictKErrors(t *testing.T) {

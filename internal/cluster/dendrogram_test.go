@@ -1,36 +1,51 @@
 package cluster
 
 import (
+	"math/rand"
 	"testing"
 
 	"bioenrich/internal/sparse"
 )
 
+// TestDendrogramCutMatchesAgglo: cutting the merge tree at k gives
+// exactly what Run(Agglo, …, k) gives — the same labels, sizes, unit
+// vectors, composites and total, bit for bit — for every k from 1 to
+// n, on random inputs and on inputs made of duplicated vectors, whose
+// tied merges must break the same way. A merge keeps the lower-indexed
+// cluster and a cut numbers clusters by their lowest member, so even
+// the labels agree.
 func TestDendrogramCutMatchesAgglo(t *testing.T) {
-	// Cutting the dendrogram at k must produce the same partition as a
-	// direct agglomerative run to k (same greedy procedure).
-	vecs, _ := blobs(3, 8, 51)
-	dg, err := BuildDendrogram(vecs)
-	if err != nil {
-		t.Fatal(err)
+	var sets [][]sparse.Vector
+	for _, n := range []int{1, 2, 3, 7, 20, 41} {
+		for seed := int64(1); seed <= 20; seed++ {
+			sets = append(sets, randVecs(rand.New(rand.NewSource(seed*1000+int64(n))), n))
+		}
 	}
-	for k := 1; k <= 5; k++ {
-		fromCut, err := dg.Cut(k)
+	for seed := int64(1); seed <= 10; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		distinct := randVecs(r, 2+r.Intn(4))
+		dups := make([]sparse.Vector, 8+r.Intn(16))
+		for i := range dups {
+			dups[i] = distinct[r.Intn(len(distinct))].Clone()
+		}
+		sets = append(sets, dups)
+	}
+	for si, vecs := range sets {
+		dg, err := BuildDendrogram(vecs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := Run(Agglo, vecs, k, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fromCut.K != direct.K {
-			t.Fatalf("k=%d: cut K=%d direct K=%d", k, fromCut.K, direct.K)
-		}
-		// Same partition up to label permutation: ARI — computed via
-		// the external index — must be 1.
-		if k > 1 {
-			if ari := ARI(fromCut, direct.Assign); ari < 1-1e-9 {
-				t.Errorf("k=%d: partitions differ (ARI=%v)", k, ari)
+		for k := 1; k <= len(vecs); k++ {
+			fromCut, err := dg.Cut(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := Run(Agglo, vecs, k, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameClustering(fromCut, direct); diff != "" {
+				t.Fatalf("set %d (n=%d) k=%d: %s", si, len(vecs), k, diff)
 			}
 		}
 	}

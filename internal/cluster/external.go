@@ -1,6 +1,10 @@
 package cluster
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // External cluster-quality indexes. The paper distinguishes two index
 // families ("External indexes use pre-labelled data sets with 'known'
@@ -57,23 +61,36 @@ func NMI(c *Clustering, labels []int) float64 {
 		return 0
 	}
 	table, rowSum, colSum := contingency(c, labels)
-	var mi float64
-	for key, nij := range table {
-		if nij == 0 {
-			continue
+	// Float sums run in sorted key order: map order would change the
+	// last bits from call to call.
+	cells := make([][2]int, 0, len(table))
+	for key := range table {
+		cells = append(cells, key)
+	}
+	slices.SortFunc(cells, func(a, b [2]int) int {
+		if a[0] != b[0] {
+			return cmp.Compare(a[0], b[0])
 		}
+		return cmp.Compare(a[1], b[1])
+	})
+	var mi float64
+	for _, key := range cells {
+		nij := table[key]
 		pij := float64(nij) / n
 		pi := float64(rowSum[key[0]]) / n
 		pj := float64(colSum[key[1]]) / n
 		mi += pij * math.Log(pij/(pi*pj))
 	}
 	entropy := func(sums map[int]int) float64 {
+		keys := make([]int, 0, len(sums))
+		for k := range sums {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
 		var h float64
-		for _, s := range sums {
-			if s > 0 {
-				p := float64(s) / n
-				h -= p * math.Log(p)
-			}
+		for _, k := range keys {
+			p := float64(sums[k]) / n
+			h -= p * math.Log(p)
 		}
 		return h
 	}
@@ -93,8 +110,10 @@ func ARI(c *Clustering, labels []int) float64 {
 		return 0
 	}
 	table, rowSum, colSum := contingency(c, labels)
-	choose2 := func(x int) float64 { return float64(x) * float64(x-1) / 2 }
-	var sumIJ, sumI, sumJ float64
+	// Pair counts are integers, so their sums do not depend on map
+	// order.
+	choose2 := func(x int) int { return x * (x - 1) / 2 }
+	var sumIJ, sumI, sumJ int
 	for _, nij := range table {
 		sumIJ += choose2(nij)
 	}
@@ -104,11 +123,11 @@ func ARI(c *Clustering, labels []int) float64 {
 	for _, s := range colSum {
 		sumJ += choose2(s)
 	}
-	totalPairs := choose2(n)
-	expected := sumI * sumJ / totalPairs
-	maxIndex := (sumI + sumJ) / 2
+	totalPairs := float64(choose2(n))
+	expected := float64(sumI) * float64(sumJ) / totalPairs
+	maxIndex := float64(sumI+sumJ) / 2
 	if maxIndex == expected {
 		return 0
 	}
-	return (sumIJ - expected) / (maxIndex - expected)
+	return (float64(sumIJ) - expected) / (maxIndex - expected)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -94,5 +95,24 @@ func TestExternalOrderingProperty(t *testing.T) {
 	}
 	if ARI(c, labels) < ARI(c, degraded) {
 		t.Error("ARI ordering violated")
+	}
+}
+
+// TestNMIRepeatable: NMI sums its float terms in sorted key order, so
+// repeated calls on one clustering return identical bits. Summed in map
+// order, the last bits changed from call to call.
+func TestNMIRepeatable(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	c := &Clustering{K: 7, Assign: make([]int, 300)}
+	labels := make([]int, len(c.Assign))
+	for i := range c.Assign {
+		c.Assign[i] = r.Intn(c.K)
+		labels[i] = 3 * r.Intn(11)
+	}
+	first := math.Float64bits(NMI(c, labels))
+	for call := 0; call < 200; call++ {
+		if got := math.Float64bits(NMI(c, labels)); got != first {
+			t.Fatalf("call %d: NMI bits %#x, first call %#x", call, got, first)
+		}
 	}
 }

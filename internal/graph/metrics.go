@@ -113,11 +113,11 @@ func (g *Graph) BFSDistances(src string) map[string]int {
 // ordered pairs, or 0 when no such pair exists. O(V·E); intended for
 // the small ego/co-occurrence graphs of a single term.
 func (g *Graph) AveragePathLength() float64 {
-	var total, pairs float64
+	var total, pairs int
 	for n := range g.adj {
 		for _, d := range g.BFSDistances(n) {
 			if d > 0 {
-				total += float64(d)
+				total += d
 				pairs++
 			}
 		}
@@ -125,5 +125,5 @@ func (g *Graph) AveragePathLength() float64 {
 	if pairs == 0 {
 		return 0
 	}
-	return total / pairs
+	return float64(total) / float64(pairs)
 }

@@ -55,9 +55,12 @@ func (g *Graph) Bipartition() ([]string, []string) {
 	// Refinement: greedy single-node moves (which may unbalance the
 	// split down to a floor of n/5 per side — natural clusters are
 	// rarely exactly balanced) followed by KL-style swaps.
+	// Neighbors is sorted, so the float sums do not depend on map
+	// order.
 	gain := func(v string) float64 {
 		var ext, int_ float64
-		for nb, w := range g.adj[v] {
+		for _, nb := range g.Neighbors(v) {
+			w := g.adj[v][nb]
 			if side[nb] == side[v] {
 				int_ += w
 			} else {

@@ -3,9 +3,9 @@
 // establishes by convention:
 //
 //   - nondeterminism: pipeline packages must not read ambient state
-//     (global math/rand, wall clock, environment) or emit map-ordered
-//     output, because the paper's results are reproduced by
-//     byte-identical reports for a fixed seed.
+//     (global math/rand, wall clock, environment), emit map-ordered
+//     output or sum floats in map order, because the paper's results
+//     are reproduced by byte-identical reports for a fixed seed.
 //   - context-background: internal packages must thread their caller's
 //     context.Context instead of minting context.Background(); the
 //     documented convenience wrappers are annotated, not exempted.

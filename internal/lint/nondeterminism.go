@@ -104,8 +104,9 @@ var wallClockFuncs = map[string]map[string]bool{
 // Nondeterminism enforces the seeded-determinism invariant that PR 1
 // established by hand (derived seeds, order-canonical reductions):
 // global math/rand calls anywhere in the module, wall-clock and
-// environment reads in pipeline packages, and map-range loops that
-// append to slices or write output without a subsequent sort.
+// environment reads in pipeline packages, map-range loops that
+// append to slices or write output without a subsequent sort, and
+// float sums accumulated in map-range loops.
 var Nondeterminism = &Analyzer{
 	Name: "nondeterminism",
 	Doc:  "pipeline output must be a pure function of (inputs, fixed seed)",
@@ -183,7 +184,10 @@ func calleePkgFunc(info *types.Info, call *ast.CallExpr) (string, string) {
 // iteration order is randomized per run, so unsorted accumulation is
 // exactly the nondeterminism the repo's golden report tests exist to
 // catch — this analyzer catches it at the offending line instead.
+// It also flags every float sum a map-range body accumulates, sort or
+// no sort (see floatSums).
 func checkMapRanges(p *Pass, fd *ast.FuncDecl, bodies map[types.Object]*ast.FuncDecl) {
+	reported := make(map[token.Pos]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -195,6 +199,12 @@ func checkMapRanges(p *Pass, fd *ast.FuncDecl, bodies map[types.Object]*ast.Func
 		}
 		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 			return true
+		}
+		for _, as := range floatSums(p.Pkg.Info, rs.Body) {
+			if !reported[as.Pos()] {
+				reported[as.Pos()] = true
+				p.Reportf(as.Pos(), "float sum in map iteration order in %s: float addition is not associative, so sum in sorted key order (or accumulate integers)", fd.Name.Name)
+			}
 		}
 		sink := orderSensitiveSink(p.Pkg.Info, rs.Body)
 		if sink == token.NoPos {
@@ -208,10 +218,46 @@ func checkMapRanges(p *Pass, fd *ast.FuncDecl, bodies map[types.Object]*ast.Func
 	})
 }
 
+// floatSums returns the += and -= statements inside a map-range body
+// that accumulate into a float variable or field declared outside it.
+// Float addition is not associative, so such a sum can differ in its
+// last bits from run to run, and no later sort restores it. Map and
+// slice elements are not covered: v[k] += w is usually one key's own
+// total, whose adds come in the order of an outer slice loop.
+func floatSums(info *types.Info, body *ast.BlockStmt) []*ast.AssignStmt {
+	var out []*ast.AssignStmt
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || (as.Tok != token.ADD_ASSIGN && as.Tok != token.SUB_ASSIGN) {
+			return true
+		}
+		root := as.Lhs[0]
+		for {
+			sel, ok := root.(*ast.SelectorExpr)
+			if !ok {
+				break
+			}
+			root = sel.X
+		}
+		id, ok := root.(*ast.Ident)
+		if !ok {
+			return true // an element, or a field of one
+		}
+		if obj := info.Uses[id]; obj == nil || (obj.Pos() >= body.Pos() && obj.Pos() < body.End()) {
+			return true // per-iteration: declared inside the body
+		}
+		if b, ok := info.TypeOf(as.Lhs[0]).Underlying().(*types.Basic); ok && b.Info()&types.IsFloat != 0 {
+			out = append(out, as)
+		}
+		return true
+	})
+	return out
+}
+
 // orderSensitiveSink returns the position of the first slice append or
 // stream write inside a map-range body, or NoPos. Writes into other
-// maps and commutative scalar accumulation (sums, counters) are
-// order-insensitive and deliberately not flagged.
+// maps and integer accumulation (counters) are order-insensitive and
+// deliberately not flagged; float sums are floatSums' finding.
 func orderSensitiveSink(info *types.Info, body *ast.BlockStmt) token.Pos {
 	found := token.NoPos
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -107,3 +107,43 @@ func Invert(m map[string]int) map[int]string {
 	}
 	return out
 }
+
+// TotalWeight sums floats in map order: float addition is not
+// associative, so the last bits change from run to run, and sorting
+// the keys afterwards does not undo that.
+func TotalWeight(m map[string]float64) ([]string, float64) {
+	var keys []string
+	var total float64
+	for k, w := range m {
+		keys = append(keys, k)
+		total -= w // want "float sum in map iteration order"
+	}
+	sort.Strings(keys)
+	return keys, -total
+}
+
+type stats struct{ mass float64 }
+
+// FieldSum accumulates into a float field in map order.
+func FieldSum(m map[string]float64) stats {
+	var s stats
+	for _, w := range m {
+		s.mass += w // want "float sum in map iteration order"
+	}
+	return s
+}
+
+// PerKeyTotals adds into map elements and a per-iteration local, each
+// summed in slice order — not flagged.
+func PerKeyTotals(m map[string][]float64) map[string]float64 {
+	out := make(map[string]float64, len(m))
+	for k, ws := range m {
+		var sub float64
+		for _, w := range ws {
+			sub += w
+			out[k] += w
+		}
+		out[k] -= sub / 2
+	}
+	return out
+}

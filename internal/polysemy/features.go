@@ -8,6 +8,7 @@ package polysemy
 
 import (
 	"math"
+	"sort"
 
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/sparse"
@@ -76,11 +77,18 @@ func Extract(c *corpus.Corpus, term string) Features {
 	f.Direct[2] = math.Log1p(distinct)
 
 	// Shannon entropy of the context word distribution. Polysemic
-	// terms mix several topics, spreading mass over more words.
+	// terms mix several topics, spreading mass over more words. The
+	// sum runs in sorted word order, so its bits do not depend on map
+	// order.
 	var entropy float64
 	if totalWords > 0 {
-		for _, n := range counts {
-			p := n / totalWords
+		words := make([]string, 0, len(counts))
+		for w := range counts {
+			words = append(words, w)
+		}
+		sort.Strings(words)
+		for _, w := range words {
+			p := counts[w] / totalWords
 			entropy -= p * math.Log2(p)
 		}
 	}
