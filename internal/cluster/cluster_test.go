@@ -256,7 +256,7 @@ func TestRunOneClusterMatchesAlgorithms(t *testing.T) {
 		RB:     func(u []sparse.Vector, seed int64) *Clustering { return repeatedBisection(u, 1, seed, false) },
 		RBR:    func(u []sparse.Vector, seed int64) *Clustering { return repeatedBisection(u, 1, seed, true) },
 		Agglo:  func(u []sparse.Vector, _ int64) *Clustering { return agglomerative(u, 1) },
-		Graph:  func(u []sparse.Vector, seed int64) *Clustering { return graphCluster(u, 1, seed) },
+		Graph:  func(u []sparse.Vector, _ int64) *Clustering { return graphCluster(u, similarityGraph(u), 1) },
 	}
 	for _, n := range []int{1, 2, 7, 40} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -312,6 +312,75 @@ func sameClustering(a, b *Clustering) string {
 		return "totals differ"
 	}
 	return ""
+}
+
+// TestSweepMatchesRun: for every algorithm, each clustering Sweep
+// returns equals Run at its k bit for bit, and Sweep returns exactly
+// the k values, in ascending order, at which Run honours k.
+func TestSweepMatchesRun(t *testing.T) {
+	const kmin, kmax = 1, 6
+	for _, n := range []int{1, 2, 5, 9, 30} {
+		for seed := int64(1); seed <= 6; seed++ {
+			vecs := randVecs(rand.New(rand.NewSource(seed*10+int64(n))), n)
+			for _, alg := range Algorithms {
+				swept, err := Sweep(alg, vecs, kmin, kmax, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []*Clustering
+				for k := kmin; k <= kmax && k <= n; k++ {
+					c, err := Run(alg, vecs, k, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c.K == k {
+						want = append(want, c)
+					}
+				}
+				if len(swept) != len(want) {
+					t.Fatalf("%s n=%d seed=%d: Sweep returned %d clusterings, Run honours %d k", alg, n, seed, len(swept), len(want))
+				}
+				for i, c := range swept {
+					if diff := sameClustering(c, want[i]); diff != "" {
+						t.Fatalf("%s n=%d seed=%d k=%d: %s", alg, n, seed, want[i].K, diff)
+					}
+				}
+			}
+		}
+	}
+	vecs := randVecs(rand.New(rand.NewSource(1)), 3)
+	if _, err := Sweep("bogus", vecs, 1, 2, 1); err == nil {
+		t.Error("Sweep accepted an unknown algorithm")
+	}
+	if _, err := Sweep(Direct, vecs, 3, 2, 1); err == nil {
+		t.Error("Sweep accepted an inverted range")
+	}
+}
+
+// TestBestFirstInDirection: Best takes the highest value, or for BK the
+// lowest, and the first clustering among equal values.
+func TestBestFirstInDirection(t *testing.T) {
+	vecs, _ := blobs(3, 8, 14)
+	cs, err := Sweep(Direct, vecs, KMin, KMax, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range Indexes {
+		best := ix.Best(cs)
+		for _, c := range cs {
+			v, b := ix.Value(c), ix.Value(best)
+			if (ix.Maximize() && v > b) || (!ix.Maximize() && v < b) || (v == b && c.K < best.K) {
+				t.Errorf("%s: k=%d (%v) beats the chosen k=%d (%v)", ix, c.K, v, best.K, b)
+			}
+		}
+	}
+	twice := []*Clustering{cs[0], cs[0]}
+	if AK.Best(twice) != twice[0] {
+		t.Error("Best did not keep the first of two equal clusterings")
+	}
+	if AK.Best(nil) != nil {
+		t.Error("Best of no clusterings is not nil")
+	}
 }
 
 func TestPredictKErrors(t *testing.T) {

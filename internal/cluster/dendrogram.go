@@ -1,37 +1,40 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 
 	"bioenrich/internal/sparse"
 )
 
-// Dendrogram is the full merge tree of agglomerative clustering: n−1
-// recorded merges from singletons down to one cluster. Cut(k) replays
-// the first n−k merges, so a single O(n³) build serves every k — the
-// k-sweep of PredictK costs one build instead of one run per k.
-type Dendrogram struct {
+// dendrogram is the merge tree of agglomerative clustering: the n−1
+// merges from singletons down to one cluster, in merge order. cut(k)
+// replays the first n−k merges, so one build serves every k of a
+// sweep.
+type dendrogram struct {
 	unit   []sparse.Vector
 	merges []mergeStep // in merge order
 }
 
 // mergeStep records one merge: the two current cluster representatives
-// (indices into the original objects).
+// (indices into the original objects). A < B, and A absorbs B, so a
+// cluster's representative is its lowest member.
 type mergeStep struct {
 	A, B int
 }
 
-// BuildDendrogram runs the full agglomerative process (cosine, I2
-// criterion — the same procedure as Run(Agglo, ...)) and records every
-// merge. Inputs are normalized copies; the caller's vectors are not
-// modified.
-func BuildDendrogram(vecs []sparse.Vector) (*Dendrogram, error) {
-	if len(vecs) == 0 {
-		return nil, fmt.Errorf("cluster: no vectors")
-	}
-	unit := normalizeAll(vecs)
+// buildDendrogram merges singleton clusters greedily down to one,
+// choosing at each step the merge that maximizes the resulting I2
+// criterion (equivalently, the merge with the largest
+// ‖D_a + D_b‖ − ‖D_a‖ − ‖D_b‖, i.e. the least criterion loss). This is
+// CLUTO's agglo with the i2 criterion function.
+//
+// A pairwise dot-product matrix is maintained incrementally
+// (dot(a∪b, x) = dot(a,x) + dot(b,x)), so each merge costs O(n) to
+// apply and O(n²) to choose, and the whole build O(n³) scalar work
+// instead of repeated sparse dot products.
+func buildDendrogram(unit []sparse.Vector) *dendrogram {
 	n := len(unit)
+	// dots[i][j] = D_i · D_j for live clusters.
 	dots := make([][]float64, n)
 	for i := range dots {
 		dots[i] = make([]float64, n)
@@ -49,7 +52,7 @@ func BuildDendrogram(vecs []sparse.Vector) (*Dendrogram, error) {
 		alive[i] = true
 		norms[i] = math.Sqrt(dots[i][i])
 	}
-	dg := &Dendrogram{unit: unit}
+	dg := &dendrogram{unit: unit}
 	for remaining := n; remaining > 1; remaining-- {
 		bestA, bestB := -1, -1
 		bestDelta := math.Inf(-1)
@@ -69,6 +72,7 @@ func BuildDendrogram(vecs []sparse.Vector) (*Dendrogram, error) {
 			}
 		}
 		dg.merges = append(dg.merges, mergeStep{A: bestA, B: bestB})
+		// Merge B into A: update row/column A, kill B.
 		for x := 0; x < n; x++ {
 			if !alive[x] || x == bestA || x == bestB {
 				continue
@@ -80,47 +84,32 @@ func BuildDendrogram(vecs []sparse.Vector) (*Dendrogram, error) {
 		norms[bestA] = math.Sqrt(dots[bestA][bestA])
 		alive[bestB] = false
 	}
-	return dg, nil
+	return dg
 }
 
-// N returns the number of clustered objects.
-func (d *Dendrogram) N() int { return len(d.unit) }
-
-// Cut returns the clustering with k clusters (1 ≤ k ≤ n) by replaying
-// the first n−k merges.
-func (d *Dendrogram) Cut(k int) (*Clustering, error) {
+// cut returns the clustering with k clusters (1 ≤ k ≤ n) by replaying
+// the first n−k merges. Clusters are numbered in the order of their
+// lowest members.
+func (d *dendrogram) cut(k int) *Clustering {
 	n := len(d.unit)
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("cluster: cut k=%d of %d objects", k, n)
+	absorber := make([]int, n)
+	for i := range absorber {
+		absorber[i] = i
 	}
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
+	for _, m := range d.merges[:n-k] {
+		absorber[m.B] = m.A
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for i := 0; i < n-k; i++ {
-		m := d.merges[i]
-		// The recorded representative A absorbs B.
-		parent[find(m.B)] = find(m.A)
-	}
-	// Compact root ids to 0..k-1 in first-seen order.
+	// An absorbed object's absorber has a lower index, so it is
+	// labelled first, with the label of its cluster's lowest member.
 	assign := make([]int, n)
-	idOf := map[int]int{}
-	for i := 0; i < n; i++ {
-		root := find(i)
-		id, ok := idOf[root]
-		if !ok {
-			id = len(idOf)
-			idOf[root] = id
+	clusters := 0
+	for i, a := range absorber {
+		if a == i {
+			assign[i] = clusters
+			clusters++
+		} else {
+			assign[i] = assign[a]
 		}
-		assign[i] = id
 	}
-	return newClustering(d.unit, assign, len(idOf)), nil
+	return newClustering(d.unit, assign, clusters)
 }

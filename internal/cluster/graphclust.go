@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"bioenrich/internal/graph"
 	"bioenrich/internal/sparse"
@@ -13,12 +14,10 @@ import (
 // (CLUTO's graph method similarly clusters a nearest-neighbor graph).
 const graphNeighbors = 10
 
-// graphCluster builds the cosine nearest-neighbor graph over the
-// objects and partitions it into k parts with recursive min-cut
-// bisection; parts map back to clusters. Objects that end up in excess
-// parts (the partitioner may produce fewer) are merged into the most
-// similar cluster.
-func graphCluster(unit []sparse.Vector, k int, seed int64) *Clustering {
+// similarityGraph builds the cosine nearest-neighbor graph over the
+// objects. It depends on no k, and partitioning only reads it, so a
+// sweep builds it once.
+func similarityGraph(unit []sparse.Vector) *graph.Graph {
 	n := len(unit)
 	g := graph.New()
 	ids := make([]string, n)
@@ -50,31 +49,21 @@ func graphCluster(unit []sparse.Vector, k int, seed int64) *Clustering {
 			g.SetEdge(ids[i], ids[p.j], p.sim)
 		}
 	}
+	return g
+}
+
+// graphCluster partitions the objects' similarity graph g into k parts
+// with recursive min-cut bisection; parts map back to clusters. The
+// parts hold every object once, but on degenerate graphs there may be
+// fewer than k of them, so callers treat c.K as authoritative.
+func graphCluster(unit []sparse.Vector, g *graph.Graph, k int) *Clustering {
 	parts := g.PartitionK(k)
-	assign := make([]int, n)
-	for i := range assign {
-		assign[i] = -1
-	}
+	assign := make([]int, len(unit))
 	for c, part := range parts {
 		for _, id := range part {
-			var idx int
-			fmt.Sscanf(id, "o%06d", &idx)
+			idx, _ := strconv.Atoi(id[1:]) // "o%06d"
 			assign[idx] = c
 		}
 	}
-	// Safety: any unassigned object (isolated node edge cases) joins
-	// cluster 0.
-	for i, a := range assign {
-		if a < 0 {
-			assign[i] = 0
-		}
-	}
-	got := len(parts)
-	if got == 0 {
-		got = 1
-	}
-	c := newClustering(unit, assign, got)
-	// The partitioner can return fewer parts than requested on tiny
-	// graphs; callers treat c.K as authoritative.
-	return c
+	return newClustering(unit, assign, len(parts))
 }

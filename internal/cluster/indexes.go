@@ -89,46 +89,38 @@ const (
 	KMax = 5
 )
 
-// PredictK sweeps k over [kmin, kmax], clusters with alg at each k,
-// scores each solution with the index, and returns the winning k and
-// its clustering. k values exceeding the object count are skipped; if
-// none is feasible an error is returned. An index that is neither one
-// of Indexes nor Silhouette is refused before any clustering.
-func PredictK(alg Algorithm, ix Index, vecs []sparse.Vector, kmin, kmax int, seed int64) (int, *Clustering, error) {
-	if kmin < 1 || kmax < kmin {
-		return 0, nil, fmt.Errorf("cluster: bad k range [%d,%d]", kmin, kmax)
+// Best returns the first of the clusterings with the best value of
+// the index (the highest, or for BK the lowest), or nil when there are
+// none.
+func (ix Index) Best(clusterings []*Clustering) *Clustering {
+	var best *Clustering
+	var bestVal float64
+	for _, c := range clusterings {
+		v := ix.Value(c)
+		if best == nil || (ix.Maximize() && v > bestVal) || (!ix.Maximize() && v < bestVal) {
+			best, bestVal = c, v
+		}
 	}
+	return best
+}
+
+// PredictK sweeps k over [kmin, kmax] with alg and returns the k whose
+// clustering the index selects, and that clustering. k values the
+// objects or the algorithm cannot honour are skipped; if none is
+// left an error is returned. An index that is neither one of Indexes
+// nor Silhouette is refused before any clustering.
+func PredictK(alg Algorithm, ix Index, vecs []sparse.Vector, kmin, kmax int, seed int64) (int, *Clustering, error) {
 	if !slices.Contains(Indexes, ix) && ix != Silhouette {
 		return 0, nil, fmt.Errorf("cluster: unknown index %q", ix)
 	}
-	bestK := 0
-	var bestVal float64
-	var bestClustering *Clustering
-	for k := kmin; k <= kmax; k++ {
-		if k > len(vecs) {
-			break
-		}
-		c, err := Run(alg, vecs, k, seed)
-		if err != nil {
-			return 0, nil, err
-		}
-		// Some algorithms may return fewer clusters than requested on
-		// degenerate data; score what was produced but record the
-		// requested k only when honored.
-		if c.K != k {
-			continue
-		}
-		v := ix.Value(c)
-		better := bestK == 0 ||
-			(ix.Maximize() && v > bestVal) ||
-			(!ix.Maximize() && v < bestVal)
-		if better {
-			bestK, bestVal, bestClustering = k, v, c
-		}
+	clusterings, err := Sweep(alg, vecs, kmin, kmax, seed)
+	if err != nil {
+		return 0, nil, err
 	}
-	if bestK == 0 {
+	best := ix.Best(clusterings)
+	if best == nil {
 		return 0, nil, fmt.Errorf("cluster: no feasible k in [%d,%d] for %d objects",
 			kmin, kmax, len(vecs))
 	}
-	return bestK, bestClustering, nil
+	return best.K, best, nil
 }

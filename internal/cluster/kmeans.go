@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"bioenrich/internal/graph"
 	"bioenrich/internal/sparse"
 )
 
@@ -39,24 +40,77 @@ func Run(alg Algorithm, vecs []sparse.Vector, k int, seed int64) (*Clustering, e
 	if k > len(vecs) {
 		return nil, fmt.Errorf("cluster: k=%d exceeds %d objects", k, len(vecs))
 	}
+	s, err := newSweep(alg, vecs, seed)
+	if err != nil {
+		return nil, err
+	}
+	return s.at(k), nil
+}
+
+// Sweep clusters vecs with alg at every k from kmin to kmax that does
+// not exceed the number of objects, and returns in ascending k the
+// clusterings that honour their k: on degenerate data an algorithm may
+// return fewer clusters than asked for, and that k is left out. Each
+// clustering equals Run(alg, vecs, k, seed) bit for bit. The vectors
+// are normalized once, and the work every k shares is done once:
+// agglo's merge tree and graph's similarity graph.
+func Sweep(alg Algorithm, vecs []sparse.Vector, kmin, kmax int, seed int64) ([]*Clustering, error) {
+	if kmin < 1 || kmax < kmin {
+		return nil, fmt.Errorf("cluster: bad k range [%d,%d]", kmin, kmax)
+	}
+	s, err := newSweep(alg, vecs, seed)
+	if err != nil {
+		return nil, err
+	}
+	var out []*Clustering
+	for k := kmin; k <= kmax && k <= len(vecs); k++ {
+		if c := s.at(k); c.K == k {
+			out = append(out, c)
+		}
+	}
+	return out, nil
+}
+
+// sweep clusters one set of unit vectors at any k. It builds what
+// several k share on first use, and its clusterings share the vectors.
+type sweep struct {
+	alg  Algorithm
+	unit []sparse.Vector
+	seed int64
+	tree *dendrogram  // agglo
+	sim  *graph.Graph // graph
+}
+
+// newSweep refuses an algorithm outside Algorithms before any work.
+func newSweep(alg Algorithm, vecs []sparse.Vector, seed int64) (*sweep, error) {
 	if !slices.Contains(Algorithms, alg) {
 		return nil, fmt.Errorf("cluster: unknown algorithm %q", alg)
 	}
-	unit := normalizeAll(vecs)
+	return &sweep{alg: alg, unit: normalizeAll(vecs), seed: seed}, nil
+}
+
+// at clusters the vectors into k clusters, 1 ≤ k ≤ len(s.unit).
+func (s *sweep) at(k int) *Clustering {
 	if k == 1 {
-		return newClustering(unit, make([]int, len(unit)), 1), nil
+		return newClustering(s.unit, make([]int, len(s.unit)), 1)
 	}
-	switch alg {
+	switch s.alg {
 	case Direct:
-		return kmeans(unit, k, seed, 30), nil
+		return kmeans(s.unit, k, s.seed, 30)
 	case RB:
-		return repeatedBisection(unit, k, seed, false), nil
+		return repeatedBisection(s.unit, k, s.seed, false)
 	case RBR:
-		return repeatedBisection(unit, k, seed, true), nil
+		return repeatedBisection(s.unit, k, s.seed, true)
 	case Agglo:
-		return agglomerative(unit, k), nil
+		if s.tree == nil {
+			s.tree = buildDendrogram(s.unit)
+		}
+		return s.tree.cut(k)
 	default: // Graph
-		return graphCluster(unit, k, seed), nil
+		if s.sim == nil {
+			s.sim = similarityGraph(s.unit)
+		}
+		return graphCluster(s.unit, s.sim, k)
 	}
 }
 

@@ -93,24 +93,19 @@ func Table2(trueK int, seed int64) ([]Table2Row, error) {
 	opts.TopicShare = 0.95 // almost no background noise
 	ds := generateWithK(opts, trueK)
 	vecs := senseind.Vectorize(ds.Entities[0].Contexts, senseind.BagOfWords)
-
+	swept, err := cluster.Sweep(cluster.Direct, vecs, cluster.KMin, cluster.KMax, seed)
+	if err != nil {
+		return nil, err
+	}
+	if len(swept) == 0 {
+		return nil, fmt.Errorf("experiments: table 2: no k in [%d,%d] for %d contexts", cluster.KMin, cluster.KMax, len(vecs))
+	}
 	var rows []Table2Row
 	for _, ix := range cluster.Indexes {
-		row := Table2Row{Index: ix, Values: map[int]float64{}, TrueK: trueK}
-		bestK := 0
-		var bestVal float64
-		for k := cluster.KMin; k <= cluster.KMax; k++ {
-			c, err := cluster.Run(cluster.Direct, vecs, k, seed)
-			if err != nil {
-				return nil, err
-			}
-			v := ix.Value(c)
-			row.Values[k] = v
-			if bestK == 0 || (ix.Maximize() && v > bestVal) || (!ix.Maximize() && v < bestVal) {
-				bestK, bestVal = k, v
-			}
+		row := Table2Row{Index: ix, Values: map[int]float64{}, Selected: ix.Best(swept).K, TrueK: trueK}
+		for _, c := range swept {
+			row.Values[c.K] = ix.Value(c)
 		}
-		row.Selected = bestK
 		rows = append(rows, row)
 	}
 	return rows, nil

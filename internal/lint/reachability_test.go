@@ -18,7 +18,6 @@ import (
 var reachabilityKeeps = map[string]string{
 	"bioenrich/internal/cluster.Clustering.I2":       "TestAggloExactKAndI2 and TestRBRAtLeastAsGoodAsRB compare the clustering algorithms by the I2 criterion they optimise",
 	"bioenrich/internal/cluster.Clustering.Validate": "the cluster tests check every algorithm's output is a well-formed partition",
-	"bioenrich/internal/cluster.Dendrogram.N":        "TestDendrogramCutBounds bounds Cut by the number of clustered objects",
 	"bioenrich/internal/corpus.Corpus.Vocabulary":    "the corpus round-trip, rebuild and JSONL tests compare index sizes",
 	"bioenrich/internal/lint.Load":                   "the analyzer golden tests and this scan load packages serially",
 	"bioenrich/internal/lint.Run":                    "the analyzer tests run one analyzer serially",

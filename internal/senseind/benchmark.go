@@ -29,14 +29,14 @@ func (g GridCell) String() string {
 // sorted by accuracy (best first). This regenerates the paper's §3(i)
 // result table ("bag-of-words and graph representations obtain similar
 // accuracy values ... maximum 93.1% by max(fk)").
-// The clusterings for a given (algorithm, representation, entity, k)
-// do not depend on the index, so each is computed once and scored by
-// every index — a |indexes|× saving over naive per-cell evaluation.
+// Each entity is vectorized once per representation and swept once per
+// algorithm (cluster.Sweep, k = KMin..KMax); every index then selects
+// its k from that one sweep, since the clusterings do not depend on
+// the index.
 func EvaluateGrid(ds *synth.WSDDataset, algorithms []cluster.Algorithm,
 	indexes []cluster.Index, reps []Representation, seed int64) ([]GridCell, error) {
 	var cells []GridCell
 	for _, rep := range reps {
-		// Vectorize every entity once per representation.
 		type entityVectors struct {
 			vecs  []sparse.Vector
 			trueK int
@@ -48,46 +48,12 @@ func EvaluateGrid(ds *synth.WSDDataset, algorithms []cluster.Algorithm,
 		for _, alg := range algorithms {
 			correct := make(map[cluster.Index]int, len(indexes))
 			for _, ev := range entityVecs {
-				best := make(map[cluster.Index]int, len(indexes))
-				bestVal := make(map[cluster.Index]float64, len(indexes))
-				// Agglomerative clusterings for all k come from one
-				// dendrogram build instead of one run per k.
-				var dg *cluster.Dendrogram
-				if alg == cluster.Agglo {
-					var err error
-					if dg, err = cluster.BuildDendrogram(ev.vecs); err != nil {
-						return nil, fmt.Errorf("senseind: grid agglo/%s: %w", rep, err)
-					}
-				}
-				for k := cluster.KMin; k <= cluster.KMax; k++ {
-					if k > len(ev.vecs) {
-						break
-					}
-					var c *cluster.Clustering
-					var err error
-					if dg != nil {
-						c, err = dg.Cut(k)
-					} else {
-						c, err = cluster.Run(alg, ev.vecs, k, seed)
-					}
-					if err != nil {
-						return nil, fmt.Errorf("senseind: grid %s/%s k=%d: %w", alg, rep, k, err)
-					}
-					if c.K != k {
-						continue
-					}
-					for _, ix := range indexes {
-						v := ix.Value(c)
-						_, seen := best[ix]
-						if !seen ||
-							(ix.Maximize() && v > bestVal[ix]) ||
-							(!ix.Maximize() && v < bestVal[ix]) {
-							best[ix], bestVal[ix] = k, v
-						}
-					}
+				swept, err := cluster.Sweep(alg, ev.vecs, cluster.KMin, cluster.KMax, seed)
+				if err != nil {
+					return nil, fmt.Errorf("senseind: grid %s/%s: %w", alg, rep, err)
 				}
 				for _, ix := range indexes {
-					if best[ix] == ev.trueK {
+					if best := ix.Best(swept); best != nil && best.K == ev.trueK {
 						correct[ix]++
 					}
 				}
