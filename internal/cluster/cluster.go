@@ -48,11 +48,19 @@ func (c *Clustering) recompute() {
 		c.comp[i] = sparse.New(16)
 	}
 	c.sizes = make([]int, c.K)
-	c.total = sparse.New(16)
 	for i, v := range c.vecs {
 		a := c.Assign[i]
 		c.comp[a].Add(v)
 		c.sizes[a]++
+	}
+	if c.K == 1 {
+		// The one composite is the total: the same adds in the same
+		// order. Neither is modified once built.
+		c.total = c.comp[0]
+		return
+	}
+	c.total = sparse.New(16)
+	for _, v := range c.vecs {
 		c.total.Add(v)
 	}
 }
@@ -113,12 +121,6 @@ func (c *Clustering) I2() float64 {
 		sum += math.Sqrt(c.comp[i].Dot(c.comp[i]))
 	}
 	return sum
-}
-
-// TopFeatures returns the n highest-weight features of cluster i's
-// centroid — the induced "concept" label of step III.
-func (c *Clustering) TopFeatures(i, n int) []sparse.Entry {
-	return c.Centroid(i).Top(n)
 }
 
 // Validate checks the partition invariants (every assignment in range,

@@ -406,12 +406,12 @@ func TestTopFeatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = labels
-	top := c.TopFeatures(0, 3)
+	top := c.Centroid(0).Top(3)
 	if len(top) != 3 {
-		t.Fatalf("TopFeatures = %v", top)
+		t.Fatalf("Centroid(0).Top(3) = %v", top)
 	}
 	if top[0].Weight < top[1].Weight {
-		t.Error("TopFeatures not sorted")
+		t.Error("Centroid(0).Top(3) not sorted")
 	}
 }
 

@@ -175,12 +175,14 @@ func (in *Inducer) checkRepresentation() error {
 func resultFrom(term string, cl *cluster.Clustering) *Result {
 	res := &Result{Term: term, K: cl.K}
 	for i := 0; i < cl.K; i++ {
+		// Top copies the entries it returns, so the centroid is
+		// normalized in place after its top features are read.
+		cen := cl.Centroid(i)
 		res.Senses = append(res.Senses, Sense{
 			ID:       i,
 			Size:     cl.Size(i),
-			Features: cl.TopFeatures(i, TopFeaturesPerSense),
+			Features: cen.Top(TopFeaturesPerSense),
 		})
-		cen := cl.Centroid(i)
 		cen.Normalize()
 		res.centroids = append(res.centroids, cen)
 	}
@@ -218,13 +220,27 @@ func Vectorize(contexts [][]string, rep Representation) []sparse.Vector {
 			}
 		}
 	}
+	// Each distinct word's weighted neighbours, in Neighbors' sorted
+	// order, are read once, on the word's first use.
+	type edge struct {
+		nb string
+		w  float64
+	}
+	adj := make(map[string][]edge)
 	out := make([]sparse.Vector, len(contexts))
 	for i, ctx := range contexts {
 		v := sparse.New(64)
 		for _, w := range ctx {
 			v[w]++ // keep first-order signal
-			for _, nb := range g.Neighbors(w) {
-				v[nb] += g.Weight(w, nb)
+			edges, ok := adj[w]
+			if !ok {
+				for _, nb := range g.Neighbors(w) {
+					edges = append(edges, edge{nb, g.Weight(w, nb)})
+				}
+				adj[w] = edges
+			}
+			for _, e := range edges {
+				v[e.nb] += e.w
 			}
 		}
 		v.Normalize()
