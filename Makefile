@@ -76,8 +76,9 @@ lint-bench:
 # the bit-identity to Cosine of Cosines, which step IV relies on, and
 # of InvertedCosines, which classify relies on, the corpus clones'
 # shared arrays, which every ingest relies on, and step IV's
-# per-document neighbour scan against the per-occurrence one. CI runs
-# the same smoke lane; longer local sessions just raise -fuzztime.
+# per-document neighbour scan against the per-occurrence one. CI's
+# fuzz-smoke job runs this target, so this is the one list of fuzz
+# targets; longer local sessions just raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzTokenize' -fuzztime 10s ./internal/textutil
 	$(GO) test -fuzz 'FuzzCanonicalKeys' -fuzztime 10s ./internal/textutil
