@@ -97,9 +97,6 @@ func Table2(trueK int, seed int64) ([]Table2Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(swept) == 0 {
-		return nil, fmt.Errorf("experiments: table 2: no k in [%d,%d] for %d contexts", cluster.KMin, cluster.KMax, len(vecs))
-	}
 	var rows []Table2Row
 	for _, ix := range cluster.Indexes {
 		row := Table2Row{Index: ix, Values: map[int]float64{}, Selected: ix.Best(swept).K, TrueK: trueK}
