@@ -4,7 +4,7 @@
 #   make test     plain test run (what CI's quick loop wants)
 #   make lint     in-repo analyzers (cmd/biolint): determinism/context/obs/lock/snapshot/goroutine/envelope/metric invariants
 #   make lint-bench   serial-vs-parallel lint driver wall-clock -> LINTBENCH_<timestamp>.txt
-#   make fuzz-smoke   10s native-fuzz passes over the tokenizer, canonical keys, batched and inverted cosines, corpus reader, clone lineages, step IV's neighbour scan and WAL
+#   make fuzz-smoke   10s native-fuzz passes over the tokenizer, canonical keys, batched and inverted cosines, corpus reader, clone lineages, step III's flat rows, step IV's neighbour scan and WAL
 #   make bench    full benchmark sweep -> BENCH_<timestamp>.json
 #   make bench-enricher   perfbench's enrich job in process (small/top3) and the worker-pool speedup pair
 #   make perf-smoke   short read + enrich runs of the repository benchmark (perfbench/)
@@ -75,8 +75,10 @@ lint-bench:
 # canonical-key invariant the stopword and ontology lookups rely on,
 # the bit-identity to Cosine of Cosines, which step IV relies on, and
 # of InvertedCosines, which classify relies on, the corpus clones'
-# shared arrays, which every ingest relies on, and step IV's
-# per-document neighbour scan against the per-occurrence one. CI's
+# shared arrays, which every ingest relies on, step III's flat rows
+# against the map-building vectors and k = 1 clustering they replaced,
+# and step IV's per-document neighbour scan against the per-occurrence
+# one. CI's
 # fuzz-smoke job runs this target, so this is the one list of fuzz
 # targets; longer local sessions just raise -fuzztime.
 fuzz-smoke:
@@ -86,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzInvertedCosines' -fuzztime 10s ./internal/sparse
 	$(GO) test -fuzz 'FuzzReadJSONL' -fuzztime 10s ./internal/corpus
 	$(GO) test -fuzz 'FuzzCloneLineages' -fuzztime 10s ./internal/corpus
+	$(GO) test -fuzz 'FuzzVectorize' -fuzztime 10s ./internal/senseind
 	$(GO) test -fuzz 'FuzzMeshNeighbors' -fuzztime 10s ./internal/linkage
 	$(GO) test -fuzz 'FuzzWALReplay' -fuzztime 10s ./internal/storage
 

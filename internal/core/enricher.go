@@ -327,9 +327,10 @@ type stepSpans struct {
 // one pre-selected candidate, writing the outcome in place. Safe to
 // call concurrently for distinct candidates: it only reads the corpus,
 // ontology and detector, and the linker's cache is concurrency-safe.
-// Cancellation is checked at every step boundary (and inside steps III
-// and IV via their context-aware entry points); a cancelled candidate
-// is abandoned where it stands — the caller discards the whole report.
+// Cancellation is checked at every step boundary, between step III's
+// harvest and its vectorization, and inside step IV via its
+// context-aware entry point; a cancelled candidate is abandoned where
+// it stands — the caller discards the whole report.
 func (e *Enricher) enrichCandidate(ctx context.Context, cand *Candidate, linker *linkage.Linker, inducer *senseind.Inducer, slot int64, spans stepSpans) {
 	timed := spans.s2 != nil
 	var t0 time.Time
@@ -351,11 +352,20 @@ func (e *Enricher) enrichCandidate(ctx context.Context, cand *Candidate, linker 
 	}
 
 	// Step III: sense induction (k = 1 for monosemic candidates). The
-	// seed derives from the candidate's report slot so the clustering
-	// outcome is a pure function of the slot, independent of which
-	// worker picks the candidate up and in what order.
-	if senses, err := inducer.WithSeed(baseSeed+slot).InduceContext(ctx, e.c, cand.Term, cand.Polysemic); err == nil {
-		cand.Senses = senses
+	// candidate's contexts are harvested once, at the window steps III
+	// and IV share, and step IV reuses them. The seed derives from the
+	// candidate's report slot so the clustering outcome is a pure
+	// function of the slot, independent of which worker picks the
+	// candidate up and in what order.
+	contexts := e.c.Contexts(cand.Term, linkage.ContextWindow)
+	if ctx.Err() == nil {
+		words := make([][]string, len(contexts))
+		for i, cw := range contexts {
+			words[i] = cw.Words
+		}
+		if senses, err := inducer.WithSeed(baseSeed+slot).InduceFromContexts(cand.Term, words, cand.Polysemic); err == nil {
+			cand.Senses = senses
+		}
 	}
 	if timed {
 		t1 := obs.Now()
@@ -367,7 +377,7 @@ func (e *Enricher) enrichCandidate(ctx context.Context, cand *Candidate, linker 
 	}
 
 	// Step IV: position proposals.
-	if props, err := linker.ProposeContext(ctx, cand.Term, topPositions); err == nil {
+	if props, err := linker.ProposeContext(ctx, cand.Term, contexts, topPositions); err == nil {
 		cand.Positions = props
 	}
 	if timed {

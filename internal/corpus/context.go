@@ -21,14 +21,23 @@ type Context struct {
 // Contexts returns the content-word windows (window tokens on each
 // side) around every occurrence of term. The term's own words are
 // excluded from the window; stopwords and numerics are filtered.
+//
+// Every window's words sit in one array sized for the longest windows
+// the occurrences can have (2×window words each), and each Words is
+// cut to its own length and capacity, so appending to one window
+// copies it instead of overwriting the next.
 func (c *Corpus) Contexts(term string, window int) []Context {
-	var out []Context
-	c.scanContexts(term, window,
-		func(p Posting) { out = append(out, Context{Doc: p.Doc, Pos: p.Pos}) },
-		func(w string) {
-			last := &out[len(out)-1]
-			last.Words = append(last.Words, w)
-		})
+	c.ensureBuilt()
+	words := strings.Fields(textutil.NormalizeTerm(term))
+	occs := c.occurrences(words)
+	out := make([]Context, len(occs))
+	all := make([]string, 0, 2*max(window, 0)*len(occs))
+	add := func(w string) { all = append(all, w) }
+	for i, p := range occs {
+		lo := len(all)
+		c.eachWindowWord(words, p, window, add)
+		out[i] = Context{Doc: p.Doc, Pos: p.Pos, Words: all[lo:len(all):len(all)]}
+	}
 	return out
 }
 
@@ -48,37 +57,33 @@ func (c *Corpus) ContextVector(term string, window int) sparse.Vector {
 // its own store, and the scan allocates the same however often the
 // term occurs.
 func (c *Corpus) EachContextWord(term string, window int, word func(string)) {
-	c.scanContexts(term, window, nil, word)
-}
-
-// scanContexts is the one window scan behind Contexts and
-// EachContextWord. For every occurrence of term, in posting order, it
-// calls occurrence (when non-nil) and then word for each content word
-// of the window around it, in position order: window tokens on each
-// side, the term's own words excluded, one-letter tokens, numerics and
-// stopwords filtered. Corpus tokens are canonical, so the stopword
-// test is a plain lookup.
-func (c *Corpus) scanContexts(term string, window int, occurrence func(Posting), word func(string)) {
 	c.ensureBuilt()
 	words := strings.Fields(textutil.NormalizeTerm(term))
 	for _, p := range c.occurrences(words) {
-		if occurrence != nil {
-			occurrence(p)
+		c.eachWindowWord(words, p, window, word)
+	}
+}
+
+// eachWindowWord is the one window scan behind Contexts and
+// EachContextWord: it calls word for each content word of the window
+// around the occurrence at p of the term spelled by words, in position
+// order: window tokens on each side, the term's own words excluded,
+// one-letter tokens, numerics and stopwords filtered. Corpus tokens
+// are canonical, so the stopword test is a plain lookup.
+func (c *Corpus) eachWindowWord(words []string, p Posting, window int, word func(string)) {
+	toks := c.tokens[p.Doc]
+	start, end := int(p.Pos), int(p.Pos)+len(words)
+	lo, hi := max(start-window, 0), min(end+window, len(toks))
+	for i := lo; i < hi; i++ {
+		if i >= start && i < end {
+			continue // the term itself
 		}
-		toks := c.tokens[p.Doc]
-		start, end := int(p.Pos), int(p.Pos)+len(words)
-		lo, hi := max(start-window, 0), min(end+window, len(toks))
-		for i := lo; i < hi; i++ {
-			if i >= start && i < end {
-				continue // the term itself
-			}
-			w := toks[i]
-			if len(w) < 2 || slices.Contains(words, w) ||
-				textutil.IsNumeric(w) || textutil.IsStopword(w, c.lang) {
-				continue
-			}
-			word(w)
+		w := toks[i]
+		if len(w) < 2 || slices.Contains(words, w) ||
+			textutil.IsNumeric(w) || textutil.IsStopword(w, c.lang) {
+			continue
 		}
+		word(w)
 	}
 }
 

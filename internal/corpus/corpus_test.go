@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bioenrich/internal/sparse"
@@ -89,6 +90,30 @@ func TestContexts(t *testing.T) {
 				t.Errorf("stopword %q in context", w)
 			}
 		}
+	}
+}
+
+// TestContextsShareOneArray: every window's words come from one
+// array, so each Words is capped at its own length: appending to one
+// window copies it and leaves the next window's words intact.
+func TestContextsShareOneArray(t *testing.T) {
+	c := buildTestCorpus()
+	ctxs := c.Contexts("corneal injury", 5)
+	if len(ctxs) < 2 || len(ctxs[0].Words) == 0 || len(ctxs[1].Words) == 0 {
+		t.Fatalf("fixture gives %d contexts, want two non-empty ones first", len(ctxs))
+	}
+	next := slices.Clone(ctxs[1].Words)
+	for i := range ctxs {
+		if cap(ctxs[i].Words) != len(ctxs[i].Words) {
+			t.Errorf("window %d: cap %d, len %d", i, cap(ctxs[i].Words), len(ctxs[i].Words))
+		}
+	}
+	grown := append(ctxs[0].Words, "appended")
+	if !slices.Equal(ctxs[1].Words, next) {
+		t.Errorf("appending to window 0 changed window 1: %q, was %q", ctxs[1].Words, next)
+	}
+	if grown[len(grown)-1] != "appended" {
+		t.Error("append lost its word")
 	}
 }
 

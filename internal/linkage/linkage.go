@@ -78,10 +78,11 @@ func DefaultOptions() Options {
 // and the context-vector cache below is guarded. Candidates processed
 // in the same run share MeSH neighbors (and those neighbors' fathers
 // and sons), so caching each pool term's aggregated context vector
-// turns repeated corpus scans into map hits. The cache is valid as
-// long as the corpus is not rebuilt, and the term prefixes as long as
-// the ontology gains or loses no term; build a fresh Linker after
-// either changes.
+// turns repeated corpus scans into map hits. The cache holds pool
+// terms only: a candidate's vector is summed from the contexts its
+// caller harvests. The cache is valid as long as the corpus is not
+// rebuilt, and the term prefixes as long as the ontology gains or
+// loses no term; build a fresh Linker after either changes.
 type Linker struct {
 	c    *corpus.Corpus
 	o    *ontology.Ontology
@@ -93,8 +94,8 @@ type Linker struct {
 	terms    []string
 	prefixes map[string]int32
 
-	// vecs caches term → termVec (the aggregated context vector at
-	// ContextWindow, with its norm). Cached vectors are shared and
+	// vecs caches pool term → termVec (the aggregated context vector
+	// at ContextWindow, with its norm). Cached vectors are shared and
 	// must be treated as read-only.
 	vecs sync.Map
 
@@ -121,8 +122,8 @@ type termVec struct {
 	norm float64
 }
 
-// contextVector returns the term's aggregated context vector and its
-// norm, reading the corpus at most once per term for the Linker's
+// contextVector returns a pool term's aggregated context vector and
+// its norm, reading the corpus at most once per term for the Linker's
 // lifetime. Empty vectors (terms absent from the corpus) are cached
 // too — they are the common case for ontology leaves and just as
 // expensive to recompute.
@@ -138,30 +139,41 @@ func (l *Linker) contextVector(term string) termVec {
 }
 
 // Propose returns the top-N position proposals for a candidate term,
-// best first. The candidate must occur in the corpus. Propose is
-// ProposeContext with context.Background(): it cannot be cancelled.
+// best first. The candidate must occur in the corpus. Propose harvests
+// the candidate's contexts and calls ProposeContext with
+// context.Background(): it cannot be cancelled.
 func (l *Linker) Propose(candidate string, topN int) ([]Proposal, error) {
 	//biolint:allow context-background documented uncancellable convenience wrapper
-	return l.ProposeContext(context.Background(), candidate, topN)
+	return l.ProposeContext(context.Background(), candidate, l.c.Contexts(candidate, ContextWindow), topN)
 }
 
-// ProposeContext is Propose with cooperative cancellation: the
-// context is checked on entry, per document holding the candidate
-// while scanning for neighbors, and per pool term while ranking — the
-// two loops whose cost grows with the corpus. A cancelled call
-// returns ctx's error (errors.Is-compatible with context.Canceled /
-// DeadlineExceeded).
-func (l *Linker) ProposeContext(ctx context.Context, candidate string, topN int) ([]Proposal, error) {
+// ProposeContext is Propose over the candidate's contexts as the
+// caller harvested them, Contexts(candidate, ContextWindow) on the
+// Linker's corpus, so a caller that also induces the candidate's
+// senses scans its windows once for both steps. The candidate's
+// context vector is the sum of the windows' word counts, and the
+// neighbour scan visits the windows' occurrences. Cancellation is
+// cooperative: the context is checked on entry, per document holding
+// the candidate while scanning for neighbors, and per pool term while
+// ranking — the two loops whose cost grows with the corpus. A
+// cancelled call returns ctx's error (errors.Is-compatible with
+// context.Canceled / DeadlineExceeded).
+func (l *Linker) ProposeContext(ctx context.Context, candidate string, contexts []corpus.Context, topN int) ([]Proposal, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("linkage: propose %q: %w", candidate, err)
 	}
 	cand := textutil.NormalizeTerm(candidate)
-	candVec := l.contextVector(cand).vec
+	candVec := sparse.New(64)
+	for _, cw := range contexts {
+		for _, w := range cw.Words {
+			candVec[w]++
+		}
+	}
 	if len(candVec) == 0 {
 		return nil, fmt.Errorf("linkage: candidate %q has no corpus contexts", candidate)
 	}
 
-	neighbors, err := l.meshNeighbors(ctx, cand)
+	neighbors, err := l.meshNeighbors(ctx, cand, contexts)
 	if err != nil {
 		return nil, fmt.Errorf("linkage: propose %q: %w", candidate, err)
 	}
@@ -245,7 +257,8 @@ func (l *Linker) ProposeContext(ctx context.Context, candidate string, topN int)
 // candidate within the co-occurrence window, most frequent first,
 // capped at maxNeighbors: a term counts once for every occurrence
 // whose ±cooccurWindow region holds it as a gram of at most
-// maxGramWords tokens, and the candidate never counts itself.
+// maxGramWords tokens, and the candidate never counts itself. The
+// occurrences are those of the candidate's contexts, in posting order.
 //
 // Each document holding the candidate is visited once. Its
 // occurrences' regions are merged into runs, and every gram in a run
@@ -255,7 +268,7 @@ func (l *Linker) ProposeContext(ctx context.Context, candidate string, topN int)
 // occurrence, counting the distinct terms that lie wholly inside its
 // region, so an occurrence costs its own region even in a long
 // document. The context is checked once per document.
-func (l *Linker) meshNeighbors(ctx context.Context, cand string) ([]string, error) {
+func (l *Linker) meshNeighbors(ctx context.Context, cand string, occs []corpus.Context) ([]string, error) {
 	candWords := len(strings.Fields(cand))
 	skip := int32(-1) // the candidate's index in l.terms, if it is a term
 	if id, ok := l.prefixes[cand]; ok {
@@ -268,7 +281,6 @@ func (l *Linker) meshNeighbors(ctx context.Context, cand string) ([]string, erro
 		gram    []byte
 		seq     int // occurrences so far, across documents
 	)
-	occs := l.c.Occurrences(cand)
 	for len(occs) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -280,7 +292,7 @@ func (l *Linker) meshNeighbors(ctx context.Context, cand string) ([]string, erro
 		docOccs := occs[:inDoc]
 		occs = occs[inDoc:]
 		toks := l.c.Tokens(int(docOccs[0].Doc))
-		region := func(p corpus.Posting) (lo, hi int) {
+		region := func(p corpus.Context) (lo, hi int) {
 			return max(int(p.Pos)-cooccurWindow, 0), min(int(p.Pos)+candWords+cooccurWindow, len(toks))
 		}
 

@@ -1,10 +1,16 @@
 package linkage
 
 import (
+	"context"
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/ontology"
+	"bioenrich/internal/sparse"
 	"bioenrich/internal/synth"
 	"bioenrich/internal/textutil"
 )
@@ -199,5 +205,111 @@ func TestEndToEndOnSyntheticMesh(t *testing.T) {
 	}
 	if res.PrecisionAt[10] == 0 {
 		t.Error("P@10 = 0 on synthetic mesh")
+	}
+}
+
+// proposeReference is ProposeContext as it was before it took the
+// candidate's contexts from its caller: the candidate's vector is its
+// ContextVector, its neighbours come from the per-occurrence scan and
+// each pool term is scored with Cosine.
+func proposeReference(c *corpus.Corpus, o *ontology.Ontology, opts Options, candidate string, topN int) ([]Proposal, error) {
+	cand := textutil.NormalizeTerm(candidate)
+	candVec := c.ContextVector(cand, ContextWindow)
+	if len(candVec) == 0 {
+		return nil, fmt.Errorf("linkage: candidate %q has no corpus contexts", candidate)
+	}
+	neighbors := scanPerOccurrence(c, o, cand)
+	if len(neighbors) == 0 {
+		return nil, fmt.Errorf("linkage: candidate %q co-occurs with no ontology term", candidate)
+	}
+	pool := make(map[string]Proposal)
+	add := func(id ontology.ConceptID, rel Relation) {
+		for _, t := range o.Concept(id).Terms() {
+			if _, ok := pool[t]; !ok && t != cand {
+				pool[t] = Proposal{Where: t, Concept: id, Relation: rel}
+			}
+		}
+	}
+	for _, nb := range neighbors {
+		for _, id := range o.ConceptsForTerm(nb) {
+			add(id, Neighbor)
+			for _, p := range o.Concept(id).Parents {
+				if opts.ExpandFathers {
+					add(p, Father)
+				}
+			}
+			for _, ch := range o.Concept(id).Children {
+				if opts.ExpandSons {
+					add(ch, Son)
+				}
+			}
+		}
+	}
+	props := make([]Proposal, 0, len(pool))
+	for t, p := range pool {
+		if v := c.ContextVector(t, ContextWindow); len(v) > 0 {
+			p.Cosine = candVec.Cosine(v)
+			props = append(props, p)
+		}
+	}
+	sort.Slice(props, func(i, j int) bool {
+		if props[i].Cosine != props[j].Cosine {
+			return props[i].Cosine > props[j].Cosine
+		}
+		return props[i].Where < props[j].Where
+	})
+	if topN > 0 && topN < len(props) {
+		props = props[:topN]
+	}
+	return props, nil
+}
+
+// TestProposeFromHarvestMatchesReference: the harvest a caller hands
+// ProposeContext counts, summed, exactly the candidate's
+// ContextVector, and ProposeContext proposes what the reference does
+// (or fails with its error) for one-word, multi-word, ontology-term,
+// absent candidates and one whose windows hold no content word.
+func TestProposeFromHarvestMatchesReference(t *testing.T) {
+	o, c := fixture()
+	c = c.Clone()
+	c.AppendBuild([]corpus.Document{{ID: "9", Text: "It was the zzz of 12 and 34."}})
+	if n := len(c.Contexts("zzz", ContextWindow)); n != 1 {
+		t.Fatalf("zzz has %d contexts, want 1", n)
+	}
+	reduced := synth.HoldOut(o, "corneal injuries")
+	proposed := 0
+	for _, cand := range []string{
+		"corneal injuries", "Corneal  Injuries", "corneal", "epithelium scarring", "membrane grafts",
+		"eye injuries", "bone fracture", "zzz", "nonexistent term",
+	} {
+		contexts := c.Contexts(cand, ContextWindow)
+		sum := sparse.New(0)
+		for _, cw := range contexts {
+			for _, w := range cw.Words {
+				sum[w]++
+			}
+		}
+		vec := c.ContextVector(cand, ContextWindow)
+		if len(sum) != len(vec) {
+			t.Fatalf("%q: harvest counts %v, ContextVector %v", cand, sum, vec)
+		}
+		for w, n := range vec {
+			if math.Float64bits(sum[w]) != math.Float64bits(n) {
+				t.Fatalf("%q: harvest counts %q %v times, ContextVector %v", cand, w, sum[w], n)
+			}
+		}
+		for _, opts := range []Options{DefaultOptions(), {}} {
+			got, err := New(c, reduced, opts).ProposeContext(context.Background(), cand, contexts, 10)
+			want, wantErr := proposeReference(c, reduced, opts, cand, 10)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q %+v: ProposeContext = %v, %v; reference %v, %v", cand, opts, got, err, want, wantErr)
+			}
+			if len(got) > 1 {
+				proposed++
+			}
+		}
+	}
+	if proposed < 10 {
+		t.Errorf("%d of 18 proposal lists hold more than one position, want 10 or more", proposed)
 	}
 }

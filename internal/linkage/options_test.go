@@ -34,7 +34,7 @@ func TestProposeContextCancelled(t *testing.T) {
 	l := New(c, reduced, DefaultOptions())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	props, err := l.ProposeContext(ctx, "corneal injuries", 10)
+	props, err := l.ProposeContext(ctx, "corneal injuries", c.Contexts("corneal injuries", ContextWindow), 10)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -47,7 +47,7 @@ func TestProposeContextCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := l.ProposeContext(context.Background(), "corneal injuries", 10)
+	got, err := l.ProposeContext(context.Background(), "corneal injuries", c.Contexts("corneal injuries", ContextWindow), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,8 @@ func TestProposeContextCancelledMidScan(t *testing.T) {
 	const plenty = 1000
 	ctx := &errAfter{Context: context.Background()}
 	ctx.budget.Store(plenty)
-	if _, err := l.meshNeighbors(ctx, cand); err != nil {
+	contexts := c.Contexts(cand, ContextWindow)
+	if _, err := l.meshNeighbors(ctx, cand, contexts); err != nil {
 		t.Fatal(err)
 	}
 	if checks := plenty - ctx.budget.Load(); checks != int64(docs) {
@@ -100,7 +101,7 @@ func TestProposeContextCancelledMidScan(t *testing.T) {
 	for d := 0; d < docs; d++ {
 		ctx := &errAfter{Context: context.Background()}
 		ctx.budget.Store(int64(1 + d))
-		props, err := l.ProposeContext(ctx, cand, 10)
+		props, err := l.ProposeContext(ctx, cand, contexts, 10)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled at document %d: err = %v, want context.Canceled", d+1, err)
 		}

@@ -9,11 +9,11 @@ package senseind
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"bioenrich/internal/cluster"
 	"bioenrich/internal/corpus"
-	"bioenrich/internal/graph"
 	"bioenrich/internal/sparse"
 )
 
@@ -131,16 +131,16 @@ func (in *Inducer) InduceFromContexts(term string, contexts [][]string, polysemi
 	if len(contexts) == 0 {
 		return nil, fmt.Errorf("senseind: no contexts for %q", term)
 	}
-	vecs := Vectorize(contexts, in.Representation)
 	if !polysemic {
-		// One sense: a single cluster over everything.
-		cl, err := cluster.Run(in.Algorithm, vecs, 1, in.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("senseind: %w", err)
+		// One sense: every algorithm puts every context in the one
+		// cluster, so none is run; an unknown one is refused as
+		// cluster.Run refuses it.
+		if !slices.Contains(cluster.Algorithms, in.Algorithm) {
+			return nil, fmt.Errorf("senseind: cluster: unknown algorithm %q", in.Algorithm)
 		}
-		return resultFrom(term, cl), nil
+		return vectorize(contexts, in.Representation).oneSense(term), nil
 	}
-	_, cl, err := cluster.PredictK(in.Algorithm, in.Index, vecs,
+	_, cl, err := cluster.PredictK(in.Algorithm, in.Index, Vectorize(contexts, in.Representation),
 		cluster.KMin, cluster.KMax, in.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("senseind: %w", err)
@@ -175,22 +175,26 @@ func (in *Inducer) checkRepresentation() error {
 func resultFrom(term string, cl *cluster.Clustering) *Result {
 	res := &Result{Term: term, K: cl.K}
 	for i := 0; i < cl.K; i++ {
-		// Top copies the entries it returns, so the centroid is
-		// normalized in place after its top features are read.
-		cen := cl.Centroid(i)
-		res.Senses = append(res.Senses, Sense{
-			ID:       i,
-			Size:     cl.Size(i),
-			Features: cen.Top(TopFeaturesPerSense),
-		})
-		cen.Normalize()
-		res.centroids = append(res.centroids, cen)
+		res.addSense(cl.Size(i), cl.Centroid(i))
 	}
 	return res
 }
 
+// addSense appends the sense of a cluster of size contexts whose mean
+// centroid is cen: its top features, then cen itself, normalized in
+// place (Top copies the entries it returns).
+func (res *Result) addSense(size int, cen sparse.Vector) {
+	res.Senses = append(res.Senses, Sense{
+		ID:       len(res.Senses),
+		Size:     size,
+		Features: cen.Top(TopFeaturesPerSense),
+	})
+	cen.Normalize()
+	res.centroids = append(res.centroids, cen)
+}
+
 // Vectorize converts context windows to sparse vectors under the
-// chosen representation.
+// chosen representation, each normalized to unit length.
 //
 // Bag-of-words: per-context term counts reweighted by TF-IDF over the
 // context collection.
@@ -201,50 +205,204 @@ func resultFrom(term string, cl *cluster.Clustering) *Result {
 // vectors — a second-order representation that connects contexts
 // sharing collocates even when they share no literal word.
 func Vectorize(contexts [][]string, rep Representation) []sparse.Vector {
-	vecs := make([]sparse.Vector, len(contexts))
-	for i, ctx := range contexts {
-		vecs[i] = sparse.FromCounts(ctx)
+	return vectorize(contexts, rep).vectors()
+}
+
+// rows are contexts vectorized over the words of one call: each
+// distinct word has a dense id, its index in words, numbered in order
+// of first use. Row i (see row) holds context i's features as ids,
+// ending before ends[i], with their weights at the same indexes of ws.
+type rows struct {
+	words   []string
+	ids     []int32
+	ws      []float64
+	ends    []int
+	longest int // the most features a row has
+}
+
+// vectorize builds the rows, each normalized once. Every weight gets
+// its adds in context-word order, as a map summed word by word would,
+// and each row is scaled as Normalize scales a vector, so the rows
+// hold the bits of map-built vectors, zero weights included.
+func vectorize(contexts [][]string, rep Representation) *rows {
+	r := &rows{ends: make([]int, len(contexts))}
+	n := 0
+	for _, ctx := range contexts {
+		n += len(ctx)
+	}
+	// seq holds every context's words as ids, context after context.
+	seq := make([]int32, 0, n)
+	id := make(map[string]int32)
+	for _, ctx := range contexts {
+		for _, w := range ctx {
+			x, ok := id[w]
+			if !ok {
+				x = int32(len(r.words))
+				id[w] = x
+				r.words = append(r.words, w)
+			}
+			seq = append(seq, x)
+		}
 	}
 	if rep == BagOfWords {
-		sparse.TFIDF(vecs)
-		return vecs
+		r.bagOfWords(contexts, seq)
+	} else {
+		r.graph(contexts, seq)
 	}
-	// Graph representation.
-	g := graph.New()
-	for _, ctx := range contexts {
-		for i, a := range ctx {
-			for _, b := range ctx[i+1:] {
-				if a != b {
-					g.AddEdge(a, b, 1)
-				}
-			}
-		}
+	for i := range r.ends {
+		_, ws := r.row(i)
+		r.longest = max(r.longest, len(ws))
 	}
-	// Each distinct word's weighted neighbours, in Neighbors' sorted
-	// order, are read once, on the word's first use.
-	type edge struct {
-		nb string
-		w  float64
+	scratch := make([]float64, r.longest)
+	for i := range r.ends {
+		_, ws := r.row(i)
+		sparse.UnitNorm(ws, scratch)
 	}
-	adj := make(map[string][]edge)
-	out := make([]sparse.Vector, len(contexts))
+	return r
+}
+
+// row returns row i's word ids and their weights.
+func (r *rows) row(i int) ([]int32, []float64) {
+	lo := 0
+	if i > 0 {
+		lo = r.ends[i-1]
+	}
+	return r.ids[lo:r.ends[i]], r.ws[lo:r.ends[i]]
+}
+
+// bagOfWords fills the rows with each context's word counts times the
+// word's idf, log(contexts / contexts holding it), taken once per word.
+// A row lists its words in order of first use in the context.
+func (r *rows) bagOfWords(contexts [][]string, seq []int32) {
+	r.ids = make([]int32, 0, len(seq))
+	r.ws = make([]float64, 0, len(seq))
+	df := make([]int, len(r.words))
+	at := make([]int, len(r.words)) // where the word last entered a row
+	for x := range at {
+		at[x] = -1
+	}
 	for i, ctx := range contexts {
-		v := sparse.New(64)
-		for _, w := range ctx {
-			v[w]++ // keep first-order signal
-			edges, ok := adj[w]
-			if !ok {
-				for _, nb := range g.Neighbors(w) {
-					edges = append(edges, edge{nb, g.Weight(w, nb)})
-				}
-				adj[w] = edges
+		lo := len(r.ids)
+		for _, x := range seq[:len(ctx)] {
+			if at[x] >= lo {
+				r.ws[at[x]]++
+				continue
 			}
-			for _, e := range edges {
-				v[e.nb] += e.w
+			at[x] = len(r.ids)
+			r.ids = append(r.ids, x)
+			r.ws = append(r.ws, 1)
+			df[x]++
+		}
+		seq = seq[len(ctx):]
+		r.ends[i] = len(r.ids)
+	}
+	n := float64(len(contexts))
+	idf := make([]float64, len(df))
+	for x, d := range df {
+		idf[x] = math.Log(n / float64(d))
+	}
+	for j, x := range r.ids {
+		r.ws[j] *= idf[x]
+	}
+}
+
+// graph fills the rows with the graph representation. The edge {a, b}
+// is weighted by the number of (a, b) word pairs, in either order,
+// that the contexts hold. Each row is summed in one buffer in context
+// word order, a word's own count before its neighbours' weights; the
+// order of a word's neighbours does not matter, since each is a
+// different feature.
+func (r *rows) graph(contexts [][]string, seq []int32) {
+	type half struct{ nb, edge int32 }
+	adj := make([][]half, len(r.words))
+	var weight []float64
+	edge := make(map[uint64]int32) // {a, b}, a < b → index into weight
+	s := seq
+	for _, ctx := range contexts {
+		ids := s[:len(ctx)]
+		s = s[len(ctx):]
+		for i, a := range ids {
+			for _, b := range ids[i+1:] {
+				if a == b {
+					continue
+				}
+				key := uint64(min(a, b))<<32 | uint64(max(a, b))
+				e, ok := edge[key]
+				if !ok {
+					e = int32(len(weight))
+					edge[key] = e
+					weight = append(weight, 0)
+					adj[a] = append(adj[a], half{b, e})
+					adj[b] = append(adj[b], half{a, e})
+				}
+				weight[e]++
 			}
 		}
-		v.Normalize()
+	}
+	// Every add is positive, so a feature enters the row the first
+	// time it is added to while its sum is still 0.
+	buf := make([]float64, len(r.words))
+	var touched []int32
+	for i, ctx := range contexts {
+		for _, x := range seq[:len(ctx)] {
+			if buf[x] == 0 {
+				touched = append(touched, x)
+			}
+			buf[x]++
+			for _, h := range adj[x] {
+				if buf[h.nb] == 0 {
+					touched = append(touched, h.nb)
+				}
+				buf[h.nb] += weight[h.edge]
+			}
+		}
+		seq = seq[len(ctx):]
+		for _, x := range touched {
+			r.ids = append(r.ids, x)
+			r.ws = append(r.ws, buf[x])
+			buf[x] = 0
+		}
+		touched = touched[:0]
+		r.ends[i] = len(r.ids)
+	}
+}
+
+// vectors returns the rows as sparse vectors, for the clustering.
+func (r *rows) vectors() []sparse.Vector {
+	out := make([]sparse.Vector, len(r.ends))
+	for i := range out {
+		ids, ws := r.row(i)
+		v := make(sparse.Vector, len(ids))
+		for j, x := range ids {
+			v[r.words[x]] = ws[j]
+		}
 		out[i] = v
 	}
 	return out
+}
+
+// oneSense is the sense of the contexts clustered at k = 1, bit for
+// bit what cluster.Run(alg, Vectorize(contexts, rep), 1, seed) gives
+// resultFrom: the clustering normalizes each vector a second time and
+// sums them, in context order, into its one composite, whose mean is
+// the sense's centroid. The rows are normalized in place and summed
+// into one dense composite.
+func (r *rows) oneSense(term string) *Result {
+	comp := make([]float64, len(r.words))
+	scratch := make([]float64, r.longest)
+	for i := range r.ends {
+		ids, ws := r.row(i)
+		sparse.UnitNorm(ws, scratch)
+		for j, x := range ids {
+			comp[x] += ws[j]
+		}
+	}
+	s := 1 / float64(len(r.ends))
+	cen := make(sparse.Vector, len(comp))
+	for x, w := range comp {
+		cen[r.words[x]] = w * s
+	}
+	res := &Result{Term: term, K: 1}
+	res.addSense(len(r.ends), cen)
+	return res
 }

@@ -609,7 +609,8 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	props, err := linkage.New(snap.Corpus, snap.Ontology, linkage.DefaultOptions()).ProposeContext(r.Context(), term, top)
+	props, err := linkage.New(snap.Corpus, snap.Ontology, linkage.DefaultOptions()).
+		ProposeContext(r.Context(), term, snap.Corpus.Contexts(term, linkage.ContextWindow), top)
 	if err != nil {
 		writeError(w, stepStatus(r, err), err)
 		return
