@@ -78,9 +78,8 @@ lint-bench:
 # shared arrays, which every ingest relies on, step III's flat rows
 # against the map-building vectors and k = 1 clustering they replaced,
 # and step IV's per-document neighbour scan against the per-occurrence
-# one. CI's
-# fuzz-smoke job runs this target, so this is the one list of fuzz
-# targets; longer local sessions just raise -fuzztime.
+# one. CI's fuzz-smoke job runs this target, so this is the one list of
+# fuzz targets; longer local sessions just raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzTokenize' -fuzztime 10s ./internal/textutil
 	$(GO) test -fuzz 'FuzzCanonicalKeys' -fuzztime 10s ./internal/textutil
