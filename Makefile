@@ -34,10 +34,12 @@ test:
 # these packages are where the concurrency lives, the rest ride along
 # for free. internal/storage joins the gate because the disk backend's
 # mutex serializes WAL appends against checkpoints; internal/corpus
-# for its tokenize worker pool and its Derived slot; internal/termex
-# because every step I call on a corpus shares the candidate table
-# kept in that slot; internal/lint for the parallel load/analyze
-# driver. CI (.github/workflows/ci.yml) runs this target,
+# for its tokenize worker pool and its build-once Slot, which corpora
+# and snapshots both embed; internal/termex because every step I call
+# on a corpus shares the candidate table kept in the corpus's slot;
+# internal/classify because every classification on a snapshot shares
+# the profile index kept in the snapshot's; internal/lint for the
+# parallel load/analyze driver. CI (.github/workflows/ci.yml) runs this target,
 # so this is the one raced list, and scripts/race_gate_check.sh proves
 # it plus its documented exemptions cover ./internal/... exactly. The
 # job manager runs ten more times: its runners start and exit with the

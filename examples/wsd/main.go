@@ -24,7 +24,7 @@ func main() {
 
 	// Predict the number of senses with each index (direct algorithm,
 	// bag-of-words), as step III does after step II flags the term.
-	ctxs := c.Contexts(term, senseind.DefaultWindow)
+	ctxs := c.Contexts(term, corpus.ContextWindow)
 	raw := make([][]string, len(ctxs))
 	for i, ctx := range ctxs {
 		raw[i] = ctx.Words

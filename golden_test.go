@@ -252,7 +252,8 @@ func TestGoldenClassifyRecommend(t *testing.T) {
 	var cls bytes.Buffer
 	cl := classify.New(classify.Options{})
 	for i, text := range texts {
-		cold, err := classify.New(classify.Options{}).Classify(ctx, "golden", snap, text, 10)
+		fresh := state.NewStore(c, mesh.Ontology).Load()
+		cold, err := cl.Classify(ctx, "golden", fresh, text, 10)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,15 +7,14 @@
 // the same context-vector machinery step IV's semantic linkage uses.
 //
 // Building the per-concept profiles is O(corpus) — one context scan
-// per ontology term — so the Classifier caches them per (key, epoch):
-// the first classification after a snapshot publish rebuilds the
-// profile index, every later one is O(document): tokenize, then walk
-// the postings of the document's own words in the index, which stores
-// the profiles inverted (word → concepts holding it, with their unit
-// weights), and rank the concepts it scored. The cache is keyed by the
-// registry entry name and invalidated by epoch comparison, riding the
-// snapshot design: an index is immutable once built, readers grab it
-// with one atomic load, and a slot only ever moves to a newer epoch.
+// per ontology term — so the profile index is built once per published
+// snapshot and kept in that snapshot's Slot (state.Snapshot's
+// Derived): the first classification on a snapshot builds it, every
+// later one is O(document): tokenize, then walk the postings of the
+// document's own words in the index, which stores the profiles
+// inverted (word → concepts holding it, with their unit weights), and
+// rank the concepts it scored. An index is immutable once built, and
+// a request on an older snapshot reads that snapshot's own index.
 //
 // Classification is deterministic byte-for-byte: every score is
 // bit-identical to sparse.Vector.Cosine of (document, profile), and
@@ -28,10 +27,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"bioenrich/internal/linkage"
+	"bioenrich/internal/corpus"
 	"bioenrich/internal/obs"
 	"bioenrich/internal/ontology"
 	"bioenrich/internal/sparse"
@@ -42,24 +39,23 @@ import (
 // Metric names the classifier registers, exported so the server's
 // exposition tests can pin them.
 const (
-	// CacheHitsMetric counts classifications served from a cached
-	// concept-profile index.
+	// CacheHitsMetric counts classifications served from a snapshot's
+	// kept concept-profile index.
 	CacheHitsMetric = "bioenrich_classify_cache_hits_total"
-	// CacheMissesMetric counts profile-index (re)builds — one per
-	// (ontology, epoch) however many classifications follow.
+	// CacheMissesMetric counts profile-index builds — one per
+	// snapshot however many classifications follow.
 	CacheMissesMetric = "bioenrich_classify_cache_misses_total"
-	// RequestsMetric counts classify requests by ontology label (the
-	// server increments it per request).
+	// RequestsMetric counts classifications by ontology label.
 	RequestsMetric = "bioenrich_classify_requests_total"
-	// SecondsMetric is the per-ontology classify latency histogram
-	// (the server observes it per request).
+	// SecondsMetric is the per-ontology classify latency histogram.
 	SecondsMetric = "bioenrich_classify_seconds"
 )
 
 // Options configures a Classifier.
 type Options struct {
-	// Obs, when non-nil, receives the concept-cache hit/miss counters.
-	// nil disables them at zero cost.
+	// Obs, when non-nil, receives the index hit/miss counters and the
+	// per-ontology request counter and latency histogram. nil disables
+	// them at zero cost.
 	Obs *obs.Registry
 }
 
@@ -86,14 +82,13 @@ type Result struct {
 	Concepts []ConceptScore `json:"concepts"`
 }
 
-// index is the immutable per-epoch concept-profile index. ids are
+// index is the immutable per-snapshot concept-profile index. ids are
 // sorted; prefs and norms are parallel to them, and norms[i] is
 // concept i's profile Norm. The profiles are stored inverted: a
 // profile word's slot s names its postings,
 // postings[start[s]:start[s+1]], the concepts whose profile holds the
 // word, ascending, each with its unit weight there.
 type index struct {
-	epoch    uint64
 	ids      []ontology.ConceptID
 	prefs    []string
 	norms    []float64
@@ -111,35 +106,30 @@ func (idx *index) lookup(word string) []sparse.Posting {
 	return idx.postings[idx.start[s]:idx.start[s+1]]
 }
 
-// Classifier classifies documents against snapshot-backed ontologies,
-// caching one profile index per (key, epoch). Safe for concurrent
-// use: index pointers swap atomically, builds serialize on a mutex so
-// concurrent first-classifications after a publish build once.
+// Classifier classifies documents against snapshot-backed ontologies.
+// It holds only metric handles: each snapshot keeps the profile index
+// built from it. Safe for concurrent use.
 type Classifier struct {
-	// buildMu serializes index builds only; classification never takes
-	// it once the index for the current epoch exists.
-	buildMu sync.Mutex
-	// caches maps key → *atomic.Pointer[index]. Entries are created on
-	// first use and never removed (registry entries are never removed
-	// either).
-	caches sync.Map
-
+	reg          *obs.Registry
 	hits, misses *obs.Counter
 }
 
 // New builds a classifier.
 func New(opts Options) *Classifier {
 	return &Classifier{
+		reg:    opts.Obs,
 		hits:   opts.Obs.Counter(CacheHitsMetric),
 		misses: opts.Obs.Counter(CacheMissesMetric),
 	}
 }
 
 // Classify assigns text to the topN most similar concepts of the
-// snapshot's ontology. key namespaces the profile cache (use the
-// registry entry name; any fixed string works for single-ontology
-// use). A document with no content words is an input error.
+// snapshot's ontology. key is the ontology label of the request counter
+// and latency histogram (use the registry entry name; any fixed string
+// works for single-ontology use). A document with no content words is
+// an input error.
 func (cl *Classifier) Classify(ctx context.Context, key string, snap *state.Snapshot, text string, topN int) (*Result, error) {
+	start := obs.Now()
 	if snap == nil {
 		return nil, fmt.Errorf("classify: nil snapshot")
 	}
@@ -151,7 +141,7 @@ func (cl *Classifier) Classify(ctx context.Context, key string, snap *state.Snap
 	if len(docVec) == 0 {
 		return nil, fmt.Errorf("classify: document has no content words (lang %s)", lang)
 	}
-	idx, err := cl.index(ctx, key, snap)
+	idx, err := cl.index(ctx, snap)
 	if err != nil {
 		return nil, err
 	}
@@ -162,6 +152,10 @@ func (cl *Classifier) Classify(ctx context.Context, key string, snap *state.Snap
 	for j, i := range top {
 		out[j] = ConceptScore{ID: idx.ids[i], Preferred: idx.prefs[i], Score: scores[i]}
 	}
+	if cl.reg != nil { // the label arguments escape, so they cost allocations
+		cl.reg.Counter(RequestsMetric, "ontology", key).Inc()
+		cl.reg.Histogram(SecondsMetric, nil, "ontology", key).Observe(obs.Since(start).Seconds())
+	}
 	return &Result{
 		Epoch:     snap.Epoch,
 		Lang:      lang.String(),
@@ -170,40 +164,28 @@ func (cl *Classifier) Classify(ctx context.Context, key string, snap *state.Snap
 	}, nil
 }
 
-// index returns the profile index for (key, snap.Epoch), building it
-// on first use after a publish. Concurrent callers build at most once.
-func (cl *Classifier) index(ctx context.Context, key string, snap *state.Snapshot) (*index, error) {
-	slotAny, _ := cl.caches.LoadOrStore(key, &atomic.Pointer[index]{})
-	slot := slotAny.(*atomic.Pointer[index])
-	if idx := slot.Load(); idx != nil && idx.epoch == snap.Epoch {
-		cl.hits.Inc()
-		return idx, nil
-	}
-	cl.buildMu.Lock()
-	defer cl.buildMu.Unlock()
-	if idx := slot.Load(); idx != nil && idx.epoch == snap.Epoch {
-		// Built by whoever held the mutex first; that build already
-		// counted the miss.
-		cl.hits.Inc()
-		return idx, nil
-	}
-	cl.misses.Inc()
-	idx, err := cl.build(ctx, snap)
+// index returns the profile index snap keeps, building it on the
+// snapshot's first classification. The call that runs the build counts
+// a miss, and every other call that gets the index a hit.
+func (cl *Classifier) index(ctx context.Context, snap *state.Snapshot) (*index, error) {
+	built := false
+	v, err := snap.Derived(ctx, func() (any, error) {
+		built = true
+		cl.misses.Inc()
+		return build(ctx, snap)
+	})
 	if err != nil {
 		return nil, err
 	}
-	// A request still on an older snapshot builds that epoch's index
-	// for itself but leaves a newer one in the slot, or the next
-	// request on the current epoch would rebuild it.
-	if cur := slot.Load(); cur == nil || idx.epoch > cur.epoch {
-		slot.Store(idx)
+	if !built {
+		cl.hits.Inc()
 	}
-	return idx, nil
+	return v.(*index), nil
 }
 
 // build computes the profile index. A concept's profile (concepts in
 // sorted id order) is the sum of the corpus context vectors of its
-// terms, counted over step IV's linkage.ContextWindow and
+// terms, counted over corpus.ContextWindow, as step IV counts, and
 // unit-normalized as sparse.Vector.Normalize does. Concepts absent
 // from the corpus keep an empty profile and norm 0, and score 0
 // against everything. No profile is built as a map: each concept's
@@ -213,11 +195,10 @@ func (cl *Classifier) index(ctx context.Context, key string, snap *state.Snapsho
 // array grouped by slot, which is allocated once at its final size,
 // and keeps each word's concepts ascending. The context is checked per
 // concept.
-func (cl *Classifier) build(ctx context.Context, snap *state.Snapshot) (*index, error) {
+func build(ctx context.Context, snap *state.Snapshot) (*index, error) {
 	o, c := snap.Ontology, snap.Corpus
 	ids := o.ConceptIDs()
 	idx := &index{
-		epoch: snap.Epoch,
 		ids:   ids,
 		prefs: make([]string, len(ids)),
 		norms: make([]float64, len(ids)),
@@ -252,7 +233,7 @@ func (cl *Classifier) build(ctx context.Context, snap *state.Snapshot) (*index, 
 		idx.prefs[i] = concept.Preferred
 		words = words[:0]
 		for _, t := range concept.Terms() {
-			c.EachContextWord(t, linkage.ContextWindow, count)
+			c.EachContextWord(t, corpus.ContextWindow, count)
 		}
 		weights = weights[:0]
 		for _, s := range words {

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"bioenrich/internal/linkage"
+	"bioenrich/internal/corpus"
 	"bioenrich/internal/loadtest"
 	"bioenrich/internal/sparse"
 	"bioenrich/internal/state"
@@ -23,7 +23,7 @@ import (
 func mapProfile(snap *state.Snapshot, i int, idx *index) sparse.Vector {
 	v := sparse.New(0)
 	for _, term := range snap.Ontology.Concept(idx.ids[i]).Terms() {
-		v.Add(snap.Corpus.ContextVector(term, linkage.ContextWindow))
+		v.Add(snap.Corpus.ContextVector(term, corpus.ContextWindow))
 	}
 	v.Normalize()
 	return v
@@ -51,7 +51,7 @@ func TestIndexMatchesMapProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := state.NewStore(c, o).Load()
-	idx, err := New(Options{}).build(context.TODO(), snap)
+	idx, err := build(context.TODO(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}

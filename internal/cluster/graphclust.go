@@ -16,14 +16,17 @@ const graphNeighbors = 10
 
 // similarityGraph builds the cosine nearest-neighbor graph over the
 // objects. It depends on no k, and partitioning only reads it, so a
-// sweep builds it once.
+// sweep builds it once. Each object's norm is taken once, and each
+// row is scored with one Cosines call, bit for bit Cosine.
 func similarityGraph(unit []sparse.Vector) *graph.Graph {
 	n := len(unit)
 	g := graph.New()
 	ids := make([]string, n)
-	for i := range unit {
+	norms := make([]float64, n)
+	for i, v := range unit {
 		ids[i] = fmt.Sprintf("o%06d", i)
 		g.AddNode(ids[i])
+		norms[i] = v.Norm()
 	}
 	type simPair struct {
 		j   int
@@ -31,11 +34,8 @@ func similarityGraph(unit []sparse.Vector) *graph.Graph {
 	}
 	for i := 0; i < n; i++ {
 		pairs := make([]simPair, 0, n-1)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if s := unit[i].Cosine(unit[j]); s > 0 {
+		for j, s := range unit[i].Cosines(unit, norms) {
+			if j != i && s > 0 {
 				pairs = append(pairs, simPair{j: j, sim: s})
 			}
 		}

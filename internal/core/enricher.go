@@ -357,7 +357,7 @@ func (e *Enricher) enrichCandidate(ctx context.Context, cand *Candidate, linker 
 	// candidate's report slot so the clustering outcome is a pure
 	// function of the slot, independent of which worker picks the
 	// candidate up and in what order.
-	contexts := e.c.Contexts(cand.Term, linkage.ContextWindow)
+	contexts := e.c.Contexts(cand.Term, corpus.ContextWindow)
 	if ctx.Err() == nil {
 		words := make([][]string, len(contexts))
 		for i, cw := range contexts {

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"bioenrich/internal/corpus"
-	"bioenrich/internal/linkage"
 	"bioenrich/internal/ontology"
-	"bioenrich/internal/senseind"
 	"bioenrich/internal/synth"
 	"bioenrich/internal/textutil"
 )
@@ -216,14 +214,5 @@ func TestTrainPolysemyError(t *testing.T) {
 	e := NewEnricher(c, o, DefaultConfig())
 	if err := e.TrainPolysemy(nil, nil); err == nil {
 		t.Error("empty training accepted")
-	}
-}
-
-// TestStepsShareOneWindow: a candidate's contexts are harvested once
-// and read by both steps III and IV, so step III's window must be the
-// one step IV's vectors are defined over.
-func TestStepsShareOneWindow(t *testing.T) {
-	if senseind.DefaultWindow != linkage.ContextWindow {
-		t.Errorf("senseind.DefaultWindow = %d, linkage.ContextWindow = %d", senseind.DefaultWindow, linkage.ContextWindow)
 	}
 }

@@ -19,7 +19,7 @@ const spareHeaders = 256
 // copies only the posting-list headers, into an array of its own with
 // spareHeaders of room, and newIDs, so a clone costs a constant number
 // of allocations, and the ingest that follows pays for the lists it
-// extends. The clone's Derived slot starts empty. This is the corpus
+// extends. The clone's Slot starts empty. This is the corpus
 // half of the server's copy-on-write snapshot commit (internal/state):
 // readers keep querying the original while a writer grows the clone.
 func (c *Corpus) Clone() *Corpus {

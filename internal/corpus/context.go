@@ -10,6 +10,12 @@ import (
 	"bioenrich/internal/textutil"
 )
 
+// ContextWindow is the window, in tokens either side of an occurrence,
+// of every context the pipeline harvests: step II's features, step
+// III's senses, step IV's context vectors and classify's concept
+// profiles all count over it.
+const ContextWindow = 8
+
 // Context is the window of content words around one occurrence of a
 // term, the unit the sense-induction and linkage steps operate on.
 type Context struct {

@@ -39,7 +39,7 @@ type Posting struct {
 // written after, so every clone shares it; newIDs holds the tokens
 // added since, and a clone copies it. Clones also share the documents,
 // the token streams and the posting arrays (see Clone). A corpus also
-// keeps one value another package derives from it (see Derived).
+// keeps one value another package derives from it in its Slot.
 type Corpus struct {
 	lang  textutil.Lang
 	docs  []Document
@@ -51,7 +51,7 @@ type Corpus struct {
 	post   [][]Posting    // positional postings by token ID, in document order
 	total  int            // total token count
 
-	derived derived // see Derived; emptied by Build and AppendBuild
+	Slot // emptied by Build and AppendBuild
 }
 
 // foldFraction sets when AppendBuild folds newIDs into a fresh ids

@@ -342,7 +342,10 @@ func (m *Manager) start(j *job) context.Context {
 
 // finish records j's terminal status under m.mu and, unless the TTL
 // is negative, schedules the job's removal once the TTL has passed.
+// It drops j's Fn, so a finished job no longer holds what its closure
+// captured (the snapshot it ran on, and what that snapshot keeps).
 func (m *Manager) finish(j *job, status Status) {
+	j.fn = nil
 	j.Status = status
 	j.Finished = time.Now()
 	m.opts.Obs.Counter(JobsMetric, "status", string(status)).Inc()

@@ -213,6 +213,56 @@ func TestCancelRunning(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsDropFn: a job that is done, failed, or cancelled
+// while queued or running holds no Fn, so until its TTL passes it no
+// longer pins what its Fn captured.
+func TestFinishedJobsDropFn(t *testing.T) {
+	m := newManager(t, Options{Queue: 4, Workers: 1})
+	block, started := make(chan struct{}), make(chan struct{})
+	defer close(block)
+	running, err := m.Submit("wedge", "", 1, func(ctx context.Context) (any, error) {
+		close(started)
+		return wedge(block)(ctx)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := m.Submit("victim", "", 1, quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{queued.ID, running.ID} {
+		if _, err := m.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done, err := m.Submit("done", "", 1, quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed, err := m.Submit("failed", "", 1, func(context.Context) (any, error) { return nil, errors.New("boom") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]Status{
+		running.ID: StatusCancelled, queued.ID: StatusCancelled,
+		done.ID: StatusDone, failed.ID: StatusFailed,
+	}
+	for id, status := range want {
+		if got := await(t, m, id).Status; got != status {
+			t.Fatalf("job %s: %s, want %s", id, got, status)
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for id, status := range want {
+		if m.jobs[id].fn != nil {
+			t.Errorf("%s job %s still holds its Fn", status, id)
+		}
+	}
+}
+
 // TestTTLGC: a finished job is removed once its TTL has passed; an
 // unfinished job survives.
 func TestTTLGC(t *testing.T) {

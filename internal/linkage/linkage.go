@@ -41,11 +41,6 @@ type Proposal struct {
 	Relation Relation
 }
 
-// ContextWindow is the window, in tokens either side of an
-// occurrence, of the context vectors step IV compares. Classify's
-// concept profiles count over the same window.
-const ContextWindow = 8
-
 // The neighborhood scan's fixed shape: ontology terms of at most
 // maxGramWords words within cooccurWindow tokens of a candidate
 // occurrence are its neighbors, and only the maxNeighbors most
@@ -95,8 +90,8 @@ type Linker struct {
 	prefixes map[string]int32
 
 	// vecs caches pool term → termVec (the aggregated context vector
-	// at ContextWindow, with its norm). Cached vectors are shared and
-	// must be treated as read-only.
+	// at corpus.ContextWindow, with its norm). Cached vectors are
+	// shared and must be treated as read-only.
 	vecs sync.Map
 
 	// cacheHits/cacheMisses are resolved once at construction so the
@@ -133,7 +128,7 @@ func (l *Linker) contextVector(term string) termVec {
 		return v.(termVec)
 	}
 	l.cacheMisses.Inc()
-	v := l.c.ContextVector(term, ContextWindow)
+	v := l.c.ContextVector(term, corpus.ContextWindow)
 	actual, _ := l.vecs.LoadOrStore(term, termVec{vec: v, norm: v.Norm()})
 	return actual.(termVec)
 }
@@ -144,12 +139,12 @@ func (l *Linker) contextVector(term string) termVec {
 // context.Background(): it cannot be cancelled.
 func (l *Linker) Propose(candidate string, topN int) ([]Proposal, error) {
 	//biolint:allow context-background documented uncancellable convenience wrapper
-	return l.ProposeContext(context.Background(), candidate, l.c.Contexts(candidate, ContextWindow), topN)
+	return l.ProposeContext(context.Background(), candidate, l.c.Contexts(candidate, corpus.ContextWindow), topN)
 }
 
 // ProposeContext is Propose over the candidate's contexts as the
-// caller harvested them, Contexts(candidate, ContextWindow) on the
-// Linker's corpus, so a caller that also induces the candidate's
+// caller harvested them, Contexts(candidate, corpus.ContextWindow) on
+// the Linker's corpus, so a caller that also induces the candidate's
 // senses scans its windows once for both steps. The candidate's
 // context vector is the sum of the windows' word counts, and the
 // neighbour scan visits the windows' occurrences. Cancellation is

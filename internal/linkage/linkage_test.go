@@ -214,7 +214,7 @@ func TestEndToEndOnSyntheticMesh(t *testing.T) {
 // each pool term is scored with Cosine.
 func proposeReference(c *corpus.Corpus, o *ontology.Ontology, opts Options, candidate string, topN int) ([]Proposal, error) {
 	cand := textutil.NormalizeTerm(candidate)
-	candVec := c.ContextVector(cand, ContextWindow)
+	candVec := c.ContextVector(cand, corpus.ContextWindow)
 	if len(candVec) == 0 {
 		return nil, fmt.Errorf("linkage: candidate %q has no corpus contexts", candidate)
 	}
@@ -247,7 +247,7 @@ func proposeReference(c *corpus.Corpus, o *ontology.Ontology, opts Options, cand
 	}
 	props := make([]Proposal, 0, len(pool))
 	for t, p := range pool {
-		if v := c.ContextVector(t, ContextWindow); len(v) > 0 {
+		if v := c.ContextVector(t, corpus.ContextWindow); len(v) > 0 {
 			p.Cosine = candVec.Cosine(v)
 			props = append(props, p)
 		}
@@ -273,7 +273,7 @@ func TestProposeFromHarvestMatchesReference(t *testing.T) {
 	o, c := fixture()
 	c = c.Clone()
 	c.AppendBuild([]corpus.Document{{ID: "9", Text: "It was the zzz of 12 and 34."}})
-	if n := len(c.Contexts("zzz", ContextWindow)); n != 1 {
+	if n := len(c.Contexts("zzz", corpus.ContextWindow)); n != 1 {
 		t.Fatalf("zzz has %d contexts, want 1", n)
 	}
 	reduced := synth.HoldOut(o, "corneal injuries")
@@ -282,14 +282,14 @@ func TestProposeFromHarvestMatchesReference(t *testing.T) {
 		"corneal injuries", "Corneal  Injuries", "corneal", "epithelium scarring", "membrane grafts",
 		"eye injuries", "bone fracture", "zzz", "nonexistent term",
 	} {
-		contexts := c.Contexts(cand, ContextWindow)
+		contexts := c.Contexts(cand, corpus.ContextWindow)
 		sum := sparse.New(0)
 		for _, cw := range contexts {
 			for _, w := range cw.Words {
 				sum[w]++
 			}
 		}
-		vec := c.ContextVector(cand, ContextWindow)
+		vec := c.ContextVector(cand, corpus.ContextWindow)
 		if len(sum) != len(vec) {
 			t.Fatalf("%q: harvest counts %v, ContextVector %v", cand, sum, vec)
 		}

@@ -164,7 +164,7 @@ func checkNeighbourCase(t *testing.T, nc neighbourCase) {
 	t.Helper()
 	l := New(nc.c, nc.o, DefaultOptions())
 	for _, cand := range nc.cands {
-		got, err := l.meshNeighbors(context.Background(), cand, nc.c.Contexts(cand, ContextWindow))
+		got, err := l.meshNeighbors(context.Background(), cand, nc.c.Contexts(cand, corpus.ContextWindow))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"bioenrich/internal/corpus"
 	"bioenrich/internal/obs"
 	"bioenrich/internal/synth"
 )
@@ -34,7 +35,7 @@ func TestProposeContextCancelled(t *testing.T) {
 	l := New(c, reduced, DefaultOptions())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	props, err := l.ProposeContext(ctx, "corneal injuries", c.Contexts("corneal injuries", ContextWindow), 10)
+	props, err := l.ProposeContext(ctx, "corneal injuries", c.Contexts("corneal injuries", corpus.ContextWindow), 10)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -47,7 +48,7 @@ func TestProposeContextCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := l.ProposeContext(context.Background(), "corneal injuries", c.Contexts("corneal injuries", ContextWindow), 10)
+	got, err := l.ProposeContext(context.Background(), "corneal injuries", c.Contexts("corneal injuries", corpus.ContextWindow), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestProposeContextCancelledMidScan(t *testing.T) {
 	const plenty = 1000
 	ctx := &errAfter{Context: context.Background()}
 	ctx.budget.Store(plenty)
-	contexts := c.Contexts(cand, ContextWindow)
+	contexts := c.Contexts(cand, corpus.ContextWindow)
 	if _, err := l.meshNeighbors(ctx, cand, contexts); err != nil {
 		t.Fatal(err)
 	}

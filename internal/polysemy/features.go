@@ -14,9 +14,6 @@ import (
 	"bioenrich/internal/sparse"
 )
 
-// ContextWindow is the token window used to harvest term contexts.
-const ContextWindow = 8
-
 // NumDirect and NumGraph are the paper's feature counts (11 + 12 = 23).
 const (
 	NumDirect = 11
@@ -55,7 +52,7 @@ func (f Features) Vector() []float64 {
 // Extract computes all 23 features of a term from the corpus.
 func Extract(c *corpus.Corpus, term string) Features {
 	var f Features
-	ctxs := c.Contexts(term, ContextWindow)
+	ctxs := c.Contexts(term, corpus.ContextWindow)
 
 	// ---- direct features ----
 	tf := float64(c.TF(term))
@@ -108,7 +105,7 @@ func Extract(c *corpus.Corpus, term string) Features {
 	}
 
 	// ---- graph features (induced co-occurrence graph) ----
-	ego := c.EgoCooccurrence(term, ContextWindow)
+	ego := c.EgoCooccurrence(term, corpus.ContextWindow)
 	nt := normalizedTerm(term)
 	n := float64(ego.NumNodes())
 	if n <= 1 {

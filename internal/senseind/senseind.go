@@ -30,10 +30,6 @@ const (
 // Representations lists both.
 var Representations = []Representation{BagOfWords, GraphRep}
 
-// DefaultWindow is the context window (tokens each side) InduceContext
-// harvests from a corpus.
-const DefaultWindow = 8
-
 // TopFeaturesPerSense is how many centroid features label an induced
 // concept.
 const TopFeaturesPerSense = 8
@@ -98,9 +94,9 @@ func (in *Inducer) Induce(c *corpus.Corpus, term string, polysemic bool) (*Resul
 }
 
 // InduceContext is Induce with cooperative cancellation: the context
-// is checked before the corpus harvest of the term's DefaultWindow
-// contexts and again before vectorization and clustering — the two
-// expensive stages. A cancelled call returns ctx's error
+// is checked before the corpus harvest of the term's contexts (over
+// corpus.ContextWindow) and again before vectorization and clustering
+// — the two expensive stages. A cancelled call returns ctx's error
 // (errors.Is-compatible with context.Canceled /
 // context.DeadlineExceeded). A Representation outside Representations
 // is refused before the harvest.
@@ -111,7 +107,7 @@ func (in *Inducer) InduceContext(ctx context.Context, c *corpus.Corpus, term str
 	if err := in.checkRepresentation(); err != nil {
 		return nil, err
 	}
-	ctxs := c.Contexts(term, DefaultWindow)
+	ctxs := c.Contexts(term, corpus.ContextWindow)
 	raw := make([][]string, len(ctxs))
 	for i, cw := range ctxs {
 		raw[i] = cw.Words
@@ -211,13 +207,14 @@ func Vectorize(contexts [][]string, rep Representation) []sparse.Vector {
 // rows are contexts vectorized over the words of one call: each
 // distinct word has a dense id, its index in words, numbered in order
 // of first use. Row i (see row) holds context i's features as ids,
-// ending before ends[i], with their weights at the same indexes of ws.
+// ending before ends[i], with their weights at the same indexes of ws,
+// and norms[i] is the Norm row i has once normalized.
 type rows struct {
-	words   []string
-	ids     []int32
-	ws      []float64
-	ends    []int
-	longest int // the most features a row has
+	words []string
+	ids   []int32
+	ws    []float64
+	ends  []int
+	norms []float64
 }
 
 // vectorize builds the rows, each normalized once. Every weight gets
@@ -249,14 +246,16 @@ func vectorize(contexts [][]string, rep Representation) *rows {
 	} else {
 		r.graph(contexts, seq)
 	}
+	longest := 0
 	for i := range r.ends {
 		_, ws := r.row(i)
-		r.longest = max(r.longest, len(ws))
+		longest = max(longest, len(ws))
 	}
-	scratch := make([]float64, r.longest)
+	scratch := make([]float64, longest)
+	r.norms = make([]float64, len(r.ends))
 	for i := range r.ends {
 		_, ws := r.row(i)
-		sparse.UnitNorm(ws, scratch)
+		r.norms[i] = sparse.UnitNorm(ws, scratch)
 	}
 	return r
 }
@@ -385,14 +384,19 @@ func (r *rows) vectors() []sparse.Vector {
 // bit what cluster.Run(alg, Vectorize(contexts, rep), 1, seed) gives
 // resultFrom: the clustering normalizes each vector a second time and
 // sums them, in context order, into its one composite, whose mean is
-// the sense's centroid. The rows are normalized in place and summed
-// into one dense composite.
+// the sense's centroid. The rows are normalized in place, as UnitNorm
+// would scale them by the norm vectorize kept, and summed into one
+// dense composite.
 func (r *rows) oneSense(term string) *Result {
 	comp := make([]float64, len(r.words))
-	scratch := make([]float64, r.longest)
 	for i := range r.ends {
 		ids, ws := r.row(i)
-		sparse.UnitNorm(ws, scratch)
+		if n := r.norms[i]; n != 0 {
+			s := 1 / n
+			for j := range ws {
+				ws[j] *= s
+			}
+		}
 		for j, x := range ids {
 			comp[x] += ws[j]
 		}

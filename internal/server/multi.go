@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strconv"
 
-	"bioenrich/internal/classify"
 	"bioenrich/internal/corpus"
 	"bioenrich/internal/ontology"
 	"bioenrich/internal/recommend"
@@ -79,14 +78,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("requested epoch %d is stale: ontology %q at epoch %d", req.Epoch, entry.Name, snap.Epoch))
 		return
 	}
-	start := obs.Now()
 	res, err := s.classifier.Classify(r.Context(), entry.Name, snap, req.Text, req.Top)
 	if err != nil {
 		writeError(w, stepStatus(r, err), err)
 		return
 	}
-	s.opts.Obs.Counter(classify.RequestsMetric, "ontology", entry.Name).Inc()
-	s.opts.Obs.Histogram(classify.SecondsMetric, nil, "ontology", entry.Name).Observe(obs.Since(start).Seconds())
 	setEpochHeader(w, res.Epoch)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ontology":   entry.Name,

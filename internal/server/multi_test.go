@@ -8,6 +8,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"bioenrich/internal/classify"
+	"bioenrich/internal/obs"
 )
 
 // postJSON posts body and returns the response; the caller owns Body.
@@ -154,6 +157,34 @@ func TestClassifyEndpoint(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("D3 missing from %s", b)
+	}
+}
+
+// TestClassifyCountsPerOntology: a successful classification counts
+// under the ontology label of the entry it classified against, whichever
+// route named that entry, and a refused one counts nowhere.
+func TestClassifyCountsPerOntology(t *testing.T) {
+	reg := obs.New()
+	ts, _ := startedServer(t, Options{Obs: reg})
+	createAgro(t, ts.URL)
+	for _, r := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/v1/ontologies/agro/classify", `{"text":"stem rust spread through fields"}`, http.StatusOK},
+		{"/v1/ontologies/agro/classify", `{"text":"wheat rust"}`, http.StatusOK},
+		{"/v1/ontologies/agro/classify", `{"text":"the of and"}`, http.StatusBadRequest},
+		{"/v1/classify", `{"text":"corneal injury"}`, http.StatusOK},
+	} {
+		resp := postJSON(t, ts.URL+r.path, r.body)
+		if b := readAll(t, resp); resp.StatusCode != r.status {
+			t.Fatalf("%s %s: status %d, want %d (%s)", r.path, r.body, resp.StatusCode, r.status, b)
+		}
+	}
+	for name, want := range map[string]float64{"agro": 2, "default": 1} {
+		if got := reg.Counter(classify.RequestsMetric, "ontology", name).Value(); got != want {
+			t.Errorf("%s{ontology=%q} = %v, want %v", classify.RequestsMetric, name, got, want)
+		}
 	}
 }
 

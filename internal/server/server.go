@@ -610,7 +610,7 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	props, err := linkage.New(snap.Corpus, snap.Ontology, linkage.DefaultOptions()).
-		ProposeContext(r.Context(), term, snap.Corpus.Contexts(term, linkage.ContextWindow), top)
+		ProposeContext(r.Context(), term, snap.Corpus.Contexts(term, corpus.ContextWindow), top)
 	if err != nil {
 		writeError(w, stepStatus(r, err), err)
 		return

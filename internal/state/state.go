@@ -36,7 +36,9 @@ var ErrUnavailable = errors.New("state: durability hook rejected publish")
 
 // Snapshot is one immutable version of the served data. Treat every
 // field as read-only: mutations clone first (ontology.Clone,
-// corpus.Clone) and commit the clone as a new snapshot.
+// corpus.Clone) and commit the clone as a new snapshot. Only the Slot
+// is filled after publishing, through Derived, with a value derived
+// from the rest.
 type Snapshot struct {
 	Corpus   *corpus.Corpus
 	Ontology *ontology.Ontology
@@ -44,6 +46,11 @@ type Snapshot struct {
 	// A mutation records the epoch it was built on; Commit rejects it
 	// once the store has moved past that epoch.
 	Epoch uint64
+	// Slot keeps what is derived from this corpus and ontology
+	// together: classify's concept-profile index, built on the
+	// snapshot's first classification. Every published snapshot starts
+	// with an empty one.
+	corpus.Slot
 }
 
 // Delta is the incremental durable payload of a mutation — what a

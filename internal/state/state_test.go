@@ -1,6 +1,7 @@
 package state
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -46,6 +47,44 @@ func TestLoadCommitEpoch(t *testing.T) {
 	// The superseded snapshot is still coherent for readers holding it.
 	if snap.Ontology.NumTerms() != 1 {
 		t.Errorf("old snapshot mutated: %d terms", snap.Ontology.NumTerms())
+	}
+}
+
+// TestPublishedSnapshotStartsWithEmptySlot: a publish, by Commit or
+// by UpdateDelta, starts the new snapshot with an empty Slot even over
+// the same corpus and ontology, and the snapshot it replaced keeps its
+// value for the readers still holding it.
+func TestPublishedSnapshotStartsWithEmptySlot(t *testing.T) {
+	c, o := fixture(t)
+	st := NewStore(c, o)
+	keep := func(s *Snapshot, v string) any {
+		t.Helper()
+		got, err := s.Derived(context.Background(), func() (any, error) { return v, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for _, publish := range []func(base *Snapshot) (*Snapshot, error){
+		func(base *Snapshot) (*Snapshot, error) { return st.Commit(base, base.Corpus, base.Ontology) },
+		func(*Snapshot) (*Snapshot, error) {
+			return st.UpdateDelta(func(cur *Snapshot) (*corpus.Corpus, *ontology.Ontology, *Delta, error) {
+				return cur.Corpus, cur.Ontology, nil, nil
+			})
+		},
+	} {
+		old := st.Load()
+		kept := keep(old, "old")
+		next, err := publish(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := keep(next, "new"); got != "new" {
+			t.Errorf("epoch %d started with %v in its slot", next.Epoch, got)
+		}
+		if got := keep(old, "other"); got != kept {
+			t.Errorf("epoch %d's slot holds %v, want %v", old.Epoch, got, kept)
+		}
 	}
 }
 

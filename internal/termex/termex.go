@@ -53,8 +53,8 @@ type Extractor struct {
 
 // table is step I's candidate table: everything ranking reads that
 // depends on the corpus alone. It is built once per corpus and kept in
-// the corpus's Derived slot, so every later Extractor over the same
-// corpus reads it; nothing writes it after the build.
+// the corpus's Slot, so every later Extractor over the same corpus
+// reads it; nothing writes it after the build.
 type table struct {
 	cands    []cand   // one row per distinct candidate, in order of first occurrence
 	patterns []string // distinct tag patterns ("JJ NN"), in order of first occurrence
