@@ -330,9 +330,8 @@ func BenchmarkCorpusIndexing(b *testing.B) {
 // whose concept-profile index is built once; "uncached" pays the full
 // O(corpus) profile build every iteration (a fresh snapshot of the
 // same data per op — the cost every request would pay without the
-// kept index). cached
-// must beat uncached by a wide margin: that gap is the reason the
-// serving path is O(document), not O(corpus). "loadtest" is cached on
+// kept index). cached must beat uncached by a wide margin: that gap
+// is the reason the serving path is O(document), not O(corpus). "loadtest" is cached on
 // the benchmark's classify shape: 30-word loadtest texts over the
 // mesh's vocabulary, a different one each call. All report
 // allocations: uncached's bytes/op is what every profile rebuild hands
